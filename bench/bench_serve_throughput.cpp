@@ -4,10 +4,12 @@
 // Trains a small predictor, exports it as a model bundle, loads it into
 // two PredictionEngines — one with request batching disabled (every call
 // runs its own forward) and one with the coalescing queue enabled — and
-// fires single-endpoint queries at both. Because the GNN encodes the whole
-// pin graph once per forward, coalescing N concurrent queries into one
-// batch amortizes that pass over all of them; the batched engine should
-// clear >= 3x the baseline QPS. Reports QPS for both and the batched
+// fires single-endpoint queries at both. The >= 3x batched-vs-baseline
+// gate dates from when every forward ran the whole-design GNN, so
+// coalescing N concurrent queries shared that sweep among them. The engine
+// now runs the sweep once per snapshot, a forward is cheap, and the
+// batched callers mostly wait out the coalescing window: the gate fails
+// until that window is re-derived. Reports QPS for both and the batched
 // engine's p50/p95/p99 request latency, and writes
 // BENCH_serve_throughput.json.
 

@@ -17,6 +17,8 @@ namespace dagt::core {
 /// breaks naive data merging.
 constexpr float kLabelScale = 1e-3f;
 
+class GraphMemo;
+
 /// A batch of timing paths from ONE design (the GNN runs per design):
 /// endpoint indices, their masked layout images and their labels.
 struct DesignBatch {
@@ -29,6 +31,10 @@ struct DesignBatch {
   /// the network then learns the routing/optimization correction rather
   /// than reproducing absolute magnitude from bounded embeddings.
   tensor::Tensor preRouteNs;
+  /// The design's GNN memo, set only by the serving engine (not owned).
+  /// The extractor fills it on first use and afterwards gathers the
+  /// batch's endpoint rows from it instead of re-running the sweep.
+  GraphMemo* graphMemo = nullptr;
 };
 
 /// Batching front-end over a set of DesignData. Caches per-path masked

@@ -80,9 +80,12 @@ Tensor Dac23Model::forwardBatch(const DesignBatch& batch) const {
 }
 
 std::vector<float> Dac23Model::predictDesign(
-    const TimingDataset& dataset, const features::DesignData& design) {
+    const TimingDataset& dataset, const features::DesignData& design,
+    GraphMemo* graphMemo) {
   tensor::NoGradGuard guard;
-  return unscale(forwardBatch(dataset.fullBatch(design)));
+  DesignBatch batch = dataset.fullBatch(design);
+  batch.graphMemo = graphMemo;
+  return unscale(forwardBatch(batch));
 }
 
 // ---------------------------------------------------------------------------
@@ -209,12 +212,13 @@ BayesianHead::WeightDistribution OursModel::prior(
 }
 
 std::vector<float> OursModel::predictDesign(
-    const TimingDataset& dataset, const features::DesignData& design) {
+    const TimingDataset& dataset, const features::DesignData& design,
+    GraphMemo* graphMemo) {
   tensor::NoGradGuard guard;
   Rng rng = evalRng(design);
-  const auto forwardResult =
-      forward(dataset.fullBatch(design), kEvalMcSamples, rng);
-  return unscale(forwardResult.prediction);
+  DesignBatch batch = dataset.fullBatch(design);
+  batch.graphMemo = graphMemo;
+  return unscale(forward(batch, kEvalMcSamples, rng).prediction);
 }
 
 OursModel::Uncertainty OursModel::predictDesignWithUncertainty(

@@ -19,9 +19,11 @@ class TimingModel {
   /// The underlying parameter container (for optimizers / serialization).
   virtual nn::Module& module() = 0;
   /// Arrival predictions (ps) for all endpoints of a design, in endpoint
-  /// order. Deterministic across calls.
+  /// order. Deterministic across calls. `graphMemo` (the serving engine's
+  /// per-snapshot memo) replaces the GNN sweep once it is filled.
   virtual std::vector<float> predictDesign(
-      const TimingDataset& dataset, const features::DesignData& design) = 0;
+      const TimingDataset& dataset, const features::DesignData& design,
+      GraphMemo* graphMemo = nullptr) = 0;
 };
 
 /// The DAC'23 [4] baseline predictor: the multimodal path feature extractor
@@ -41,8 +43,8 @@ class Dac23Model : public TimingModel, public nn::Module {
 
   nn::Module& module() override { return *this; }
   std::vector<float> predictDesign(const TimingDataset& dataset,
-                                   const features::DesignData& design)
-      override;
+                                   const features::DesignData& design,
+                                   GraphMemo* graphMemo = nullptr) override;
 
  private:
   PathFeatureExtractor extractor_;
@@ -124,8 +126,8 @@ class OursModel : public TimingModel, public nn::Module {
 
   nn::Module& module() override { return *this; }
   std::vector<float> predictDesign(const TimingDataset& dataset,
-                                   const features::DesignData& design)
-      override;
+                                   const features::DesignData& design,
+                                   GraphMemo* graphMemo = nullptr) override;
 
   /// Monte-Carlo predictive distribution per endpoint: mean and standard
   /// deviation (ps) of \hat y over the sampled readout weights. The spread

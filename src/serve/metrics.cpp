@@ -32,6 +32,8 @@ std::string MetricsSnapshot::renderTable() const {
   table.addRow({"full-design requests", std::to_string(fullDesignRequests)});
   table.addRow({"batches", std::to_string(batches)});
   table.addRow({"mean batch size", TextTable::num(meanBatchSize, 2)});
+  table.addRow({"graph memo fills", std::to_string(graphMemoFills)});
+  table.addRow({"graph memo bytes", std::to_string(graphMemoBytes)});
   table.addRow({"cache hits", std::to_string(cacheHits)});
   table.addRow({"cache misses", std::to_string(cacheMisses)});
   table.addRow({"cache hit rate", TextTable::num(cacheHitRate, 3)});
@@ -113,6 +115,8 @@ JsonValue MetricsSnapshot::toJson() const {
       .set("full_design_requests", fullDesignRequests)
       .set("batches", batches)
       .set("mean_batch_size", meanBatchSize)
+      .set("graph_memo_fills", graphMemoFills)
+      .set("graph_memo_bytes", graphMemoBytes)
       .set("cache_hits", cacheHits)
       .set("cache_misses", cacheMisses)
       .set("cache_hit_rate", cacheHitRate)

@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "netlist/io.hpp"
 #include "obs/trace.hpp"
-#include "tensor/expr.hpp"
 #include "tensor/storage.hpp"
 #include "tensor/tensor.hpp"
 
@@ -131,12 +130,13 @@ std::int64_t PredictionEngine::loadDesign(const std::string& key,
   // thread-safe); the NodeEntry pointer is stable across map inserts.
   ref.design = ref.node->features->fromFiles(key, netlistPath, libraryPath,
                                              placementPath);
+  ref.graphMemo = newGraphMemo();
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
     attachRetrievalLocked(key, ref);
     designs_[key] = ref;
   }
-  warmFusionPrograms(ref);
+  warmUp(ref);
   return ref.design->numEndpoints();
 }
 
@@ -154,23 +154,35 @@ std::int64_t PredictionEngine::loadDesign(
   ref.design = ref.node->features->fromNetlist(key, revision,
                                                std::move(netlist), node,
                                                placement);
+  ref.graphMemo = newGraphMemo();
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
     attachRetrievalLocked(key, ref);
     designs_[key] = ref;
   }
-  warmFusionPrograms(ref);
+  warmUp(ref);
   return ref.design->numEndpoints();
 }
 
-void PredictionEngine::warmFusionPrograms(const DesignRef& ref) {
-  if (!config_.warmFusion || !tensor::expr::fusionEnabled()) return;
+std::shared_ptr<core::GraphMemo> PredictionEngine::newGraphMemo() {
+  return std::make_shared<core::GraphMemo>(&graphMemoFills_);
+}
+
+core::DesignBatch PredictionEngine::DesignRef::batch(
+    std::vector<std::int64_t> endpoints) const {
+  core::DesignBatch out =
+      design->dataset->batchFor(design->data, std::move(endpoints));
+  out.graphMemo = graphMemo.get();
+  return out;
+}
+
+void PredictionEngine::warmUp(const DesignRef& ref) {
+  if (!config_.warmFusion) return;
   if (ref.design->numEndpoints() <= 0) return;
   DAGT_TRACE_SCOPE("serve/warm_fusion");
   tensor::NoGradGuard guard;
   tensor::Workspace workspace;
-  const core::DesignBatch batch =
-      ref.design->dataset->batchFor(ref.design->data, {0});
+  const core::DesignBatch batch = ref.batch({0});
   core::TimingModel& model = ref.node->bundle.model();
   if (auto* dac23 = dynamic_cast<core::Dac23Model*>(&model)) {
     (void)dac23->forwardBatch(batch);
@@ -186,8 +198,13 @@ FeatureService::ConeUpdateResult PredictionEngine::applyConeUpdate(
   DesignRef ref = designRef(key);
   auto result =
       ref.node->features->applyConeUpdate(key, revision, std::move(update));
+  // No eager sweep: the next query fills the memo, so sync stays a pure
+  // feature refresh.
+  std::shared_ptr<core::GraphMemo> memo = newGraphMemo();
   std::lock_guard<std::mutex> lock(designsMutex_);
-  designs_[key].design = result.design;
+  DesignRef& entry = designs_[key];
+  entry.design = result.design;
+  entry.graphMemo = std::move(memo);
   return result;
 }
 
@@ -196,8 +213,11 @@ void PredictionEngine::installSnapshot(
     std::shared_ptr<const ServableDesign> design) {
   DesignRef ref = designRef(key);
   ref.node->features->installSnapshot(key, revision, design);
+  std::shared_ptr<core::GraphMemo> memo = newGraphMemo();
   std::lock_guard<std::mutex> lock(designsMutex_);
-  designs_[key].design = std::move(design);
+  DesignRef& entry = designs_[key];
+  entry.design = std::move(design);
+  entry.graphMemo = std::move(memo);
 }
 
 void PredictionEngine::adoptDesign(
@@ -218,12 +238,13 @@ void PredictionEngine::adoptDesign(
   // under the same key/revision is a cache hit, then route the key.
   ref.node->features->installSnapshot(key, revision, design);
   ref.design = std::move(design);
+  ref.graphMemo = newGraphMemo();
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
     attachRetrievalLocked(key, ref, std::move(cache));
     designs_[key] = ref;
   }
-  warmFusionPrograms(ref);
+  warmUp(ref);
 }
 
 void PredictionEngine::attachRetrievalLocked(
@@ -342,7 +363,7 @@ std::vector<float> PredictionEngine::predictDesign(const std::string& key) {
   const DesignRef ref = designRef(key);
   tensor::Workspace workspace;
   auto predictions = ref.node->bundle.model().predictDesign(
-      *ref.design->dataset, ref.design->data);
+      *ref.design->dataset, ref.design->data, ref.graphMemo.get());
   metrics_.recordFullDesign();
   return predictions;
 }
@@ -376,7 +397,7 @@ void PredictionEngine::serveBatch(std::vector<RequestGroup> groups) {
     }
     const core::DesignBatch batch = [&] {
       DAGT_TRACE_SCOPE("serve/batch_assembly");
-      return design.dataset->batchFor(design.data, combined);
+      return ref.batch(combined);
     }();
     // Batch-assembly contract: one masked image of the manifest's trained
     // resolution per coalesced endpoint (feature-width agreement).
@@ -470,9 +491,7 @@ void PredictionEngine::serveBatchRetrieval(
   const std::int64_t m = cache.embeddingDim();
   if (!needEmbed.empty()) {
     DAGT_TRACE_SCOPE("retrieval/embed");
-    const core::DesignBatch batch =
-        design.dataset->batchFor(design.data, needEmbed);
-    const tensor::Tensor joint = ours.embed(batch);
+    const tensor::Tensor joint = ours.embed(ref.batch(needEmbed));
     DAGT_DCHECK(joint.dim(1) == m);
     const float* rows = joint.data();
     for (std::size_t i = 0; i < needEmbed.size(); ++i) {
@@ -628,6 +647,7 @@ MetricsSnapshot PredictionEngine::metrics() const {
   std::uint64_t coneStructural = 0;
   std::uint64_t coneReused = 0;
   std::uint64_t coneEvicted = 0;
+  std::uint64_t memoBytes = 0;
   // Caches are deduped by pointer: fleet replicas share one cache per
   // design, and double-counting its monotone counters would inflate the
   // per-shard view (each shard still reports the shared totals — the
@@ -644,6 +664,7 @@ MetricsSnapshot PredictionEngine::metrics() const {
       coneEvicted += entry.features->coneEndpointsEvicted();
     }
     for (const auto& [key, ref] : designs_) {
+      if (ref.graphMemo != nullptr) memoBytes += ref.graphMemo->bytes();
       if (ref.retrieval == nullptr) continue;
       bool known = false;
       for (const auto& cache : caches) {
@@ -660,6 +681,8 @@ MetricsSnapshot PredictionEngine::metrics() const {
   snap.coneStructuralRebuilds = coneStructural;
   snap.coneEndpointsReused = coneReused;
   snap.coneEndpointsEvicted = coneEvicted;
+  snap.graphMemoFills = graphMemoFills_.load(std::memory_order_relaxed);
+  snap.graphMemoBytes = memoBytes;
   if (!caches.empty()) {
     snap.retrievalEnabled = true;
     std::uint64_t hitBatches = 0;

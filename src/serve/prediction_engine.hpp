@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -21,8 +22,9 @@ namespace dagt::serve {
 
 /// Request-coalescing policy of the engine.
 struct EngineConfig {
-  /// Upper bound on endpoints per model forward. Larger batches amortize
-  /// the per-design GNN pass over more queries.
+  /// Upper bound on endpoints per model forward. The GNN runs once per
+  /// snapshot, not per forward (see GraphMemo), so a batch shares only the
+  /// per-forward launch costs of the CNN, disentangler and head.
   std::int64_t maxBatch = 64;
   /// How long the batcher holds an under-full batch open waiting for
   /// concurrent callers to join it.
@@ -37,9 +39,10 @@ struct EngineConfig {
   bool batching = true;
   /// Monte-Carlo samples for Bayesian-head bundles on the batched path.
   std::int32_t mcSamples = 8;
-  /// Precompile the design's fused forward programs at loadDesign time
-  /// (one single-endpoint warm forward), so the first real query replays
-  /// cached programs instead of paying the expr/compile cost inline.
+  /// One single-endpoint warm forward at loadDesign / adoptDesign time. It
+  /// fills the snapshot's GNN memo and compiles the fused forward programs,
+  /// so the first real query pays neither the sweep nor the compile. Off:
+  /// the first query does both.
   bool warmFusion = true;
   /// Learned prediction cache (uncertainty-gated ANN retrieval over the
   /// model's disentangled embeddings). Off by default; every knob comes
@@ -56,6 +59,12 @@ struct EngineConfig {
 /// feature-cached) once and then queried by key. Concurrent single-endpoint
 /// and batch queries on the same design are coalesced into tensor-level
 /// batches by a background batcher, bounded by maxBatch / maxWaitUs.
+///
+/// Each routed snapshot carries a memo of its GNN embeddings (GraphMemo):
+/// the whole-design sweep runs once per snapshot, at load time or on the
+/// first query after a what-if update, and every batch, full-design
+/// predict and retrieval embed on that snapshot only gathers its endpoint
+/// rows. Any change of the snapshot a key routes to starts a fresh memo.
 ///
 /// Determinism contract: predictDesign() reproduces the trainer's
 /// predictDesign() bit-for-bit (same full-design batch, same per-design
@@ -166,11 +175,18 @@ class PredictionEngine {
   struct DesignRef {
     NodeEntry* node = nullptr;
     std::shared_ptr<const ServableDesign> design;
+    /// GNN embeddings of `design` under `node`'s model; replaced with an
+    /// empty memo whenever the key is routed to a snapshot, filled by the
+    /// first forward that needs it.
+    std::shared_ptr<core::GraphMemo> graphMemo;
     /// Per-design learned prediction cache; null unless the retrieval
     /// layer is enabled and the bundle has a Bayesian head. Survives
     /// revision re-loads (the embedding space is the model's) and may be
     /// shared across engines (fleet replicas).
     std::shared_ptr<retrieval::PredictionCache> retrieval;
+
+    /// A batch of `endpoints` on this snapshot, carrying its GNN memo.
+    core::DesignBatch batch(std::vector<std::int64_t> endpoints) const;
   };
   struct RequestGroup {
     DesignRef ref;
@@ -180,15 +196,18 @@ class PredictionEngine {
   };
 
   DesignRef designRef(const std::string& key) const;
-  /// One single-endpoint warm forward so the design's fused programs are
-  /// compiled (and cached) before real traffic arrives. No-op when
-  /// warmFusion is off or fusion is disabled.
-  void warmFusionPrograms(const DesignRef& ref);
+  /// An empty GNN memo whose sweeps count toward graph_memo_fills.
+  std::shared_ptr<core::GraphMemo> newGraphMemo();
+  /// The load-time warm forward (see EngineConfig::warmFusion): fills the
+  /// snapshot's GNN memo and compiles its fused programs. No-op when
+  /// warmFusion is off.
+  void warmUp(const DesignRef& ref);
   /// Run one forward over the union of the groups' endpoints and fulfill
   /// their promises. noexcept-ish: failures land in the promises.
   void serveBatch(std::vector<RequestGroup> groups);
   /// The retrieval-fronted variant of serveBatch's forward: embed (memoized
-  /// per snapshot), probe the cache, run the head only for the misses.
+  /// per snapshot and endpoint), probe the cache, run the head only for
+  /// the misses.
   /// Called inside serveBatch's try block; only reached when the lead
   /// design carries a cache.
   void serveBatchRetrieval(std::vector<RequestGroup>& groups,
@@ -202,6 +221,9 @@ class PredictionEngine {
   void workerLoop();
 
   EngineConfig config_;
+  /// GNN sweeps run into this engine's memos (graph_memo_fills). Declared
+  /// before everything that holds a memo, which points at it.
+  std::atomic<std::uint64_t> graphMemoFills_{0};
 
   // designsMutex_ covers the registry: both the node -> bundle map and the
   // design routing table (addBundle mutates both together). NodeEntry

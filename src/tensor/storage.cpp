@@ -99,10 +99,15 @@ void BufferPool::release(std::unique_ptr<Buffer> buffer) {
   released_.fetch_add(1, std::memory_order_relaxed);
   bytesOutstanding_.fetch_sub(bytes, std::memory_order_relaxed);
   if (Workspace* ws = tActiveWorkspace) {
-    ws->cache_[static_cast<std::size_t>(buffer->bucket())].push_back(
-        std::move(buffer));
-    bytesPooled_.fetch_add(bytes, std::memory_order_relaxed);
-    return;
+    // Same bound as the global lists: a serve worker's workspace lives as
+    // long as its thread, so buffers it releases but never reacquires
+    // (a replaced snapshot's last reference dropped here) must not pile up.
+    auto& cache = ws->cache_[static_cast<std::size_t>(buffer->bucket())];
+    if (cache.size() < kMaxPerBucket) {
+      cache.push_back(std::move(buffer));
+      bytesPooled_.fetch_add(bytes, std::memory_order_relaxed);
+      return;
+    }
   }
   parkGlobal(std::move(buffer));
 }

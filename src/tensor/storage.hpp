@@ -73,7 +73,8 @@ class BufferPool {
  public:
   static constexpr std::size_t kMinCapacity = 64;   // elements
   static constexpr std::size_t kNumBuckets = 32;
-  static constexpr std::size_t kMaxPerBucket = 64;  // per global free list
+  // Per bucket, in the global free list and in each Workspace cache.
+  static constexpr std::size_t kMaxPerBucket = 64;
 
   /// The process-wide pool (leaked singleton: tensors with static storage
   /// duration may release buffers after main returns).
@@ -133,7 +134,8 @@ struct PoolContractTestPeer {
 /// step, one Monte-Carlo sampling loop, one served batch).
 ///
 /// While a Workspace is active on a thread, buffers released on that
-/// thread are cached locally (no lock) and handed back on the next
+/// thread are cached locally (no lock, up to kMaxPerBucket per bucket;
+/// the overflow goes to the global lists) and handed back on the next
 /// acquisition; on destruction the remaining cache is returned to the
 /// global BufferPool, so the next step — possibly on another thread —
 /// starts from a warm pool instead of the heap. Workspaces nest; the

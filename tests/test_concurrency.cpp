@@ -114,8 +114,10 @@ const std::string& bundleDir() {
 }
 
 std::unique_ptr<PredictionEngine> makeEngine(std::int32_t workers,
-                                             std::int64_t maxBatch) {
+                                             std::int64_t maxBatch,
+                                             bool batching = true) {
   EngineConfig config;
+  config.batching = batching;
   config.workerThreads = workers;
   config.maxBatch = maxBatch;
   config.maxWaitUs = 100;
@@ -239,6 +241,66 @@ TEST(ConcurrencyStress, RegistryMutationDuringQueries) {
 
   const MetricsSnapshot snap = engine->metrics();
   EXPECT_GT(snap.cacheHits, 0u);  // the revision "r1" re-loads must hit
+}
+
+TEST(ConcurrencyStress, NewlyRoutedSnapshotSweepsOnceUnderConcurrentReaders) {
+  // installSnapshot routes the key with an empty GNN memo (no warm-up), so
+  // the first readers race to fill it: caller-thread full-design predicts
+  // plus endpoint queries, served by the batcher or (batching off) by the
+  // callers' own solo batches, all at once. Exactly one sweep may run, and
+  // every reader must see its complete result.
+  ThreadCountGuard guard(4);
+  const features::DesignData& reference = target7();
+  constexpr int kFull = 3;
+  constexpr int kEndpoint = 3;
+  for (const bool batching : {true, false}) {
+    auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/8, batching);
+    const std::int64_t endpointCount = engine->loadDesign(
+        "smallboom", reference.netlist, reference.node, reference.placement,
+        "r1");
+    const std::vector<float> expected = engine->predictDesign("smallboom");
+    const auto snapshot = engine->currentSnapshot("smallboom");
+    for (int round = 0; round < 3; ++round) {
+      engine->installSnapshot("smallboom", "r1", snapshot);
+      const std::uint64_t fillsBefore = engine->metrics().graphMemoFills;
+      std::atomic<int> arrived{0};
+      std::atomic<bool> failed{false};
+      const auto waitForAll = [&] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kFull + kEndpoint) std::this_thread::yield();
+      };
+      std::vector<std::thread> threads;
+      for (int c = 0; c < kFull; ++c) {
+        threads.emplace_back([&] {
+          waitForAll();
+          const std::vector<float> full = engine->predictDesign("smallboom");
+          if (full.size() != expected.size() ||
+              std::memcmp(full.data(), expected.data(),
+                          full.size() * sizeof(float)) != 0) {
+            failed = true;
+          }
+        });
+      }
+      for (int c = 0; c < kEndpoint; ++c) {
+        threads.emplace_back([&, c] {
+          waitForAll();
+          const std::int64_t e = (c * 11 + round) % endpointCount;
+          const float v = engine->predictEndpoint("smallboom", e);
+          // dac23 has no Monte-Carlo head: any batch reproduces the
+          // full-design answer bitwise.
+          if (std::memcmp(&v, &expected[static_cast<std::size_t>(e)],
+                          sizeof(float)) != 0) {
+            failed = true;
+          }
+        });
+      }
+      for (auto& t : threads) t.join();
+      EXPECT_FALSE(failed.load()) << "batching=" << batching << " round "
+                                  << round;
+      EXPECT_EQ(engine->metrics().graphMemoFills, fillsBefore + 1)
+          << "batching=" << batching << " round " << round;
+    }
+  }
 }
 
 // -- Tensor-layer stress -----------------------------------------------------

@@ -149,7 +149,7 @@ TEST(DagtLint, StdoutLoggingFiresOnceAndHonorsAllow) {
 }
 
 TEST(DagtLint, StdoutLoggingExemptOutsideSrc) {
-  for (const std::string path :
+  for (const std::string& path :
        {std::string("tools/report.cpp"), std::string("bench/report.cpp"),
         std::string("src/common/logging/fixture.cpp")}) {
     const auto findings = lintFixture(path, "stdout.cpp");

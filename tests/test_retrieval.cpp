@@ -178,10 +178,15 @@ TEST(EmbeddingIndex, ConcurrentInsertDuringQueryIsSafe) {
   const int kReaders = 3;
   const int kRowsPerWriter = 400;
 
+  // Writers start once every reader is running, so the inserts overlap
+  // queries even on a loaded machine (and each reader queries at least
+  // once: stop is only set after the writers finish).
+  std::atomic<int> readersRunning{0};
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       Rng rng(1000 + w);
+      while (readersRunning.load() < kReaders) std::this_thread::yield();
       for (int i = 0; i < kRowsPerWriter; ++i) {
         const auto v = randomVec(rng, dim);
         const float payload[2] = {static_cast<float>(i),
@@ -195,6 +200,7 @@ TEST(EmbeddingIndex, ConcurrentInsertDuringQueryIsSafe) {
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       Rng rng(2000 + r);
+      readersRunning.fetch_add(1);
       while (!stop.load(std::memory_order_relaxed)) {
         const auto q = randomVec(rng, dim);
         const std::int64_t sizeBefore = index.size();
@@ -208,7 +214,9 @@ TEST(EmbeddingIndex, ConcurrentInsertDuringQueryIsSafe) {
           ASSERT_NE(n.payload, nullptr);
           EXPECT_GE(n.payload[0], 0.0f);  // published payload, not zeros mid-copy
         }
-        if (sizeBefore > 0) EXPECT_FALSE(got.empty());
+        if (sizeBefore > 0) {
+          EXPECT_FALSE(got.empty());
+        }
         queries.fetch_add(1, std::memory_order_relaxed);
       }
     });

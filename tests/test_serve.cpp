@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -99,6 +100,10 @@ const TrainedBundle& trainedBundle(core::Strategy strategy) {
                       entry.dir);
   }
   return entry;
+}
+
+bool bitwiseEqual(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
 }
 
 // -- Placement sidecar -------------------------------------------------------
@@ -233,7 +238,8 @@ TEST(PredictionEngine, FullDesignMatchesTrainerBitExact) {
   const auto served = engine.predictDesign("smallboom");
   ASSERT_EQ(served.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(served[i], expected[i], 1e-4f);
+    EXPECT_TRUE(bitwiseEqual(served[i], expected[i]))
+        << "endpoint " << i << ": " << served[i] << " vs " << expected[i];
   }
 }
 
@@ -249,10 +255,39 @@ TEST(PredictionEngine, EndpointQueriesMatchFullDesignForDac23) {
   ASSERT_GT(n, 3);
   const auto full = engine.predictDesign("smallboom");
   const auto some = engine.predictEndpoints("smallboom", {0, 2, n - 1});
-  EXPECT_NEAR(some[0], full[0], 1e-4f);
-  EXPECT_NEAR(some[1], full[2], 1e-4f);
-  EXPECT_NEAR(some[2], full[static_cast<std::size_t>(n - 1)], 1e-4f);
-  EXPECT_NEAR(engine.predictEndpoint("smallboom", 1), full[1], 1e-4f);
+  EXPECT_TRUE(bitwiseEqual(some[0], full[0]));
+  EXPECT_TRUE(bitwiseEqual(some[1], full[2]));
+  EXPECT_TRUE(bitwiseEqual(some[2], full[static_cast<std::size_t>(n - 1)]));
+  EXPECT_TRUE(bitwiseEqual(engine.predictEndpoint("smallboom", 1), full[1]));
+}
+
+TEST(PredictionEngine, RequestsOnOneSnapshotRunOneGnnSweep) {
+  // The load-time warm-up fills the snapshot's memo; after that no read
+  // path sweeps again, batched or solo, however many requests follow.
+  const auto& trained = trainedBundle(core::Strategy::kOurs);
+  const auto& d = target7();
+  for (const bool batching : {true, false}) {
+    EngineConfig config;
+    config.batching = batching;
+    PredictionEngine engine(config);
+    engine.addBundleFromDir(trained.dir);
+    const auto n = engine.loadDesign("smallboom", d.netlist, d.node,
+                                     d.placement);
+    const MetricsSnapshot loaded = engine.metrics();
+    EXPECT_EQ(loaded.graphMemoFills, 1u) << "batching=" << batching;
+    EXPECT_GT(loaded.graphMemoBytes, 0u);
+    for (std::int64_t e = 0; e < 10; ++e) {
+      engine.predictEndpoint("smallboom", e % n);
+    }
+    engine.predictEndpoints("smallboom", {0, 1, n - 1});
+    engine.predictDesign("smallboom");
+    const MetricsSnapshot after = engine.metrics();
+    EXPECT_EQ(after.graphMemoFills, 1u) << "batching=" << batching;
+    EXPECT_EQ(after.graphMemoBytes, loaded.graphMemoBytes);
+    const std::string json = after.toJson().dump();
+    EXPECT_NE(json.find("\"graph_memo_fills\""), std::string::npos);
+    EXPECT_NE(json.find("\"graph_memo_bytes\""), std::string::npos);
+  }
 }
 
 TEST(PredictionEngine, CoalescesConcurrentCallers) {

@@ -429,6 +429,32 @@ TEST(Pool, WorkspaceCachesAndDrainsToGlobalPool) {
   EXPECT_EQ(BufferPool::global().stats().heapAllocs, 1u);
 }
 
+TEST(Pool, WorkspaceCacheIsBoundedPerBucket) {
+  // A long-lived workspace (a serve worker's) that releases more buffers
+  // of one bucket than it ever reacquires keeps at most kMaxPerBucket; the
+  // rest go to the (equally bounded) global list or back to the heap.
+  constexpr std::size_t kElems = std::size_t{1} << 13;  // one bucket
+  constexpr std::size_t kCount = 2 * BufferPool::kMaxPerBucket + 1;
+  constexpr std::uint64_t kBytes = kElems * sizeof(float);
+  BufferPool& pool = BufferPool::global();
+  pool.trim();
+  pool.resetStats();
+  const std::uint64_t pooledBefore = pool.stats().bytesPooled;
+  Workspace ws;
+  {
+    std::vector<Storage> live;
+    for (std::size_t i = 0; i < kCount; ++i) {
+      live.push_back(Storage::allocate(kElems));
+    }
+  }  // all released into the active workspace
+  EXPECT_EQ(ws.cachedBuffers(), BufferPool::kMaxPerBucket);
+  const PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.released, kCount);
+  EXPECT_LE(stats.bytesPooled - pooledBefore,
+            2 * BufferPool::kMaxPerBucket * kBytes);
+  EXPECT_EQ(stats.freed, kCount - 2 * BufferPool::kMaxPerBucket);
+}
+
 TEST(Pool, SteadyStateForwardIsAllocationFree) {
   Rng rng = testRng(91);
   Tensor x = Tensor::randn({8, 16}, rng, 1.0f, false);

@@ -281,6 +281,46 @@ TEST(WhatIfSession, CommitMovesTheRevertBaseline) {
   expectBitwiseEqual(session.predictAll(), committed, "after commit+revert");
 }
 
+// -- GNN memo across re-routes -----------------------------------------------
+
+TEST(WhatIfSession, EveryRerouteAnswersLikeAColdEngine) {
+  // Each way a key is re-routed (cone update, revert, adoptDesign) must
+  // start an empty GNN memo, so the answers match an engine that never saw
+  // the key, bitwise. A memo kept across the re-route would serve the
+  // previous snapshot's embeddings: cone updates share the pin graph, so
+  // only the answers can tell.
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  std::vector<std::int64_t> all(
+      static_cast<std::size_t>(session.numEndpoints()));
+  std::iota(all.begin(), all.end(), std::int64_t{0});
+  const auto expectCold = [&](const netlist::Netlist& nl, const char* what) {
+    serve::EngineConfig config;
+    config.batching = false;
+    serve::PredictionEngine cold(config);
+    cold.addBundleFromDir(bundleDir());
+    cold.loadDesign("cold", nl, f.node, f.placement);
+    expectBitwiseEqual(f.engine.predictEndpoints("wi", all),
+                       cold.predictEndpoints("cold", all), what);
+    expectBitwiseEqual(f.engine.predictDesign("wi"),
+                       cold.predictDesign("cold"), what);
+  };
+  expectCold(session.netlist(), "baseline");
+
+  ASSERT_TRUE(session.resizeCell(findResizable(session.netlist()), true));
+  session.sync();
+  ASSERT_FALSE(session.lastSync().structuralRebuild);
+  const netlist::Netlist edited = session.netlist();
+  const auto editedSnapshot = f.engine.currentSnapshot("wi");
+  expectCold(edited, "after cone update");
+
+  session.revert();
+  expectCold(session.netlist(), "after revert");
+
+  f.engine.adoptDesign("wi", f.node, "adopted", editedSnapshot);
+  expectCold(edited, "after adoptDesign");
+}
+
 // -- Metrics and tracing surface ---------------------------------------------
 
 TEST(WhatIfSession, MetricsExposeEditAndConeCounters) {

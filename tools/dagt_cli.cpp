@@ -30,15 +30,17 @@
 //       [--endpoints I,J,...] [--batch N] [--wait-us U] [--dump]
 //       [--metrics-json F]
 //       Load a bundle into the serving engine, prepare the design's
-//       pre-routing features, and answer arrival-time queries. Without
+//       pre-routing features, run the whole-design GNN once (the engine
+//       memoizes it per snapshot) and answer arrival-time queries, each
+//       of which then costs a row gather, the CNN and the head. Without
 //       --endpoints, predicts every endpoint (bit-exact with the
 //       trainer's in-process predictions) and prints a summary; with it,
 //       serves the listed endpoints through the batching queue. Serving
 //       metrics are printed afterwards (--metrics-json writes them as
-//       JSON). Measured by bench_serve_throughput on the reference box
-//       (or1200, 408 endpoints): 225.3 QPS single-request, 891.9 QPS
-//       batched (3.96x). DAGT_RETRIEVAL=1 additionally fronts Bayesian
-//       bundles with the learned prediction cache (docs/retrieval.md).
+//       JSON). Serving latency is measured by `python3 perfbench/run.py
+//       --workload point_query --seed 1 --seconds 30 --trace 0` from the
+//       repo root. DAGT_RETRIEVAL=1 additionally fronts Bayesian bundles
+//       with the learned prediction cache (docs/retrieval.md).
 //
 //   dagt whatif <bundle> <netlist.dagtnl> <lib.dagtlib> [--pl F]
 //       [--edits FILE] [--repl] [--metrics-json F]
