@@ -25,13 +25,15 @@ void parallelForChunks(std::size_t begin, std::size_t end,
 
 }  // namespace detail
 
-/// Run fn(i) for i in [begin, end) across a shared thread pool.
+/// Run fn(i) for i in [begin, end) on up to parallelThreadCount() threads.
 ///
+/// Each call constructs its worker std::threads, and joins them before it
+/// returns; there is no persistent pool, and the calling thread only waits.
 /// The range is split into contiguous chunks stolen from a shared cursor;
-/// fn must be safe to call concurrently for distinct i. Falls back to a
-/// serial loop for small ranges where the fork/join overhead would
-/// dominate. Exceptions thrown by fn are captured and rethrown on the
-/// calling thread.
+/// fn must be safe to call concurrently for distinct i. A range of at most
+/// one grain runs inline on the caller, where spawning threads would cost
+/// more than the work. Exceptions thrown by fn are captured and rethrown on
+/// the calling thread.
 ///
 /// fn is captured by reference for the duration of the call (no copy, no
 /// type erasure): the per-chunk trampoline below inlines the body, which
@@ -52,9 +54,9 @@ void parallelFor(std::size_t begin, std::size_t end, F&& fn,
 }
 
 /// Run fn(chunkBegin, chunkEnd) over contiguous sub-ranges of [begin, end),
-/// each at most grainSize long. Same pool and stealing as parallelFor, but
-/// the body receives whole ranges — this is what the SIMD kernel layer
-/// wants: one call per row block instead of one per row.
+/// each at most grainSize long. Same per-call threads and stealing as
+/// parallelFor, but the body receives whole ranges — this is what the SIMD
+/// kernel layer wants: one call per row block instead of one per row.
 template <typename F>
 void parallelForRange(std::size_t begin, std::size_t end, F&& fn,
                       std::size_t grainSize = 256) {

@@ -93,6 +93,12 @@ CellLibrary readLibrary(std::istream& in) {
         c.slewRes >> c.area >> seq >> c.clkToQ;
     DAGT_CHECK_MSG(!ls.fail(), "malformed cell line '" << line << "'");
     c.function = parseFunction(fnName);
+    // The arity sizes every instance's pin block, so a corrupt count must
+    // not reach Netlist::addCell.
+    DAGT_CHECK_MSG(c.numInputs == cellFunctionInputs(c.function),
+                   "cell " << c.name << " declares " << c.numInputs
+                           << " inputs, but " << fnName << " has "
+                           << cellFunctionInputs(c.function));
     c.node = node;
     c.isSequential = seq != 0;
     cells.push_back(std::move(c));

@@ -36,9 +36,9 @@ struct CacheConfig {
 /// Learned prediction cache fronting PredictionEngine::predict: previously
 /// computed Bayesian posteriors, retrieved by approximate-nearest-neighbor
 /// probe over the model's disentangled path embeddings and admitted only
-/// when BOTH gates of CacheConfig pass. One cache serves one design across
-/// revisions (the embedding space is the model's, not a revision's), and
-/// one instance may be shared by several engines (fleet replicas).
+/// when BOTH gates of CacheConfig pass. One cache serves one design key
+/// across revisions (the embedding space is the model's, not a
+/// revision's).
 ///
 /// Thread-safe throughout: the index has lock-free reads, the counters are
 /// relaxed atomics, and the per-snapshot embedding memo is published via

@@ -49,10 +49,10 @@ struct MetricsSnapshot {
   /// that visited at most 2^(b+1) pins (and more than 2^b for b > 0).
   std::vector<std::uint64_t> staConeHist;
   /// Learned-prediction-cache counters (see src/retrieval/ and
-  /// docs/retrieval.md), aggregated over the engine's attached caches
-  /// (deduped when fleet replicas share one). The renderers emit the group
-  /// only when retrievalEnabled — i.e. at least one design carries a
-  /// cache — so cache-less engines keep their old output byte-for-byte.
+  /// docs/retrieval.md), summed over the engine's per-design caches. The
+  /// renderers emit the group only when retrievalEnabled — i.e. at least
+  /// one design carries a cache — so cache-less engines keep their old
+  /// output byte-for-byte.
   bool retrievalEnabled = false;
   std::uint64_t retrievalHits = 0;
   std::uint64_t retrievalMisses = 0;        // every fall-through (incl. rejects)
@@ -100,8 +100,7 @@ struct MetricsSnapshot {
 /// growth is not atomic, so each stripe keeps a mutex — but a recorder
 /// thread hashes to its own stripe, so the hot path never contends with
 /// other workers or with a metrics poll draining a different stripe).
-/// Snapshots merge all stripes; percentiles stay exact. A fleet of shard
-/// engines therefore adds no shared lock on the request path.
+/// Snapshots merge all stripes; percentiles stay exact.
 class ServeMetrics {
  public:
   void recordRequests(std::uint64_t count);

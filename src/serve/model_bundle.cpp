@@ -1,5 +1,8 @@
 #include "serve/model_bundle.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -14,6 +17,35 @@ namespace {
 
 constexpr const char* kManifestFile = "manifest.dagtmf";
 constexpr const char* kWeightsFile = "weights.dagtprm";
+/// Upper bound on every manifest width: far above any trained bundle (the
+/// paper's GNN is 256 wide, its images 512 px), low enough that a corrupt
+/// manifest cannot make instantiate() allocate gigabytes.
+constexpr std::int64_t kMaxWidth = 4096;
+
+/// The manifest is untrusted input: a malformed value is a CheckError,
+/// never a std::stoll exception.
+std::int64_t parseWidth(const std::string& key, const std::string& value) {
+  std::int64_t out = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  DAGT_CHECK_MSG(ec == std::errc() && ptr == end && out >= 1 &&
+                     out <= kMaxWidth,
+                 "manifest key '" << key << "': '" << value
+                                  << "' is not an integer in [1, "
+                                  << kMaxWidth << "]");
+  return out;
+}
+
+/// A finite, positive feature normalization scale.
+float parseScale(const std::string& key, const std::string& value) {
+  char* end = nullptr;
+  const float out = std::strtof(value.c_str(), &end);
+  DAGT_CHECK_MSG(!value.empty() && end == value.c_str() + value.size() &&
+                     std::isfinite(out) && out > 0.0f,
+                 "manifest key '" << key << "': '" << value
+                                  << "' is not a finite positive number");
+  return out;
+}
 
 std::string joinNodes(const std::vector<netlist::TechNode>& nodes) {
   std::string out;
@@ -149,7 +181,7 @@ ModelBundle ModelBundle::load(const std::string& dir) {
     return it->second;
   };
   DAGT_CHECK_MSG(
-      std::stoi(get("dagt_bundle")) == BundleManifest::kFormatVersion,
+      get("dagt_bundle") == std::to_string(BundleManifest::kFormatVersion),
       "unsupported bundle format version " << get("dagt_bundle"));
 
   ModelBundle bundle;
@@ -159,15 +191,17 @@ ModelBundle ModelBundle::load(const std::string& dir) {
   m.strategy = get("strategy");
   m.targetNode = netlist::techNodeFromName(get("target_node"));
   m.vocabularyNodes = splitNodes(get("vocab_nodes"));
-  m.pinFeatureDim = std::stoll(get("pin_feature_dim"));
-  m.model.gnnHidden = std::stoll(get("gnn_hidden"));
-  m.model.cnnBaseChannels = std::stoll(get("cnn_base_channels"));
-  m.model.cnnDim = std::stoll(get("cnn_dim"));
-  m.model.imageResolution = std::stoll(get("image_resolution"));
-  m.model.headHidden = std::stoll(get("head_hidden"));
-  m.features.distanceScale = std::stof(get("distance_scale"));
-  m.features.capScale = std::stof(get("cap_scale"));
-  m.features.fanoutScale = std::stof(get("fanout_scale"));
+  const auto width = [&](const char* k) { return parseWidth(k, get(k)); };
+  const auto scale = [&](const char* k) { return parseScale(k, get(k)); };
+  m.pinFeatureDim = width("pin_feature_dim");
+  m.model.gnnHidden = width("gnn_hidden");
+  m.model.cnnBaseChannels = width("cnn_base_channels");
+  m.model.cnnDim = width("cnn_dim");
+  m.model.imageResolution = width("image_resolution");
+  m.model.headHidden = width("head_hidden");
+  m.features.distanceScale = scale("distance_scale");
+  m.features.capScale = scale("cap_scale");
+  m.features.fanoutScale = scale("fanout_scale");
 
   bundle.model_ = instantiate(m);
   bundle.model_->module().loadParameters((path / kWeightsFile).string());

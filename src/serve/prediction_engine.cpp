@@ -50,17 +50,13 @@ PredictionEngine::PredictionEngine(EngineConfig config)
   }
 }
 
-PredictionEngine::~PredictionEngine() { shutdown(); }
-
-void PredictionEngine::shutdown() {
+PredictionEngine::~PredictionEngine() {
   {
     std::lock_guard<std::mutex> lock(queueMutex_);
-    if (stopping_) return;
     stopping_ = true;
   }
   queueCv_.notify_all();
   for (auto& worker : workers_) worker.join();
-  workers_.clear();
 }
 
 void PredictionEngine::addBundle(ModelBundle bundle) {
@@ -220,46 +216,14 @@ void PredictionEngine::installSnapshot(
   entry.graphMemo = std::move(memo);
 }
 
-void PredictionEngine::adoptDesign(
-    const std::string& key, netlist::TechNode node,
-    const std::string& revision,
-    std::shared_ptr<const ServableDesign> design,
-    std::shared_ptr<retrieval::PredictionCache> cache) {
-  DAGT_CHECK_MSG(design != nullptr, "adoptDesign: null snapshot");
-  DesignRef ref;
-  {
-    std::lock_guard<std::mutex> lock(designsMutex_);
-    const auto it = nodes_.find(static_cast<int>(node));
-    DAGT_CHECK_MSG(it != nodes_.end(), "no bundle registered for "
-                                           << netlist::techNodeName(node));
-    ref.node = &it->second;
-  }
-  // Register with the node's FeatureService first so a later fromNetlist
-  // under the same key/revision is a cache hit, then route the key.
-  ref.node->features->installSnapshot(key, revision, design);
-  ref.design = std::move(design);
-  ref.graphMemo = newGraphMemo();
-  {
-    std::lock_guard<std::mutex> lock(designsMutex_);
-    attachRetrievalLocked(key, ref, std::move(cache));
-    designs_[key] = ref;
-  }
-  warmUp(ref);
-}
-
-void PredictionEngine::attachRetrievalLocked(
-    const std::string& key, DesignRef& ref,
-    std::shared_ptr<retrieval::PredictionCache> shared) {
+void PredictionEngine::attachRetrievalLocked(const std::string& key,
+                                             DesignRef& ref) {
   if (!config_.retrieval.enabled) return;
   // Only "ours" bundles with the Bayesian head are cacheable: the cache
   // stores posteriors keyed by the disentangled embedding, and the sigma
   // admission gate needs a predictive spread to gate on.
   auto* ours = dynamic_cast<core::OursModel*>(&ref.node->bundle.model());
   if (ours == nullptr || !ours->usesBayesianHead()) return;
-  if (shared != nullptr) {
-    ref.retrieval = std::move(shared);
-    return;
-  }
   const auto it = designs_.find(key);
   if (it != designs_.end() && it->second.retrieval != nullptr &&
       it->second.node == ref.node) {
@@ -271,11 +235,6 @@ void PredictionEngine::attachRetrievalLocked(
   }
   ref.retrieval = std::make_shared<retrieval::PredictionCache>(
       ref.node->bundle.manifest().model.pathFeatureDim(), config_.retrieval);
-}
-
-bool PredictionEngine::dropDesign(const std::string& key) {
-  std::lock_guard<std::mutex> lock(designsMutex_);
-  return designs_.erase(key) > 0;
 }
 
 std::shared_ptr<const ServableDesign> PredictionEngine::currentSnapshot(
@@ -310,35 +269,6 @@ std::vector<float> PredictionEngine::predictEndpoints(
     const std::string& key, const std::vector<std::int64_t>& endpoints) {
   DAGT_TRACE_SCOPE("serve/request");
   DAGT_CHECK_MSG(!endpoints.empty(), "empty endpoint query");
-  if (!config_.batching) {
-    RequestGroup group;
-    group.ref = designRef(key);
-    const std::int64_t n = group.ref.design->numEndpoints();
-    for (const std::int64_t e : endpoints) {
-      DAGT_CHECK_MSG(e >= 0 && e < n, "endpoint " << e << " out of range for '"
-                                                  << key << "' (" << n
-                                                  << ")");
-    }
-    group.endpoints = endpoints;
-    group.enqueued = std::chrono::steady_clock::now();
-    auto future = group.reply.get_future();
-    // Caller-thread forward: scope a workspace around it so this request's
-    // temporaries land back in the shared pool for the next caller.
-    tensor::Workspace workspace;
-    std::vector<RequestGroup> solo;
-    solo.push_back(std::move(group));
-    serveBatch(std::move(solo));
-    return future.get();
-  }
-  return predictEndpointsAsync(key, endpoints).get();
-}
-
-std::future<std::vector<float>> PredictionEngine::predictEndpointsAsync(
-    const std::string& key, const std::vector<std::int64_t>& endpoints) {
-  DAGT_CHECK_MSG(config_.batching,
-                 "async submission needs the batching queue "
-                 "(EngineConfig::batching = true)");
-  DAGT_CHECK_MSG(!endpoints.empty(), "empty endpoint query");
   RequestGroup group;
   group.ref = designRef(key);
   const std::int64_t n = group.ref.design->numEndpoints();
@@ -349,13 +279,21 @@ std::future<std::vector<float>> PredictionEngine::predictEndpointsAsync(
   group.endpoints = endpoints;
   group.enqueued = std::chrono::steady_clock::now();
   auto future = group.reply.get_future();
+  if (!config_.batching) {
+    // Caller-thread forward: scope a workspace around it so this request's
+    // temporaries land back in the shared pool for the next caller.
+    tensor::Workspace workspace;
+    std::vector<RequestGroup> solo;
+    solo.push_back(std::move(group));
+    serveBatch(std::move(solo));
+    return future.get();
+  }
   {
     std::lock_guard<std::mutex> lock(queueMutex_);
-    DAGT_CHECK_MSG(!stopping_, "engine is shut down");
     queue_.push_back(std::move(group));
   }
   queueCv_.notify_all();
-  return future;
+  return future.get();
 }
 
 std::vector<float> PredictionEngine::predictDesign(const std::string& key) {
@@ -648,10 +586,6 @@ MetricsSnapshot PredictionEngine::metrics() const {
   std::uint64_t coneReused = 0;
   std::uint64_t coneEvicted = 0;
   std::uint64_t memoBytes = 0;
-  // Caches are deduped by pointer: fleet replicas share one cache per
-  // design, and double-counting its monotone counters would inflate the
-  // per-shard view (each shard still reports the shared totals — the
-  // fleet aggregator sums across shards knowingly).
   std::vector<std::shared_ptr<retrieval::PredictionCache>> caches;
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
@@ -665,12 +599,7 @@ MetricsSnapshot PredictionEngine::metrics() const {
     }
     for (const auto& [key, ref] : designs_) {
       if (ref.graphMemo != nullptr) memoBytes += ref.graphMemo->bytes();
-      if (ref.retrieval == nullptr) continue;
-      bool known = false;
-      for (const auto& cache : caches) {
-        known = known || cache.get() == ref.retrieval.get();
-      }
-      if (!known) caches.push_back(ref.retrieval);
+      if (ref.retrieval != nullptr) caches.push_back(ref.retrieval);
     }
   }
   // Buffer-pool counters are process-wide (the pool is shared by every

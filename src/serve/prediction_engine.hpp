@@ -39,10 +39,10 @@ struct EngineConfig {
   bool batching = true;
   /// Monte-Carlo samples for Bayesian-head bundles on the batched path.
   std::int32_t mcSamples = 8;
-  /// One single-endpoint warm forward at loadDesign / adoptDesign time. It
-  /// fills the snapshot's GNN memo and compiles the fused forward programs,
-  /// so the first real query pays neither the sweep nor the compile. Off:
-  /// the first query does both.
+  /// One single-endpoint warm forward at loadDesign time. It fills the
+  /// snapshot's GNN memo and compiles the fused forward programs, so the
+  /// first real query pays neither the sweep nor the compile. Off: the
+  /// first query does both.
   bool warmFusion = true;
   /// Learned prediction cache (uncertainty-gated ANN retrieval over the
   /// model's disentangled embeddings). Off by default; every knob comes
@@ -116,33 +116,12 @@ class PredictionEngine {
   void installSnapshot(const std::string& key, const std::string& revision,
                        std::shared_ptr<const ServableDesign> design);
 
-  /// Register a snapshot built elsewhere under a fresh `key`, routed to
-  /// `node`'s bundle. Unlike installSnapshot, the key need not be loaded
-  /// yet — this is how fleet replicas share one fingerprinted feature
-  /// build instead of each paying extraction again (the snapshot is
-  /// read-only, so sharing the shared_ptr across engines is safe).
-  /// `cache` optionally shares another engine's retrieval cache for this
-  /// key (fleet replicas adopt the primary's cache so a posterior computed
-  /// on any owner is a candidate hit on every owner). Ignored when the
-  /// retrieval layer is disabled or the bundle has no Bayesian head; when
-  /// null, the engine attaches its own cache under the usual rules.
-  void adoptDesign(const std::string& key, netlist::TechNode node,
-                   const std::string& revision,
-                   std::shared_ptr<const ServableDesign> design,
-                   std::shared_ptr<retrieval::PredictionCache> cache = nullptr);
-
-  /// Remove `key` from the routing table (fleet rebalance moved it away).
-  /// Returns false if the key was not loaded. In-flight queries finish
-  /// against the snapshot they hold.
-  bool dropDesign(const std::string& key);
-
   /// The snapshot currently routed for `key` (nullptr if not loaded).
   std::shared_ptr<const ServableDesign> currentSnapshot(
       const std::string& key) const;
 
   /// The retrieval cache attached to `key` (nullptr if not loaded, the
-  /// retrieval layer is disabled, or the bundle is not cacheable). Shared
-  /// with fleet replicas via adoptDesign's cache parameter.
+  /// retrieval layer is disabled, or the bundle is not cacheable).
   std::shared_ptr<retrieval::PredictionCache> retrievalCache(
       const std::string& key) const;
 
@@ -152,20 +131,10 @@ class PredictionEngine {
   /// Batch query; one coalescable unit, answered in request order.
   std::vector<float> predictEndpoints(const std::string& key,
                                       const std::vector<std::int64_t>& endpoints);
-  /// Non-blocking variant: validate and enqueue, return the reply future.
-  /// Requires the batching queue (the solo path runs in the caller's
-  /// thread, so "async" would be a lie there). The fleet router submits
-  /// through this so it can hedge a slow shard instead of blocking on it.
-  std::future<std::vector<float>> predictEndpointsAsync(
-      const std::string& key, const std::vector<std::int64_t>& endpoints);
   /// All endpoints, bit-exact with the in-process trainer's predictions.
   std::vector<float> predictDesign(const std::string& key);
 
   MetricsSnapshot metrics() const;
-
-  /// Drain the queue and stop the batcher threads (the destructor calls
-  /// this too).
-  void shutdown();
 
  private:
   struct NodeEntry {
@@ -181,8 +150,7 @@ class PredictionEngine {
     std::shared_ptr<core::GraphMemo> graphMemo;
     /// Per-design learned prediction cache; null unless the retrieval
     /// layer is enabled and the bundle has a Bayesian head. Survives
-    /// revision re-loads (the embedding space is the model's) and may be
-    /// shared across engines (fleet replicas).
+    /// revision re-loads (the embedding space is the model's).
     std::shared_ptr<retrieval::PredictionCache> retrieval;
 
     /// A batch of `endpoints` on this snapshot, carrying its GNN memo.
@@ -214,10 +182,8 @@ class PredictionEngine {
                            core::OursModel& ours,
                            const std::vector<std::int64_t>& combined);
   /// Attach (or re-attach) the retrieval cache for `key` while holding
-  /// designsMutex_. `shared` overrides with another engine's cache.
-  void attachRetrievalLocked(
-      const std::string& key, DesignRef& ref,
-      std::shared_ptr<retrieval::PredictionCache> shared = nullptr);
+  /// designsMutex_.
+  void attachRetrievalLocked(const std::string& key, DesignRef& ref);
   void workerLoop();
 
   EngineConfig config_;

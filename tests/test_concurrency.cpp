@@ -8,12 +8,14 @@
 // The tests drive the shared-state surfaces of the serving stack from many
 // threads at once: request coalescing + metrics snapshots, design/bundle
 // registry mutation during queries, the global BufferPool / Workspace
-// recycling handoff, and parallelFor itself. Assertions are deliberately
-// coarse (totals, finiteness) — the point is the interleaving; TSan and the
-// DAGT_CHECKS contracts do the fine-grained judging.
+// recycling handoff, and parallelFor itself. Most assertions are coarse
+// (totals, finiteness) — the point is the interleaving; TSan and the
+// DAGT_CHECKS contracts do the fine-grained judging. Served answers are
+// pinned bitwise where the bundle makes them batch-independent (dac23).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -129,6 +131,11 @@ std::unique_ptr<PredictionEngine> makeEngine(std::int32_t workers,
 // -- Engine-level stress -----------------------------------------------------
 
 TEST(ConcurrencyStress, CoalescedClientsMetricsPollerAndPoolChurn) {
+  // Two design keys on two snapshots, served by two batchers at once: the
+  // second key is the same design as a new revision with moved cells.
+  // Clients alternate keys, so batches on both snapshots are in flight
+  // together. dac23 has no Monte-Carlo head, so every reply must equal its
+  // key's full-design row bitwise, whichever requests shared its batch.
   ThreadCountGuard guard(4);
   auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/16);
   const features::DesignData& reference = target7();
@@ -136,6 +143,25 @@ TEST(ConcurrencyStress, CoalescedClientsMetricsPollerAndPoolChurn) {
       "smallboom", reference.netlist, reference.node, reference.placement,
       "r1");
   ASSERT_GT(endpointCount, 8);
+  netlist::Netlist moved = reference.netlist;
+  const netlist::CellId cells = moved.numCells();
+  for (netlist::CellId c = 0; c < std::min<netlist::CellId>(32, cells / 2);
+       ++c) {
+    const Point a = moved.cell(c).location;
+    moved.setCellLocation(c, moved.cell(cells - 1 - c).location);
+    moved.setCellLocation(cells - 1 - c, a);
+  }
+  ASSERT_EQ(engine->loadDesign("smallboom-moved", std::move(moved),
+                               reference.node, reference.placement, "r2"),
+            endpointCount);
+  const std::vector<std::string> keys = {"smallboom", "smallboom-moved"};
+  const std::vector<std::vector<float>> expected = {
+      engine->predictDesign(keys[0]), engine->predictDesign(keys[1])};
+  // The moved cells must change the answers, or a reply served from the
+  // wrong snapshot would pass.
+  ASSERT_NE(std::memcmp(expected[0].data(), expected[1].data(),
+                        expected[0].size() * sizeof(float)),
+            0);
 
   constexpr int kClients = 4;
   constexpr int kItersPerClient = 12;
@@ -146,14 +172,20 @@ TEST(ConcurrencyStress, CoalescedClientsMetricsPollerAndPoolChurn) {
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
       for (int iter = 0; iter < kItersPerClient; ++iter) {
+        const std::size_t k = static_cast<std::size_t>((c + iter) % 2);
         std::vector<std::int64_t> endpoints;
-        for (int k = 0; k < 3; ++k) {
-          endpoints.push_back((c * 31 + iter * 7 + k) % endpointCount);
+        for (int j = 0; j < 3; ++j) {
+          endpoints.push_back((c * 31 + iter * 7 + j) % endpointCount);
         }
-        const auto out = engine->predictEndpoints("smallboom", endpoints);
-        if (out.size() != endpoints.size()) failed = true;
-        for (const float v : out) {
-          if (!std::isfinite(v)) failed = true;
+        const auto out = engine->predictEndpoints(keys[k], endpoints);
+        if (out.size() != endpoints.size()) {
+          failed = true;
+          continue;
+        }
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          const float want =
+              expected[k][static_cast<std::size_t>(endpoints[i])];
+          if (std::memcmp(&out[i], &want, sizeof(float)) != 0) failed = true;
         }
         issued.fetch_add(endpoints.size(), std::memory_order_relaxed);
       }

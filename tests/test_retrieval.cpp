@@ -1,6 +1,6 @@
 // Learned-prediction-cache suite. Built into its own binary
 // (dagt_retrieval_tests, label "retrieval") so it can be compiled alone
-// under ThreadSanitizer, like the concurrency and fleet suites:
+// under ThreadSanitizer, like the concurrency suite:
 //
 //   cmake -B build-tsan -S . -DDAGT_SANITIZE=thread
 //   cmake --build build-tsan --target dagt_retrieval_tests
@@ -11,9 +11,9 @@
 // PredictionCache admission gates (distance and sigma, including sigma
 // EXACTLY at the threshold — the gate is <=), the per-snapshot embedding
 // memo, and the engine integration: cache-off bitwise parity against a
-// plain engine on or1200 AND arm9, hit/metrics behavior, and cache sharing
-// across engines (the fleet-replica arrangement). Prediction quality is
-// irrelevant, so the bundle wraps an untrained Bayesian-head "ours" model.
+// plain engine on or1200 AND arm9, hit/metrics behavior and the cache
+// surviving a revision re-load. Prediction quality is irrelevant, so the
+// bundle wraps an untrained Bayesian-head "ours" model.
 
 #include <gtest/gtest.h>
 
@@ -454,38 +454,6 @@ TEST(RetrievalEngine, RepeatQueryHitsAndMatchesWithinBudget) {
         "retrieval_miss_mean_us"}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
-}
-
-TEST(RetrievalEngine, SharedCacheServesHitsOnSecondEngine) {
-  serve::EngineConfig config = soloConfig();
-  config.retrieval.enabled = true;
-  config.retrieval.maxDist = 1e-4f;
-  config.retrieval.maxSigmaPs = 1e9f;
-  const auto& d = or1200();
-  auto primary = makeEngine(config, d, "or1200");
-
-  // Warm the primary's cache, then stand up a replica that adopts the
-  // snapshot AND the cache (exactly what the fleet router does).
-  const std::int64_t n = std::min<std::int64_t>(d.numEndpoints(), 8);
-  for (std::int64_t e = 0; e < n; ++e) {
-    (void)primary->predictEndpoint("or1200", e);
-  }
-  auto replica = std::make_unique<serve::PredictionEngine>(config);
-  replica->addBundleFromDir(bundleDir());
-  replica->adoptDesign("or1200", d.node, "r1",
-                       primary->currentSnapshot("or1200"),
-                       primary->retrievalCache("or1200"));
-  ASSERT_EQ(replica->retrievalCache("or1200").get(),
-            primary->retrievalCache("or1200").get());
-
-  for (std::int64_t e = 0; e < n; ++e) {
-    (void)replica->predictEndpoint("or1200", e);
-  }
-  // Replica queries hit posteriors the primary inserted. Counters are per
-  // cache (shared), so read them via the cache directly.
-  const auto counters = replica->retrievalCache("or1200")->counters();
-  EXPECT_EQ(counters.hits, static_cast<std::uint64_t>(n));
-  EXPECT_EQ(counters.inserts, static_cast<std::uint64_t>(n));
 }
 
 TEST(RetrievalEngine, CacheSurvivesRevisionReload) {

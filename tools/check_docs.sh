@@ -22,12 +22,7 @@
 #   5. every dagt-analyze pass id in the canonical table of
 #      tools/dagt_analyze/passes.cpp (between the DOCS:ANALYZE_PASSES
 #      markers) must appear (backticked) in docs/static-analysis.md;
-#   6. the fleet operations handbook: every DAGT_FLEET_* env knob and
-#      every fleet/* trace span must appear (backticked) in docs/fleet.md,
-#      and every JSON key emitted via .set("...") in src/fleet/*.cpp must
-#      appear inside the GENERATED fleet-metrics-keys section of
-#      docs/metrics-reference.md;
-#   7. the retrieval operator handbook: every DAGT_RETRIEVAL* env knob,
+#   6. the retrieval operator handbook: every DAGT_RETRIEVAL* env knob,
 #      every retrieval/* trace span, and every retrieval_* metric key
 #      emitted by src/serve/metrics.cpp must appear (backticked) in
 #      docs/retrieval.md — the handbook re-documents its own slice of the
@@ -232,64 +227,13 @@ else
   done
 fi
 
-# --- 6. fleet knobs, spans and metric keys -> docs/fleet.md ----------------
-
-FLEET=docs/fleet.md
-
-# The fleet handbook re-documents its own slice of the global lists (which
-# sections 2 and 3 already check against the general docs): the DAGT_FLEET_*
-# env knobs and the fleet/* spans.
-FLEETENVS=$(grep -E '^DAGT_FLEET_' <<<"${ENVVARS:-}" | sort -u)
-[[ -n "$FLEETENVS" ]] || miss "no DAGT_FLEET_* env knobs found (extraction broke?)"
-
-FLEETSPANS=$(grep -E '^fleet/' <<<"${SPANS:-}" | sort -u)
-[[ -n "$FLEETSPANS" ]] || miss "no fleet/* trace spans found (extraction broke?)"
-
-FLEETKEYS=$(grep -ho '\.set("[A-Za-z0-9_]*"' src/fleet/*.cpp 2>/dev/null |
-  sed 's/.*("\([^"]*\)".*/\1/' | sort -u)
-[[ -n "$FLEETKEYS" ]] || miss "no .set(\"...\") keys found in src/fleet/*.cpp (extraction broke?)"
-
-if [[ "$SELFTEST" == 1 ]]; then
-  FLEETENVS="$FLEETENVS
-DAGT_FLEET_PHANTOM_KNOB"
-  FLEETSPANS="$FLEETSPANS
-fleet/phantom_span"
-  FLEETKEYS="$FLEETKEYS
-fleet_phantom_key"
-fi
-
-if [[ ! -f "$FLEET" ]]; then
-  miss "$FLEET does not exist"
-else
-  for var in $FLEETENVS; do
-    grep -qF "\`${var}\`" "$FLEET" ||
-      miss "fleet knob '${var}' is not documented in $FLEET"
-  done
-  for span in $FLEETSPANS; do
-    grep -qF "\`${span}\`" "$FLEET" ||
-      miss "fleet span '${span}' is not documented in $FLEET"
-  done
-fi
-
-if [[ -f "$REF" ]]; then
-  grep -q 'BEGIN GENERATED: fleet-metrics-keys' "$REF" &&
-    grep -q 'END GENERATED: fleet-metrics-keys' "$REF" ||
-    miss "$REF lost its fleet-metrics-keys GENERATED section markers"
-  FLEETSECTION=$(sed -n '/BEGIN GENERATED: fleet-metrics-keys/,/END GENERATED: fleet-metrics-keys/p' "$REF")
-  for key in $FLEETKEYS; do
-    if ! grep -qE "\`([^\`]*[^A-Za-z0-9_])?${key}([^A-Za-z0-9_][^\`]*)?\`" <<<"$FLEETSECTION"; then
-      miss "fleet metric key '${key}' (src/fleet/) is not documented in $REF"
-    fi
-  done
-fi
-
-# --- 7. retrieval knobs, spans and metric keys -> docs/retrieval.md --------
+# --- 6. retrieval knobs, spans and metric keys -> docs/retrieval.md --------
 
 RETR=docs/retrieval.md
 
-# Like the fleet handbook, the retrieval handbook re-documents its slice
-# of the global lists (sections 1-3 already check them against the general
-# docs): DAGT_RETRIEVAL* knobs, retrieval/* spans, retrieval_* metrics.
+# The retrieval handbook re-documents its own slice of the global lists
+# (sections 1-3 already check them against the general docs):
+# DAGT_RETRIEVAL* knobs, retrieval/* spans, retrieval_* metrics.
 RETRENVS=$(grep -E '^DAGT_RETRIEVAL' <<<"${ENVVARS:-}" | sort -u)
 [[ -n "$RETRENVS" ]] || miss "no DAGT_RETRIEVAL* env knobs found (extraction broke?)"
 
@@ -332,7 +276,6 @@ if [[ "$SELFTEST" == 1 ]]; then
   rc=0
   for phantom in phantom_tier_zz DAGT_PHANTOM_OPTION DAGT_PHANTOM_ENV \
     bench_phantom_target phantomcmd phantom-pass-zz \
-    DAGT_FLEET_PHANTOM_KNOB fleet/phantom_span fleet_phantom_key \
     DAGT_RETRIEVAL_PHANTOM_KNOB retrieval/phantom_span \
     retrieval_phantom_key; do
     case "$MISSED_NAMES" in

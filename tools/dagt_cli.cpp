@@ -53,20 +53,6 @@
 //       query, sync, commit, revert, stats, help, quit — see
 //       docs/whatif.md. Exits nonzero if any scripted command failed.
 //
-//   dagt fleet <bundle> <netlist.dagtnl> <lib.dagtlib> [--pl F]
-//       [--config F] [--shards N] [--replication R] [--endpoints I,J,...]
-//       [--requests N] [--metrics-json F]
-//       Serve through a shard fleet: spin up N in-process serve shards
-//       behind the consistent-hash router, load the design on its owner
-//       replicas, and answer queries with load-aware dispatch. Without
-//       --endpoints, sends --requests single-endpoint queries round-robin
-//       over the design (a routed smoke) plus a full-design prediction.
-//       DAGT_FLEET_* env knobs and the --config key=value file feed the
-//       same FleetConfig (file beats env, flags beat both); see
-//       docs/fleet.md. Fleet metrics (per-shard breakdown, hedges, sheds,
-//       fleet/* spans) are printed afterwards; --metrics-json writes them
-//       as JSON.
-//
 //   dagt trace <command> [args...] [--trace-out F]
 //       Run any of the commands above with tracing enabled; writes the
 //       Chrome trace_event JSON to F (default dagt_trace.json — load it
@@ -103,7 +89,6 @@
 #include "sta/sta_engine.hpp"
 #include "sta/timing_optimizer.hpp"
 #include "sta/timing_report.hpp"
-#include "fleet/shard_router.hpp"
 #include "whatif/edit_script.hpp"
 #include "whatif/whatif_session.hpp"
 
@@ -201,7 +186,7 @@ struct Args {
 int usage() {
   std::fprintf(stderr,
                "usage: dagt <gen|stats|sta|opt|train|export|predict|whatif|"
-               "fleet|trace> [args]\n"
+               "trace> [args]\n"
                "run 'dagt' with a command to see its flags in the header "
                "of tools/dagt_cli.cpp\n");
   return 2;
@@ -583,118 +568,6 @@ int cmdWhatif(const Args& args) {
   return 0;
 }
 
-int cmdFleet(const Args& args) {
-  if (args.positional.size() < 3) return usage();
-  const std::string bundleDir = args.positional[0];
-  const std::string nlPath = args.positional[1];
-  const std::string libPath = args.positional[2];
-
-  fleet::FleetConfig config = args.has("config")
-                                  ? fleet::FleetConfig::fromFile(
-                                        args.flagOr("config", ""))
-                                  : fleet::FleetConfig::fromEnv();
-  if (args.has("shards")) {
-    config.shards =
-        static_cast<std::int32_t>(args.floatFlag("shards", 2.0f));
-  }
-  if (args.has("replication")) {
-    config.replication =
-        static_cast<std::int32_t>(args.floatFlag("replication", 1.0f));
-  }
-
-  // Same library discipline as `dagt whatif`: the netlist must resolve
-  // against the deterministic per-node library the shards' feature
-  // services reconstruct.
-  const auto fileLib = netlist::io::readLibraryFile(libPath);
-  const auto lib = netlist::CellLibrary::makeNode(fileLib.node());
-  auto nl = netlist::io::readNetlistFile(nlPath, lib);
-
-  place::PlacementResult placement;
-  if (args.has("pl")) {
-    placement = serve::readPlacementFile(args.flagOr("pl", ""));
-  } else {
-    Rect die{{0, 0}, {0, 0}};
-    for (netlist::PinId p = 0; p < nl.numPins(); ++p) {
-      die.expand(nl.pinLocation(p));
-    }
-    placement.dieArea = die;
-  }
-
-  fleet::ShardRouter router(config);
-  router.addBundleFromDir(bundleDir);
-  const std::int64_t numEndpoints = router.loadDesign(
-      "design", std::move(nl), fileLib.node(), placement);
-  std::string owners;
-  for (const std::int32_t owner : router.ownersOf("design")) {
-    if (!owners.empty()) owners += ",";
-    owners += std::to_string(owner);
-  }
-  std::printf("loaded %s: %lld endpoints on %d shard(s), owner(s) [%s] "
-              "(node %s, replication %d)\n",
-              nlPath.c_str(), static_cast<long long>(numEndpoints),
-              router.shardCount(), owners.c_str(),
-              netlist::techNodeName(fileLib.node()).c_str(),
-              config.replication);
-
-  if (args.has("endpoints")) {
-    std::vector<std::int64_t> endpoints;
-    std::stringstream ss(args.flagOr("endpoints", ""));
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      char* end = nullptr;
-      const std::int64_t e = std::strtoll(item.c_str(), &end, 10);
-      DAGT_CHECK_MSG(end != item.c_str() && *end == '\0',
-                     "--endpoints: '" << item << "' is not an integer");
-      endpoints.push_back(e);
-    }
-    DAGT_CHECK_MSG(!endpoints.empty(), "--endpoints list is empty");
-    const auto arrivals = router.predictEndpoints("design", endpoints);
-    TextTable table({"endpoint", "predicted arrival (ps)"});
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
-      table.addRow({std::to_string(endpoints[i]),
-                    TextTable::num(arrivals[i], 1)});
-    }
-    std::printf("%s", table.render().c_str());
-  } else {
-    // Routed smoke: single-endpoint queries round-robin over the design,
-    // then a full-design prediction for the summary line.
-    const std::int64_t smoke =
-        static_cast<std::int64_t>(args.floatFlag("requests", 32.0f));
-    std::uint64_t shed = 0;
-    for (std::int64_t i = 0; i < smoke; ++i) {
-      try {
-        (void)router.predictEndpoint("design", i % numEndpoints);
-      } catch (const fleet::OverloadShedError&) {
-        ++shed;
-      }
-    }
-    const auto arrivals = router.predictDesign("design");
-    float worst = 0.0f;
-    std::int64_t worstIdx = 0;
-    double mean = 0.0;
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      mean += arrivals[i];
-      if (arrivals[i] > worst) {
-        worst = arrivals[i];
-        worstIdx = static_cast<std::int64_t>(i);
-      }
-    }
-    if (!arrivals.empty()) mean /= static_cast<double>(arrivals.size());
-    std::printf("%lld routed queries (%llu shed); predicted sign-off "
-                "arrival: mean %.1f ps, worst %.1f ps (endpoint %lld)\n",
-                static_cast<long long>(smoke),
-                static_cast<unsigned long long>(shed), mean, worst,
-                static_cast<long long>(worstIdx));
-  }
-
-  const auto metrics = router.metrics();
-  std::printf("%s", metrics.renderTable().c_str());
-  if (args.has("metrics-json")) {
-    writeJsonFile(metrics.toJson(), args.flagOr("metrics-json", ""));
-  }
-  return 0;
-}
-
 /// Parse argv for the named subcommand and run it. argv[1] must be the
 /// command; `trace` recurses through here for the wrapped command.
 int dispatch(int argc, char** argv) {
@@ -712,9 +585,6 @@ int dispatch(int argc, char** argv) {
                         "metrics-json"},
                        cmdPredict}},
           {"whatif", {{"pl", "edits", "repl!", "metrics-json"}, cmdWhatif}},
-          {"fleet", {{"pl", "config", "shards", "replication", "endpoints",
-                      "requests", "metrics-json"},
-                     cmdFleet}},
       };
   const std::string command = argv[1];
   const auto it = commands.find(command);

@@ -70,7 +70,6 @@ std::vector<std::string> collectFusedTableMembers(const LexedFile& lexed) {
 
 bool isGuardedByScope(const std::string& path) {
   return (startsWith(path, "src/serve/") && endsWith(path, ".hpp")) ||
-         (startsWith(path, "src/fleet/") && endsWith(path, ".hpp")) ||
          (startsWith(path, "src/retrieval/") && endsWith(path, ".hpp")) ||
          path == "src/tensor/storage.hpp" ||
          path == "src/core/batch_prefetcher.hpp";

@@ -12,14 +12,12 @@
 #   bench     bench_micro_ops smoke run + BENCH JSON validation (tier table)
 #   fusion    bench_fusion smoke run — fused-vs-unfused bitwise parity,
 #             >= 1.2x interactive-forward speedup, <= 3 allocs/predict
-#   asan      ASan/UBSan build, tensor + concurrency suites
+#   asan      ASan/UBSan build, tensor + concurrency + parser-robustness
+#             suites
 #   tsan      ThreadSanitizer build, concurrency stress suite
 #   obs       ThreadSanitizer build, tracing-layer suite (dagt_obs_tests)
 #   whatif    ThreadSanitizer build of the what-if suite + bench_whatif
 #             smoke (short edit stream, parity + 5x refresh-speedup gate)
-#   fleet     ThreadSanitizer build of the fleet router suite + bench_fleet
-#             smoke (2-shard saturation run: routed-vs-direct bitwise
-#             parity, >= 1.5x 1->2 shard scaling, JSON schema validated)
 #   retrieval ThreadSanitizer build of the learned-prediction-cache suite
 #             (insert-during-query stress) + bench_retrieval smoke (short
 #             revision stream: cache-off bitwise parity, >= 1.3x speedup,
@@ -78,9 +76,11 @@ run_analyze() {
 run_asan() {
   cmake -B build-asan -S . -DDAGT_SANITIZE="address;undefined" &&
     cmake --build build-asan -j "$JOBS" \
-      --target dagt_tensor_tests dagt_concurrency_tests &&
+      --target dagt_tensor_tests dagt_concurrency_tests \
+      dagt_robustness_tests &&
     ./build-asan/tests/dagt_tensor_tests &&
-    ./build-asan/tests/dagt_concurrency_tests
+    ./build-asan/tests/dagt_concurrency_tests &&
+    ./build-asan/tests/dagt_robustness_tests
 }
 
 run_tsan() {
@@ -115,39 +115,8 @@ run_whatif() {
       ./build/bench/bench_whatif
 }
 
-# Fleet: the router suite (parity, failover, shed, hedge, rebalance
-# stress) runs under ThreadSanitizer, then a short bench_fleet run on the
-# default tree checks the scale-out story end-to-end — bitwise parity
-# routed vs direct and 1->2 shard scaling. The full bench gates at 1.7x;
-# the smoke run is short, so its gate is looser (1.5x).
-run_fleet() {
-  cmake -B build-tsan -S . -DDAGT_SANITIZE=thread &&
-    cmake --build build-tsan -j "$JOBS" --target dagt_fleet_tests &&
-    ./build-tsan/tests/dagt_fleet_tests &&
-    cmake --build build -j "$JOBS" --target bench_fleet &&
-    rm -rf build/fleet-smoke && mkdir -p build/fleet-smoke &&
-    DAGT_BENCH_DIR=build/fleet-smoke \
-      DAGT_FLEET_REQUESTS=16 DAGT_FLEET_MIN_SCALING=1.5 \
-      ./build/bench/bench_fleet &&
-    python3 - <<'EOF'
-import json
-doc = json.load(open("build/fleet-smoke/BENCH_fleet.json"))
-assert doc["parity_bitwise"], "routed prediction != direct engine"
-assert doc["scaling"] >= 1.5, f"1->2 shard scaling {doc['scaling']:.2f}x < 1.5x"
-assert doc["one_shard_shed_rate"] > 0, "1-shard overload run never shed"
-assert len(doc["degradation"]) >= 3, "degradation curve too short"
-for row in doc["degradation"]:
-    assert row["qps"] > 0 and row["p99_us"] >= row["p50_us"]
-shards = doc["fleet_metrics"]["fleet_per_shard"]
-assert len(shards) == 2, f"expected 2 shards in metrics, got {len(shards)}"
-print(f"fleet-smoke: ok ({doc['scaling']:.2f}x scaling, "
-      f"shed rate {doc['one_shard_shed_rate']:.2f})")
-EOF
-}
-
 # Learned prediction cache: the retrieval suite runs under ThreadSanitizer
-# (the EmbeddingIndex insert-during-query stress and the engine cache
-# sharing are the point), then a short bench_retrieval revision stream on
+# (the EmbeddingIndex insert-during-query stress is the point), then a short bench_retrieval revision stream on
 # the default tree checks the cache end-to-end — miss-path bitwise parity
 # with the cache-off engine, uncertainty-gated hits within the error
 # budget, and an effective-QPS speedup. The full bench gates at 2x; the
@@ -261,7 +230,6 @@ if [[ "$FAST" == 0 ]]; then
   stage tsan build-tsan/verify-tsan.log run_tsan
   stage obs build-tsan/verify-obs.log run_obs
   stage whatif build-tsan/verify-whatif.log run_whatif
-  stage fleet build-tsan/verify-fleet.log run_fleet
   stage retrieval build-tsan/verify-retrieval.log run_retrieval
 fi
 
