@@ -8,10 +8,11 @@
 //   * refresh — incremental: sync() (cone update against the prior
 //     snapshot); cold: loadDesign() (full STA + extraction + image
 //     prewarm). Their ratio is the incremental-vs-full-refresh speedup.
-//   * query — an 8-endpoint prediction against the fresh snapshot. The
-//     model forward is the same engine and bundle on both paths, so this
-//     mostly floors the end-to-end ratio; it is reported (e2e fields) but
-//     not gated.
+//   * query — an 8-endpoint prediction against the fresh snapshot, same
+//     engine and bundle on both paths. The cold load's warm-up sweeps the
+//     whole design; the incremental query fills its GNN memo from the
+//     previous snapshot's, re-running only the changed fanout cone. It is
+//     reported (e2e fields) but not gated.
 //
 // Two gates (nonzero exit on failure):
 //   * parity — after every edit the incremental predictions must be

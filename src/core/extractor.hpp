@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <mutex>
 
 #include "core/dataset.hpp"
@@ -19,23 +19,47 @@ namespace dagt::core {
 /// routed snapshot; training and evaluation use none, since their weights
 /// change between forwards.
 ///
-/// Thread-safe: concurrent first callers wait for the one sweep.
+/// A memo may start from a *base*: the filled memo of the snapshot routed
+/// before it. When both share a pin graph (any what-if edit but a buffer
+/// insertion), the fill re-runs the GNN only on the fanout cone of the pin
+/// rows whose features changed and shares every other level with the base
+/// (TimingGnn::forwardFrom), bitwise equal to a full sweep. The fill then
+/// drops the base, so a chain of memos never grows past one link. A filled
+/// memo holds its own pin-feature and pin-graph handles, so it can serve
+/// as a base after its snapshot is gone.
+///
+/// Thread-safe: concurrent first callers wait for the one fill.
 class GraphMemo {
  public:
-  /// `sweeps`, when non-null, is incremented for every sweep this memo
-  /// runs (at most one) and must outlive the memo.
-  explicit GraphMemo(std::atomic<std::uint64_t>* sweeps = nullptr)
-      : sweeps_(sweeps) {}
+  /// Fill counters shared by an engine's memos (relaxed).
+  struct Counters {
+    /// Memos filled, by a full sweep or a cone fill.
+    std::atomic<std::uint64_t> fills{0};
+    /// Pin rows those fills computed: every pin for a full sweep, the
+    /// cone for a cone fill.
+    std::atomic<std::uint64_t> rowsComputed{0};
+  };
+
+  /// `counters`, when non-null, must outlive the memo. `base` must be
+  /// null or filled (see successorBase).
+  explicit GraphMemo(Counters* counters = nullptr,
+                     std::shared_ptr<const GraphMemo> base = nullptr);
   GraphMemo(const GraphMemo&) = delete;
   GraphMemo& operator=(const GraphMemo&) = delete;
 
-  /// The embeddings of `design`, running `sweep` if the memo is empty. A
-  /// memo belongs to the snapshot it was filled for: asking it for another
-  /// design, or filling it with gradients enabled, is a contract error.
-  /// The reference stays valid for the memo's lifetime.
-  const TimingGnn::Output& getOrFill(
-      const features::DesignData& design,
-      const std::function<TimingGnn::Output()>& sweep);
+  /// The embeddings of `design` under `gnn`, filling the memo first if it
+  /// is empty: a cone fill from the base when the base swept the same pin
+  /// graph, else a full sweep. A memo belongs to the snapshot it was
+  /// filled for: asking it for another design, or filling it with
+  /// gradients enabled, is a contract error. The reference stays valid for
+  /// the memo's lifetime.
+  const TimingGnn::Output& getOrFill(const features::DesignData& design,
+                                     const TimingGnn& gnn);
+
+  /// The base for the memo routed after `memo`: `memo` itself once filled,
+  /// else `memo`'s own base. Waits for a fill in flight on `memo`.
+  static std::shared_ptr<const GraphMemo> successorBase(
+      const std::shared_ptr<GraphMemo>& memo);
 
   /// Bytes of float embeddings held; 0 while empty. Never waits on a fill.
   std::uint64_t bytes() const {
@@ -43,12 +67,17 @@ class GraphMemo {
   }
 
  private:
-  std::atomic<std::uint64_t>* sweeps_;
+  Counters* counters_;
   std::atomic<std::uint64_t> bytes_{0};
+  /// Published (release) once the fields below are final; a successor
+  /// reads them only after observing it (acquire), never under fillMutex_.
+  std::atomic<bool> filled_{false};
   std::mutex fillMutex_;
-  // Set once, by the first getOrFill, and never changed afterwards.
-  const features::DesignData* design_ = nullptr;  // GUARDED_BY(fillMutex_)
-  TimingGnn::Output output_;                      // GUARDED_BY(fillMutex_)
+  std::shared_ptr<const GraphMemo> base_;  // GUARDED_BY(fillMutex_)
+  // Set once, by the fill, and never changed afterwards.
+  tensor::Tensor pinFeatures_;                       // GUARDED_BY(fillMutex_)
+  std::shared_ptr<const features::PinGraph> graph_;  // GUARDED_BY(fillMutex_)
+  TimingGnn::Output output_;                         // GUARDED_BY(fillMutex_)
 };
 
 /// The timing-path feature extractor F(.) of Eq. (1):
@@ -58,8 +87,9 @@ class GraphMemo {
 /// the batch's endpoint rows are gathered and concatenated with the CNN
 /// embedding of each path's masked image. Training and evaluation sweep on
 /// every call; a batch carrying a GraphMemo (the serving engine's, one per
-/// snapshot) sweeps only if the memo is still empty, so a served batch
-/// costs the gather, the CNN and what follows.
+/// snapshot) fills it only if it is still empty, re-running just the dirty
+/// fanout cone when the memo has a base, so a served batch costs the
+/// gather, the CNN and what follows.
 class PathFeatureExtractor : public nn::Module {
  public:
   PathFeatureExtractor(std::int64_t pinFeatureDim, const ModelConfig& config,

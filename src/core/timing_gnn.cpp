@@ -1,5 +1,8 @@
 #include "core/timing_gnn.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/check.hpp"
 #include "tensor/ops.hpp"
 
@@ -24,8 +27,8 @@ TimingGnn::TimingGnn(std::int64_t inputDim, std::int64_t hidden, Rng& rng)
   registerChild(norm_);
 }
 
-TimingGnn::Output TimingGnn::forward(const features::PinGraph& graph,
-                                     const Tensor& pinFeatures) const {
+void TimingGnn::checkInputs(const features::PinGraph& graph,
+                            const Tensor& pinFeatures) const {
   DAGT_CHECK(pinFeatures.ndim() == 2);
   DAGT_CHECK_MSG(pinFeatures.dim(0) == graph.numPins(),
                  "pin feature rows " << pinFeatures.dim(0) << " != pins "
@@ -33,78 +36,227 @@ TimingGnn::Output TimingGnn::forward(const features::PinGraph& graph,
   DAGT_CHECK_MSG(pinFeatures.dim(1) == inputDim_,
                  "pin feature dim " << pinFeatures.dim(1) << " != "
                                     << inputDim_);
-  Output out;
-  out.graph = &graph;
-  out.levelEmbeddings.reserve(static_cast<std::size_t>(graph.numLevels()));
+}
 
-  for (std::int32_t level = 0; level < graph.numLevels(); ++level) {
-    const auto& pins = graph.pinsAtLevel(level);
-    const std::int64_t n = static_cast<std::int64_t>(pins.size());
-    // Own features of this level's pins.
-    std::vector<std::int64_t> rows(pins.begin(), pins.end());
-    Tensor h = self_.forward(tensor::indexSelect0(pinFeatures, rows));
+Tensor TimingGnn::levelBody(const Tensor& pinFeatures,
+                            const std::vector<std::int64_t>& pins,
+                            const std::vector<Tensor>& earlier,
+                            const features::LevelEdges* netEdges,
+                            const features::LevelEdges* cellEdges) const {
+  const std::int64_t n = static_cast<std::int64_t>(pins.size());
+  // Own features of the pins.
+  Tensor h = self_.forward(tensor::indexSelect0(pinFeatures, pins));
 
-    // Fanin aggregation per edge type from earlier levels.
-    const auto addAggregates = [&](const features::LevelEdges& edges,
-                                   const nn::Linear& meanProj,
-                                   const nn::Linear& maxProj) {
-      if (edges.size() == 0) return;
-      const Tensor sources =
-          tensor::gatherRowsMulti(out.levelEmbeddings, edges.src);
-      // Mean aggregation: divide the segment sums by per-pin fanin counts
-      // (sum aggregation compounds with depth and overflows float32 on
-      // deep designs).
-      std::vector<float> invCount(static_cast<std::size_t>(n), 0.0f);
-      for (const std::int64_t dst : edges.dstLocal) {
-        invCount[static_cast<std::size_t>(dst)] += 1.0f;
-      }
-      for (auto& c : invCount) c = c > 0.0f ? 1.0f / c : 0.0f;
-      const Tensor aggMean = tensor::mulColVec(
-          tensor::segmentSum(sources, edges.dstLocal, n),
-          Tensor::fromVector({n}, std::move(invCount)));
-      const Tensor aggMax = tensor::segmentMax(sources, edges.dstLocal, n);
-      // Fused combine: both projections lower to GEMMs whose epilogues fold
-      // the bias and the running residual, so the whole sublayer is two
-      // kernel launches and h is written exactly once per projection.
-      if (tensor::expr::shouldFuse()) {
-        tensor::expr::SigHash sig;
-        sig.mixShape(h.shape());
-        meanProj.mixStateInto(sig);
-        maxProj.mixStateInto(sig);
-        auto program = combinePrograms_.getOrCompile(sig.h, [&] {
-          tensor::expr::Capture cap;
-          const Tensor lh = cap.input(h);
-          const Tensor lMean = cap.input(aggMean);
-          const Tensor lMax = cap.input(aggMax);
-          const Tensor y =
-              tensor::add(tensor::add(lh, meanProj.forward(lMean)),
-                          maxProj.forward(lMax));
-          return cap.compile({&y});
-        });
-        h = program->runOne({h, aggMean, aggMax});
-        return;
-      }
-      h = tensor::add(h, meanProj.forward(aggMean));
-      h = tensor::add(h, maxProj.forward(aggMax));
-    };
-    addAggregates(graph.netEdgesInto(level), netSum_, netMax_);
-    addAggregates(graph.cellEdgesInto(level), cellSum_, cellMax_);
-
+  // Fanin aggregation per edge type from earlier levels.
+  const auto addAggregates = [&](const features::LevelEdges* edges,
+                                 const nn::Linear& meanProj,
+                                 const nn::Linear& maxProj) {
+    if (edges == nullptr) return;
+    const Tensor sources = tensor::gatherRowsMulti(earlier, edges->src);
+    // Mean aggregation: divide the segment sums by per-pin fanin counts
+    // (sum aggregation compounds with depth and overflows float32 on
+    // deep designs).
+    std::vector<float> invCount(static_cast<std::size_t>(n), 0.0f);
+    for (const std::int64_t dst : edges->dstLocal) {
+      invCount[static_cast<std::size_t>(dst)] += 1.0f;
+    }
+    for (auto& c : invCount) c = c > 0.0f ? 1.0f / c : 0.0f;
+    const Tensor aggMean = tensor::mulColVec(
+        tensor::segmentSum(sources, edges->dstLocal, n),
+        Tensor::fromVector({n}, std::move(invCount)));
+    const Tensor aggMax = tensor::segmentMax(sources, edges->dstLocal, n);
+    // Fused combine: both projections lower to GEMMs whose epilogues fold
+    // the bias and the running residual, so the whole sublayer is two
+    // kernel launches and h is written exactly once per projection.
     if (tensor::expr::shouldFuse()) {
       tensor::expr::SigHash sig;
       sig.mixShape(h.shape());
-      norm_.mixStateInto(sig);
-      auto program = normPrograms_.getOrCompile(sig.h, [&] {
+      meanProj.mixStateInto(sig);
+      maxProj.mixStateInto(sig);
+      auto program = combinePrograms_.getOrCompile(sig.h, [&] {
         tensor::expr::Capture cap;
         const Tensor lh = cap.input(h);
-        const Tensor y = tensor::relu(norm_.forward(lh));
+        const Tensor lMean = cap.input(aggMean);
+        const Tensor lMax = cap.input(aggMax);
+        const Tensor y = tensor::add(tensor::add(lh, meanProj.forward(lMean)),
+                                     maxProj.forward(lMax));
         return cap.compile({&y});
       });
-      out.levelEmbeddings.push_back(program->runOne({h}));
-    } else {
-      out.levelEmbeddings.push_back(tensor::relu(norm_.forward(h)));
+      h = program->runOne({h, aggMean, aggMax});
+      return;
+    }
+    h = tensor::add(h, meanProj.forward(aggMean));
+    h = tensor::add(h, maxProj.forward(aggMax));
+  };
+  addAggregates(netEdges, netSum_, netMax_);
+  addAggregates(cellEdges, cellSum_, cellMax_);
+
+  if (tensor::expr::shouldFuse()) {
+    tensor::expr::SigHash sig;
+    sig.mixShape(h.shape());
+    norm_.mixStateInto(sig);
+    auto program = normPrograms_.getOrCompile(sig.h, [&] {
+      tensor::expr::Capture cap;
+      const Tensor lh = cap.input(h);
+      const Tensor y = tensor::relu(norm_.forward(lh));
+      return cap.compile({&y});
+    });
+    return program->runOne({h});
+  }
+  return tensor::relu(norm_.forward(h));
+}
+
+TimingGnn::Output TimingGnn::forward(const features::PinGraph& graph,
+                                     const Tensor& pinFeatures) const {
+  checkInputs(graph, pinFeatures);
+  Output out;
+  out.graph = &graph;
+  out.levelEmbeddings.reserve(static_cast<std::size_t>(graph.numLevels()));
+  for (std::int32_t level = 0; level < graph.numLevels(); ++level) {
+    const auto& pins = graph.pinsAtLevel(level);
+    const features::LevelEdges& net = graph.netEdgesInto(level);
+    const features::LevelEdges& cell = graph.cellEdgesInto(level);
+    out.levelEmbeddings.push_back(levelBody(
+        pinFeatures, std::vector<std::int64_t>(pins.begin(), pins.end()),
+        out.levelEmbeddings, net.size() > 0 ? &net : nullptr,
+        cell.size() > 0 ? &cell : nullptr));
+  }
+  return out;
+}
+
+TimingGnn::Output TimingGnn::forwardFrom(const Output& base,
+                                         const Tensor& basePinFeatures,
+                                         const features::PinGraph& graph,
+                                         const Tensor& pinFeatures,
+                                         std::int64_t* rowsComputed) const {
+  checkInputs(graph, pinFeatures);
+  // Rows are patched into cloned tensors behind the tape's back.
+  DAGT_CHECK_MSG(!tensor::NoGradGuard::gradEnabled(),
+                 "forwardFrom is inference only");
+  DAGT_CHECK_MSG(base.graph == &graph,
+                 "forwardFrom: the base was swept over another pin graph");
+  DAGT_CHECK(basePinFeatures.shape() == pinFeatures.shape());
+  const std::int32_t numLevels = graph.numLevels();
+  DAGT_CHECK(static_cast<std::int32_t>(base.levelEmbeddings.size()) ==
+             numLevels);
+
+  // Cone membership per pin, laid out level by level: row r of level L is
+  // entry levelStart[L] + r.
+  std::vector<std::int64_t> levelStart(static_cast<std::size_t>(numLevels) + 1,
+                                       0);
+  std::size_t widest = 0;
+  for (std::int32_t level = 0; level < numLevels; ++level) {
+    const std::size_t width = graph.pinsAtLevel(level).size();
+    levelStart[static_cast<std::size_t>(level) + 1] =
+        levelStart[static_cast<std::size_t>(level)] +
+        static_cast<std::int64_t>(width);
+    widest = std::max(widest, width);
+  }
+  std::vector<std::uint8_t> inCone(
+      static_cast<std::size_t>(graph.numPins()), 0);
+  const auto member =
+      [&](const std::pair<std::int32_t, std::int64_t>& at) -> std::uint8_t& {
+    return inCone[static_cast<std::size_t>(
+        levelStart[static_cast<std::size_t>(at.first)] + at.second)];
+  };
+
+  // Seeds: the pins whose feature rows differ bitwise from the base's,
+  // compared a block of rows at a time since most rows match.
+  if (!pinFeatures.sharesStorageWith(basePinFeatures)) {
+    constexpr std::int64_t kBlock = 32;
+    const std::size_t rowBytes =
+        static_cast<std::size_t>(inputDim_) * sizeof(float);
+    const float* now = pinFeatures.data();
+    const float* was = basePinFeatures.data();
+    for (std::int64_t first = 0; first < graph.numPins(); first += kBlock) {
+      const std::int64_t last = std::min(first + kBlock, graph.numPins());
+      const std::int64_t offset = first * inputDim_;
+      if (std::memcmp(now + offset, was + offset,
+                      static_cast<std::size_t>(last - first) * rowBytes) ==
+          0) {
+        continue;
+      }
+      for (std::int64_t pin = first; pin < last; ++pin) {
+        if (std::memcmp(now + pin * inputDim_, was + pin * inputDim_,
+                        rowBytes) != 0) {
+          member(graph.locate(static_cast<netlist::PinId>(pin))) = 1;
+        }
+      }
     }
   }
+
+  Output out;
+  out.graph = &graph;
+  out.levelEmbeddings.reserve(static_cast<std::size_t>(numLevels));
+  std::int64_t computed = 0;
+  std::vector<std::int64_t> pins;
+  // Position of a cone row among its level's cone rows; valid for cone
+  // rows of the current level only.
+  std::vector<std::int64_t> position(widest, 0);
+  for (std::int32_t level = 0; level < numLevels; ++level) {
+    std::uint8_t* cone =
+        inCone.data() + levelStart[static_cast<std::size_t>(level)];
+    const features::LevelEdges& net = graph.netEdgesInto(level);
+    const features::LevelEdges& cell = graph.cellEdgesInto(level);
+    // A pin joins the cone when any net or cell fanin is in it; sources
+    // sit on earlier levels, whose membership is final.
+    for (std::size_t e = 0; e < net.size(); ++e) {
+      if (member(net.src[e]) != 0) {
+        cone[static_cast<std::size_t>(net.dstLocal[e])] = 1;
+      }
+    }
+    for (std::size_t e = 0; e < cell.size(); ++e) {
+      if (member(cell.src[e]) != 0) {
+        cone[static_cast<std::size_t>(cell.dstLocal[e])] = 1;
+      }
+    }
+
+    const auto& levelPins = graph.pinsAtLevel(level);
+    pins.clear();
+    for (std::size_t row = 0; row < levelPins.size(); ++row) {
+      if (cone[row] == 0) continue;
+      position[row] = static_cast<std::int64_t>(pins.size());
+      pins.push_back(levelPins[row]);
+    }
+    const Tensor& baseLevel =
+        base.levelEmbeddings[static_cast<std::size_t>(level)];
+    if (pins.empty()) {
+      out.levelEmbeddings.push_back(baseLevel);
+      continue;
+    }
+    // In-edges of the cone rows, in the level's edge order, so each
+    // destination reduces its sources in the order the full sweep does.
+    const auto restrict = [&](const features::LevelEdges& edges) {
+      features::LevelEdges sub;
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        const auto dst = static_cast<std::size_t>(edges.dstLocal[e]);
+        if (cone[dst] == 0) continue;
+        sub.src.push_back(edges.src[e]);
+        sub.dstLocal.push_back(position[dst]);
+      }
+      return sub;
+    };
+    const features::LevelEdges coneNet = restrict(net);
+    const features::LevelEdges coneCell = restrict(cell);
+    const Tensor rows = levelBody(pinFeatures, pins, out.levelEmbeddings,
+                                  net.size() > 0 ? &coneNet : nullptr,
+                                  cell.size() > 0 ? &coneCell : nullptr);
+    computed += static_cast<std::int64_t>(pins.size());
+    if (pins.size() == levelPins.size()) {
+      out.levelEmbeddings.push_back(rows);
+      continue;
+    }
+    Tensor patched = baseLevel.clone();
+    const std::size_t rowBytes =
+        static_cast<std::size_t>(hidden_) * sizeof(float);
+    for (std::size_t row = 0; row < levelPins.size(); ++row) {
+      if (cone[row] == 0) continue;
+      std::memcpy(patched.data() + static_cast<std::int64_t>(row) * hidden_,
+                  rows.data() + position[row] * hidden_, rowBytes);
+    }
+    out.levelEmbeddings.push_back(std::move(patched));
+  }
+  if (rowsComputed != nullptr) *rowsComputed = computed;
   return out;
 }
 

@@ -37,6 +37,20 @@ class TimingGnn : public nn::Module {
   Output forward(const features::PinGraph& graph,
                  const tensor::Tensor& pinFeatures) const;
 
+  /// forward(graph, pinFeatures) rebuilt from `base`, the forward() of
+  /// `basePinFeatures` over the same graph. Only the fanout cone of the
+  /// pin rows whose features differ bitwise from `basePinFeatures` is
+  /// recomputed; every level without a cone row is `base`'s tensor. Each
+  /// op of the level body is row-local (a GEMM row, a destination's
+  /// segment in edge order, a LayerNorm row), so the result is bitwise
+  /// equal to the full sweep. `rowsComputed`, when non-null, receives the
+  /// cone's size in pins. Inference only: the output shares tensors with
+  /// `base`.
+  Output forwardFrom(const Output& base, const tensor::Tensor& basePinFeatures,
+                     const features::PinGraph& graph,
+                     const tensor::Tensor& pinFeatures,
+                     std::int64_t* rowsComputed = nullptr) const;
+
   /// Rows of the per-level embeddings for the given pins: [pins.size(), D].
   static tensor::Tensor select(const Output& output,
                                const std::vector<netlist::PinId>& pins);
@@ -44,6 +58,20 @@ class TimingGnn : public nn::Module {
   std::int64_t hidden() const { return hidden_; }
 
  private:
+  void checkInputs(const features::PinGraph& graph,
+                   const tensor::Tensor& pinFeatures) const;
+  /// The sweep's per-level body: embeddings [pins.size(), hidden] of `pins`
+  /// (rows of `pinFeatures`) from their own features and, per edge kind,
+  /// the mean and max of their in-edge sources in `earlier` (the
+  /// embeddings of every earlier level). An edge list's dstLocal indexes
+  /// `pins`; a null list means the level has no edge of that kind, while a
+  /// pin without edges in a non-null list aggregates zeros.
+  tensor::Tensor levelBody(const tensor::Tensor& pinFeatures,
+                           const std::vector<std::int64_t>& pins,
+                           const std::vector<tensor::Tensor>& earlier,
+                           const features::LevelEdges* netEdges,
+                           const features::LevelEdges* cellEdges) const;
+
   std::int64_t inputDim_;
   std::int64_t hidden_;
   nn::Linear self_;

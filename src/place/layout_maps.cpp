@@ -102,15 +102,15 @@ float LayoutMaps::macroAt(std::int32_t gx, std::int32_t gy) const {
 }
 
 std::pair<std::int32_t, std::int32_t> LayoutMaps::binOf(Point p) const {
-  const float fx = (p.x - die_.lo.x) / die_.width();
-  const float fy = (p.y - die_.lo.y) / die_.height();
-  const std::int32_t gx = std::clamp(
-      static_cast<std::int32_t>(fx * static_cast<float>(resolution_)), 0,
-      resolution_ - 1);
-  const std::int32_t gy = std::clamp(
-      static_cast<std::int32_t>(fy * static_cast<float>(resolution_)), 0,
-      resolution_ - 1);
-  return {gx, gy};
+  // Clamp in float before the cast: converting a float outside int32's
+  // range (a far off-die point) is undefined behaviour. NaN lands in bin 0.
+  const float lastBin = static_cast<float>(resolution_ - 1);
+  const auto bin = [&](float fraction) {
+    const float at = fraction * static_cast<float>(resolution_);
+    return at >= 0.0f ? static_cast<std::int32_t>(std::min(at, lastBin)) : 0;
+  };
+  return {bin((p.x - die_.lo.x) / die_.width()),
+          bin((p.y - die_.lo.y) / die_.height())};
 }
 
 float LayoutMaps::congestionAt(Point p) const {

@@ -33,6 +33,8 @@ std::string MetricsSnapshot::renderTable() const {
   table.addRow({"batches", std::to_string(batches)});
   table.addRow({"mean batch size", TextTable::num(meanBatchSize, 2)});
   table.addRow({"graph memo fills", std::to_string(graphMemoFills)});
+  table.addRow({"graph memo rows computed",
+                std::to_string(graphMemoRowsComputed)});
   table.addRow({"graph memo bytes", std::to_string(graphMemoBytes)});
   table.addRow({"cache hits", std::to_string(cacheHits)});
   table.addRow({"cache misses", std::to_string(cacheMisses)});
@@ -116,6 +118,7 @@ JsonValue MetricsSnapshot::toJson() const {
       .set("batches", batches)
       .set("mean_batch_size", meanBatchSize)
       .set("graph_memo_fills", graphMemoFills)
+      .set("graph_memo_rows_computed", graphMemoRowsComputed)
       .set("graph_memo_bytes", graphMemoBytes)
       .set("cache_hits", cacheHits)
       .set("cache_misses", cacheMisses)

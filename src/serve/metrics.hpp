@@ -20,7 +20,8 @@ struct MetricsSnapshot {
   std::uint64_t fullDesignRequests = 0;
   std::uint64_t batches = 0;         // model forwards executed
   double meanBatchSize = 0.0;        // coalesced endpoints per forward
-  std::uint64_t graphMemoFills = 0;  // GNN sweeps run into snapshot memos
+  std::uint64_t graphMemoFills = 0;  // snapshot memos filled (full or cone)
+  std::uint64_t graphMemoRowsComputed = 0;  // pin rows those fills computed
   std::uint64_t graphMemoBytes = 0;  // embedding bytes of routed memos
   std::uint64_t cacheHits = 0;       // feature-cache hits
   std::uint64_t cacheMisses = 0;

@@ -160,8 +160,10 @@ std::int64_t PredictionEngine::loadDesign(
   return ref.design->numEndpoints();
 }
 
-std::shared_ptr<core::GraphMemo> PredictionEngine::newGraphMemo() {
-  return std::make_shared<core::GraphMemo>(&graphMemoFills_);
+std::shared_ptr<core::GraphMemo> PredictionEngine::newGraphMemo(
+    std::shared_ptr<const core::GraphMemo> base) {
+  return std::make_shared<core::GraphMemo>(&graphMemoCounters_,
+                                           std::move(base));
 }
 
 core::DesignBatch PredictionEngine::DesignRef::batch(
@@ -194,9 +196,11 @@ FeatureService::ConeUpdateResult PredictionEngine::applyConeUpdate(
   DesignRef ref = designRef(key);
   auto result =
       ref.node->features->applyConeUpdate(key, revision, std::move(update));
-  // No eager sweep: the next query fills the memo, so sync stays a pure
-  // feature refresh.
-  std::shared_ptr<core::GraphMemo> memo = newGraphMemo();
+  // No eager fill: the next query fills the memo from the key's current
+  // one, so sync stays a pure feature refresh and the predecessor is
+  // released by that fill, not here.
+  std::shared_ptr<core::GraphMemo> memo =
+      newGraphMemo(core::GraphMemo::successorBase(ref.graphMemo));
   std::lock_guard<std::mutex> lock(designsMutex_);
   DesignRef& entry = designs_[key];
   entry.design = result.design;
@@ -209,7 +213,8 @@ void PredictionEngine::installSnapshot(
     std::shared_ptr<const ServableDesign> design) {
   DesignRef ref = designRef(key);
   ref.node->features->installSnapshot(key, revision, design);
-  std::shared_ptr<core::GraphMemo> memo = newGraphMemo();
+  std::shared_ptr<core::GraphMemo> memo =
+      newGraphMemo(core::GraphMemo::successorBase(ref.graphMemo));
   std::lock_guard<std::mutex> lock(designsMutex_);
   DesignRef& entry = designs_[key];
   entry.design = std::move(design);
@@ -610,7 +615,10 @@ MetricsSnapshot PredictionEngine::metrics() const {
   snap.coneStructuralRebuilds = coneStructural;
   snap.coneEndpointsReused = coneReused;
   snap.coneEndpointsEvicted = coneEvicted;
-  snap.graphMemoFills = graphMemoFills_.load(std::memory_order_relaxed);
+  snap.graphMemoFills =
+      graphMemoCounters_.fills.load(std::memory_order_relaxed);
+  snap.graphMemoRowsComputed =
+      graphMemoCounters_.rowsComputed.load(std::memory_order_relaxed);
   snap.graphMemoBytes = memoBytes;
   if (!caches.empty()) {
     snap.retrievalEnabled = true;

@@ -60,11 +60,14 @@ struct EngineConfig {
 /// and batch queries on the same design are coalesced into tensor-level
 /// batches by a background batcher, bounded by maxBatch / maxWaitUs.
 ///
-/// Each routed snapshot carries a memo of its GNN embeddings (GraphMemo):
-/// the whole-design sweep runs once per snapshot, at load time or on the
-/// first query after a what-if update, and every batch, full-design
-/// predict and retrieval embed on that snapshot only gathers its endpoint
-/// rows. Any change of the snapshot a key routes to starts a fresh memo.
+/// Each routed snapshot carries a memo of its GNN embeddings (GraphMemo),
+/// filled once per snapshot, and every batch, full-design predict and
+/// retrieval embed on that snapshot only gathers its endpoint rows. A load
+/// fills its memo with a whole-design sweep in the warm-up. A what-if
+/// update or revert routes an empty memo whose base is the key's previous
+/// one; the first query fills it by re-running the GNN on the fanout cone
+/// of the changed pin-feature rows alone, or by a full sweep when the pin
+/// graph changed (buffer insertion).
 ///
 /// Determinism contract: predictDesign() reproduces the trainer's
 /// predictDesign() bit-for-bit (same full-design batch, same per-design
@@ -146,7 +149,7 @@ class PredictionEngine {
     std::shared_ptr<const ServableDesign> design;
     /// GNN embeddings of `design` under `node`'s model; replaced with an
     /// empty memo whenever the key is routed to a snapshot, filled by the
-    /// first forward that needs it.
+    /// first forward that needs it (from its base, if it has one).
     std::shared_ptr<core::GraphMemo> graphMemo;
     /// Per-design learned prediction cache; null unless the retrieval
     /// layer is enabled and the bundle has a Bayesian head. Survives
@@ -164,8 +167,10 @@ class PredictionEngine {
   };
 
   DesignRef designRef(const std::string& key) const;
-  /// An empty GNN memo whose sweeps count toward graph_memo_fills.
-  std::shared_ptr<core::GraphMemo> newGraphMemo();
+  /// An empty GNN memo whose fills count toward graph_memo_fills and
+  /// graph_memo_rows_computed, filled from `base` where it can be.
+  std::shared_ptr<core::GraphMemo> newGraphMemo(
+      std::shared_ptr<const core::GraphMemo> base = nullptr);
   /// The load-time warm forward (see EngineConfig::warmFusion): fills the
   /// snapshot's GNN memo and compiles its fused programs. No-op when
   /// warmFusion is off.
@@ -187,9 +192,9 @@ class PredictionEngine {
   void workerLoop();
 
   EngineConfig config_;
-  /// GNN sweeps run into this engine's memos (graph_memo_fills). Declared
-  /// before everything that holds a memo, which points at it.
-  std::atomic<std::uint64_t> graphMemoFills_{0};
+  /// Fills of this engine's memos (graph_memo_fills, _rows_computed).
+  /// Declared before everything that holds a memo, which points at it.
+  core::GraphMemo::Counters graphMemoCounters_;
 
   // designsMutex_ covers the registry: both the node -> bundle map and the
   // design routing table (addBundle mutates both together). NodeEntry

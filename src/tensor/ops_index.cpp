@@ -153,31 +153,45 @@ Tensor segmentMax(const Tensor& src, const std::vector<std::int64_t>& segment,
   DAGT_CHECK_MSG(static_cast<std::int64_t>(segment.size()) == rows,
                  "segmentMax: segment size mismatch");
   auto out = makeOut({numSegments, cols});
-  // argmax[s*cols + c] = source row achieving the max (-1 = empty segment).
-  auto argmax = std::make_shared<std::vector<std::int64_t>>(
-      static_cast<std::size_t>(numSegments * cols), -1);
-  std::fill(out->data.begin(), out->data.end(),
-            -std::numeric_limits<float>::infinity());
+  const float lowest = -std::numeric_limits<float>::infinity();
+  std::fill(out->data.begin(), out->data.end(), lowest);
+  // argmax[s*cols + c] = source row achieving the max (-1 = empty segment),
+  // kept only for the backward pass.
+  const bool tape = tapeActive({&src});
+  std::shared_ptr<std::vector<std::int64_t>> argmax;
+  if (tape) {
+    argmax = std::make_shared<std::vector<std::int64_t>>(
+        static_cast<std::size_t>(numSegments * cols), -1);
+  }
   const float* p = src.data();
   float* po = out->data.data();
   for (std::int64_t r = 0; r < rows; ++r) {
     const std::int64_t s = segment[static_cast<std::size_t>(r)];
     DAGT_CHECK_MSG(s >= 0 && s < numSegments,
                    "segmentMax: segment " << s << " out of " << numSegments);
+    const float* in = p + r * cols;
+    float* acc = po + s * cols;
+    if (argmax == nullptr) {
+      for (std::int64_t c = 0; c < cols; ++c) {
+        acc[c] = in[c] > acc[c] ? in[c] : acc[c];
+      }
+      continue;
+    }
+    std::int64_t* arg = argmax->data() + s * cols;
     for (std::int64_t c = 0; c < cols; ++c) {
-      const float v = p[r * cols + c];
-      const std::size_t o = static_cast<std::size_t>(s * cols + c);
-      if (v > po[o]) {
-        po[o] = v;
-        (*argmax)[o] = r;
+      if (in[c] > acc[c]) {
+        acc[c] = in[c];
+        arg[c] = r;
       }
     }
   }
-  // Empty segments: -inf would poison downstream math; define them as 0.
-  for (std::size_t i = 0; i < out->data.size(); ++i) {
-    if ((*argmax)[i] < 0) po[i] = 0.0f;
+  // Empty segments: -inf would poison downstream math; define them as 0. A
+  // slot still holds -inf exactly when no value beat it, i.e. when its
+  // argmax would be -1.
+  for (float& v : out->data) {
+    if (v == lowest) v = 0.0f;
   }
-  if (tapeActive({&src})) {
+  if (tape) {
     auto si = src.impl();
     attachTape(out, {&src}, [si, argmax, cols](TensorImpl& self) {
       si->ensureGrad();

@@ -18,7 +18,8 @@ const WhatifCommand kWhatifCommands[] = {
     {"resize", "resize <cell> up|down",
      "swap the cell to the next larger/smaller drive of the same function"},
     {"move", "move <cell> <x> <y>",
-     "move the cell; touched nets get re-estimated parasitics"},
+     "move the cell to a point inside the die (boundary included); touched "
+     "nets get re-estimated parasitics"},
     {"buffer", "buffer <net>",
      "split a high-fanout net behind a new buffer (structural edit)"},
     {"query", "query <endpoint>|all",

@@ -1,6 +1,7 @@
 #include "whatif/whatif_session.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -107,6 +108,13 @@ void WhatIfSession::moveCell(const CellId cell, const Point to) {
   DAGT_TRACE_SCOPE("whatif/edit");
   DAGT_CHECK_MSG(cell >= 0 && cell < netlist_.numCells(),
                  "move: cell " << cell << " out of range");
+  const Rect& die = placement_.dieArea;
+  DAGT_CHECK_MSG(std::isfinite(to.x) && std::isfinite(to.y) &&
+                     die.contains(to),
+                 "move: target (" << to.x << ", " << to.y
+                                  << ") is outside the die (" << die.lo.x
+                                  << ", " << die.lo.y << ")-(" << die.hi.x
+                                  << ", " << die.hi.y << ")");
   netlist_.setCellLocation(cell, to);
   const sta::RouteEstimator est = estimator();
   sta_->onCellMoved(cell, est);

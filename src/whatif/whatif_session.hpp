@@ -52,6 +52,8 @@ class WhatIfSession {
   bool resizeCell(netlist::CellId cell, bool up);
 
   /// Move a cell; parasitics of every net touching it are re-estimated.
+  /// A non-finite target, or one outside the die (its boundary counts as
+  /// inside), is a CheckError and leaves the design untouched.
   void moveCell(netlist::CellId cell, Point to);
 
   /// Split a high-fanout net behind a new buffer (see

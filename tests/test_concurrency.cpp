@@ -39,6 +39,7 @@
 #include "tensor/ops.hpp"
 #include "tensor/storage.hpp"
 #include "tensor/tensor.hpp"
+#include "whatif/whatif_session.hpp"
 
 namespace dagt::serve {
 namespace {
@@ -279,7 +280,8 @@ TEST(ConcurrencyStress, NewlyRoutedSnapshotSweepsOnceUnderConcurrentReaders) {
   // installSnapshot routes the key with an empty GNN memo (no warm-up), so
   // the first readers race to fill it: caller-thread full-design predicts
   // plus endpoint queries, served by the batcher or (batching off) by the
-  // callers' own solo batches, all at once. Exactly one sweep may run, and
+  // callers' own solo batches, all at once. Exactly one fill may run (from
+  // the previous memo of the same snapshot, so it recomputes no row), and
   // every reader must see its complete result.
   ThreadCountGuard guard(4);
   const features::DesignData& reference = target7();
@@ -331,6 +333,96 @@ TEST(ConcurrencyStress, NewlyRoutedSnapshotSweepsOnceUnderConcurrentReaders) {
                                   << round;
       EXPECT_EQ(engine->metrics().graphMemoFills, fillsBefore + 1)
           << "batching=" << batching << " round " << round;
+    }
+  }
+}
+
+TEST(ConcurrencyStress, ConeUpdatedSnapshotFillsOnceUnderConcurrentReaders) {
+  // The sibling of the test above, re-routed through what-if cone updates:
+  // each round's new memo has the previous round's filled memo as its
+  // base, and the racing first readers must run exactly one cone fill,
+  // answer bitwise like a cold engine, and release the base with it. The
+  // base holds the previous snapshot's pin-feature tensor, which nothing
+  // else does once the snapshot is re-routed, so that tensor's lifetime
+  // shows when the base goes.
+  ThreadCountGuard guard(4);
+  const features::DesignData& reference = target7();
+  constexpr int kFull = 3;
+  constexpr int kEndpoint = 3;
+  for (const bool batching : {true, false}) {
+    auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/8, batching);
+    whatif::WhatIfSession session(*engine, "smallboom", reference.netlist,
+                                  reference.node, reference.placement);
+    const std::int64_t endpointCount = session.numEndpoints();
+    const std::int64_t numPins = session.netlist().numPins();
+    netlist::CellId cell = 0;
+    // Resizes the next resizable cell; the first one leaves the session's
+    // revert baseline, which pins its snapshot, behind.
+    const auto resizeNext = [&] {
+      for (; cell < session.netlist().numCells(); ++cell) {
+        if (session.resizeCell(cell, /*up=*/true)) break;
+      }
+      ASSERT_LT(cell++, session.netlist().numCells());
+    };
+    resizeNext();
+    (void)session.predict({0});
+    for (int round = 0; round < 3; ++round) {
+      const std::weak_ptr<tensor::TensorImpl> basePinFeatures =
+          engine->currentSnapshot("smallboom")->data.pinFeatures.impl();
+      resizeNext();
+      session.sync();
+      ASSERT_FALSE(session.lastSync().structuralRebuild);
+      EXPECT_FALSE(basePinFeatures.expired())
+          << "the sync released the base; its fill should";
+
+      auto cold = makeEngine(/*workers=*/1, /*maxBatch=*/8, /*batching=*/false);
+      cold->loadDesign("cold", session.netlist(), reference.node,
+                       reference.placement);
+      const std::vector<float> expected = cold->predictDesign("cold");
+      const MetricsSnapshot before = engine->metrics();
+      std::atomic<int> arrived{0};
+      std::atomic<bool> failed{false};
+      const auto waitForAll = [&] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kFull + kEndpoint) std::this_thread::yield();
+      };
+      std::vector<std::thread> threads;
+      for (int c = 0; c < kFull; ++c) {
+        threads.emplace_back([&] {
+          waitForAll();
+          const std::vector<float> full = engine->predictDesign("smallboom");
+          if (full.size() != expected.size() ||
+              std::memcmp(full.data(), expected.data(),
+                          full.size() * sizeof(float)) != 0) {
+            failed = true;
+          }
+        });
+      }
+      for (int c = 0; c < kEndpoint; ++c) {
+        threads.emplace_back([&, c] {
+          waitForAll();
+          const std::int64_t e = (c * 11 + round) % endpointCount;
+          const float v = engine->predictEndpoint("smallboom", e);
+          if (std::memcmp(&v, &expected[static_cast<std::size_t>(e)],
+                          sizeof(float)) != 0) {
+            failed = true;
+          }
+        });
+      }
+      for (auto& t : threads) t.join();
+      EXPECT_FALSE(failed.load()) << "batching=" << batching << " round "
+                                  << round;
+      const MetricsSnapshot after = engine->metrics();
+      EXPECT_EQ(after.graphMemoFills, before.graphMemoFills + 1)
+          << "batching=" << batching << " round " << round;
+      const std::uint64_t rows =
+          after.graphMemoRowsComputed - before.graphMemoRowsComputed;
+      EXPECT_GT(rows, 0u);
+      EXPECT_LT(rows, static_cast<std::uint64_t>(numPins))
+          << "a resize should fill the cone, not sweep the design";
+      EXPECT_TRUE(basePinFeatures.expired())
+          << "batching=" << batching << " round " << round
+          << ": the fill kept its base";
     }
   }
 }

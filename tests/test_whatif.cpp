@@ -2,9 +2,10 @@
 // contract (edited predictions bitwise equal to a cold rebuild), cone-based
 // feature-cache invalidation exactness (edits outside an endpoint's cone
 // keep its cached artifacts — pointer-shared, not recomputed — while edits
-// inside invalidate it), commit/revert baselines, the metrics surface, and
-// a reader/writer stress that tools/verify.sh also runs under
-// ThreadSanitizer:
+// inside invalidate it), GNN memos filled from their predecessor's over the
+// dirty fanout cone, commit/revert baselines, rejected off-die moves, the
+// metrics surface, and a reader/writer stress that tools/verify.sh also runs
+// under ThreadSanitizer (and the whole suite under ASan/UBSan):
 //
 //   cmake -B build-tsan -S . -DDAGT_SANITIZE=thread
 //   cmake --build build-tsan --target dagt_whatif_tests
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -25,6 +27,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "designgen/design_suite.hpp"
@@ -35,6 +38,8 @@
 #include "serve/model_bundle.hpp"
 #include "serve/prediction_engine.hpp"
 #include "sta/netlist_edits.hpp"
+#include "tensor/kernels/kernels.hpp"
+#include "whatif/edit_script.hpp"
 #include "whatif/whatif_session.hpp"
 
 namespace dagt::whatif {
@@ -284,11 +289,12 @@ TEST(WhatIfSession, CommitMovesTheRevertBaseline) {
 // -- GNN memo across re-routes -----------------------------------------------
 
 TEST(WhatIfSession, EveryRerouteAnswersLikeAColdEngine) {
-  // Each way a key is re-routed (cone update, revert) must
-  // start an empty GNN memo, so the answers match an engine that never saw
-  // the key, bitwise. A memo kept across the re-route would serve the
-  // previous snapshot's embeddings: cone updates share the pin graph, so
-  // only the answers can tell.
+  // Each way a key is re-routed (cone update, revert) starts an empty GNN
+  // memo whose base is the previous one; its fill re-runs only the changed
+  // fanout cone, and the answers must match an engine that never saw the
+  // key, bitwise. A memo kept across the re-route, or a cone that misses a
+  // changed row, would serve the previous snapshot's embeddings: cone
+  // updates share the pin graph, so only the answers can tell.
   SessionFixture f;
   WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
   std::vector<std::int64_t> all(
@@ -314,6 +320,202 @@ TEST(WhatIfSession, EveryRerouteAnswersLikeAColdEngine) {
 
   session.revert();
   expectCold(session.netlist(), "after revert");
+}
+
+/// Pin the kernel tier for one scope; back to env/CPUID resolution after.
+class TierGuard {
+ public:
+  explicit TierGuard(tensor::kernels::Tier tier) {
+    tensor::kernels::forceTier(tier);
+  }
+  ~TierGuard() { tensor::kernels::resetTier(); }
+};
+
+/// A seeded stream of resizes, moves, buffer insertions, commits and
+/// reverts. About a third of the syncs get no query, so the next re-route
+/// hands its memo the base of one that was never filled. After every query
+/// the session's engine must answer, endpoint by endpoint and for the full
+/// design, bitwise like a fresh engine that loaded the edited netlist cold.
+void expectConeFillsMatchColdLoads(std::uint64_t seed) {
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  const Rect die = f.placement.dieArea;
+  Rng rng(seed);
+  int queries = 0;
+  for (int step = 0; queries < 8 && step < 200; ++step) {
+    const double kind = rng.uniform();
+    const auto cells =
+        static_cast<std::uint64_t>(session.netlist().numCells());
+    const auto cell = static_cast<netlist::CellId>(rng.uniformInt(cells));
+    if (kind < 0.45) {
+      if (!session.resizeCell(cell, rng.uniform() < 0.5)) continue;
+    } else if (kind < 0.65) {
+      session.moveCell(
+          cell, Point{static_cast<float>(rng.uniform(die.lo.x, die.hi.x)),
+                      static_cast<float>(rng.uniform(die.lo.y, die.hi.y))});
+    } else if (kind < 0.8) {
+      ASSERT_TRUE(session.insertBuffer(findBufferable(session.netlist()))
+                      .inserted);
+    } else if (kind < 0.9) {
+      session.commit();
+    } else {
+      session.revert();
+    }
+    if (rng.uniform() < 0.35) {
+      session.sync();
+      continue;
+    }
+    const std::string what =
+        "seed " + std::to_string(seed) + " step " + std::to_string(step);
+    const std::vector<float> endpoints = session.predictAll();
+    const std::vector<float> full = f.engine.predictDesign("wi");
+    serve::EngineConfig config;
+    config.batching = false;
+    serve::PredictionEngine cold(config);
+    cold.addBundleFromDir(bundleDir());
+    cold.loadDesign("cold", session.netlist(), f.node, f.placement);
+    std::vector<std::int64_t> all(
+        static_cast<std::size_t>(session.numEndpoints()));
+    std::iota(all.begin(), all.end(), std::int64_t{0});
+    expectBitwiseEqual(endpoints, cold.predictEndpoints("cold", all),
+                       what.c_str());
+    expectBitwiseEqual(full, cold.predictDesign("cold"), what.c_str());
+    ++queries;
+  }
+  ASSERT_EQ(queries, 8);
+  // Not vacuous: some fills were cone fills, which compute fewer rows than
+  // a full sweep of the (largest) design would.
+  const serve::MetricsSnapshot snap = f.engine.metrics();
+  EXPECT_LT(snap.graphMemoRowsComputed,
+            snap.graphMemoFills *
+                static_cast<std::uint64_t>(session.netlist().numPins()));
+}
+
+TEST(WhatIfSession, ConeFilledMemosMatchColdLoadsAtEveryTier) {
+  {
+    TierGuard scalar(tensor::kernels::Tier::kScalar);
+    expectConeFillsMatchColdLoads(0xc0e1ULL);
+  }
+  expectConeFillsMatchColdLoads(0xc0e1ULL);
+}
+
+/// Pins whose pin-feature rows differ bitwise between two snapshots.
+std::vector<netlist::PinId> changedFeatureRows(const tensor::Tensor& before,
+                                               const tensor::Tensor& after) {
+  EXPECT_EQ(before.shape(), after.shape());
+  const std::int64_t cols = after.dim(1);
+  std::vector<netlist::PinId> changed;
+  for (std::int64_t pin = 0; pin < after.dim(0); ++pin) {
+    if (std::memcmp(before.data() + pin * cols, after.data() + pin * cols,
+                    static_cast<std::size_t>(cols) * sizeof(float)) != 0) {
+      changed.push_back(static_cast<netlist::PinId>(pin));
+    }
+  }
+  return changed;
+}
+
+/// Size of the set of pins reachable from `seeds` (seeds included) along
+/// the graph's net and cell edges: a breadth-first search over a pin
+/// adjacency list, not the level sweep the GNN uses.
+std::int64_t fanoutClosure(const features::PinGraph& graph,
+                           const std::vector<netlist::PinId>& seeds) {
+  std::vector<std::vector<netlist::PinId>> fanout(
+      static_cast<std::size_t>(graph.numPins()));
+  for (std::int32_t level = 0; level < graph.numLevels(); ++level) {
+    const auto& pins = graph.pinsAtLevel(level);
+    for (const features::LevelEdges* edges :
+         {&graph.netEdgesInto(level), &graph.cellEdgesInto(level)}) {
+      for (std::size_t e = 0; e < edges->size(); ++e) {
+        const auto [srcLevel, srcRow] = edges->src[e];
+        const netlist::PinId src =
+            graph.pinsAtLevel(srcLevel)[static_cast<std::size_t>(srcRow)];
+        fanout[static_cast<std::size_t>(src)].push_back(
+            pins[static_cast<std::size_t>(edges->dstLocal[e])]);
+      }
+    }
+  }
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(graph.numPins()),
+                                 0);
+  std::vector<netlist::PinId> frontier;
+  for (const netlist::PinId p : seeds) {
+    if (seen[static_cast<std::size_t>(p)]++ == 0) frontier.push_back(p);
+  }
+  std::int64_t reached = 0;
+  while (!frontier.empty()) {
+    const netlist::PinId p = frontier.back();
+    frontier.pop_back();
+    ++reached;
+    for (const netlist::PinId q : fanout[static_cast<std::size_t>(p)]) {
+      if (seen[static_cast<std::size_t>(q)]++ == 0) frontier.push_back(q);
+    }
+  }
+  return reached;
+}
+
+TEST(WhatIfSession, RowsComputedCountTheDirtyFanoutCone) {
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  const auto before = f.engine.currentSnapshot("wi");
+  const std::int64_t numPins = before->data.graph->numPins();
+  // The load-time warm-up swept every pin.
+  const serve::MetricsSnapshot loaded = f.engine.metrics();
+  EXPECT_EQ(loaded.graphMemoFills, 1u);
+  EXPECT_EQ(loaded.graphMemoRowsComputed, static_cast<std::uint64_t>(numPins));
+
+  ASSERT_TRUE(session.resizeCell(findResizable(session.netlist()), true));
+  session.predict({0});
+  const auto after = f.engine.currentSnapshot("wi");
+  ASSERT_EQ(after->data.graph, before->data.graph);
+  const std::int64_t cone = fanoutClosure(
+      *after->data.graph,
+      changedFeatureRows(before->data.pinFeatures, after->data.pinFeatures));
+  const serve::MetricsSnapshot resized = f.engine.metrics();
+  EXPECT_EQ(resized.graphMemoFills, loaded.graphMemoFills + 1);
+  EXPECT_EQ(resized.graphMemoRowsComputed - loaded.graphMemoRowsComputed,
+            static_cast<std::uint64_t>(cone));
+  EXPECT_GT(cone, 0);
+  EXPECT_LT(cone, numPins);
+
+  // A buffer insertion builds a new pin graph: the fill sweeps every pin.
+  ASSERT_TRUE(session.insertBuffer(findBufferable(session.netlist())).inserted);
+  session.predict({0});
+  const serve::MetricsSnapshot buffered = f.engine.metrics();
+  EXPECT_EQ(buffered.graphMemoFills, resized.graphMemoFills + 1);
+  EXPECT_EQ(buffered.graphMemoRowsComputed - resized.graphMemoRowsComputed,
+            static_cast<std::uint64_t>(session.netlist().numPins()));
+  const std::string json = buffered.toJson().dump();
+  EXPECT_NE(json.find("\"graph_memo_rows_computed\""), std::string::npos);
+}
+
+// -- Rejected edits ----------------------------------------------------------
+
+TEST(WhatIfSession, MoveOffTheDieFailsAndLeavesPredictionsUnchanged) {
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  const std::vector<float> baseline = session.predictAll();
+  const Rect die = f.placement.dieArea;
+  const netlist::CellId cell = findResizable(session.netlist());
+  ASSERT_NE(cell, netlist::kInvalidId);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const Point to : {Point{1e30f, 0.0f}, Point{nan, die.lo.y},
+                         Point{die.lo.x, nan},
+                         Point{std::nextafter(die.hi.x, inf), die.hi.y},
+                         Point{die.lo.x, std::nextafter(die.lo.y, -inf)}}) {
+    EXPECT_THROW(session.moveCell(cell, to), CheckError)
+        << "(" << to.x << ", " << to.y << ")";
+  }
+  // Through the edit script the command fails and the session goes on.
+  const CommandOutcome outcome =
+      runCommand(session, "move " + std::to_string(cell) + " 1e30 0");
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_NE(outcome.message.find("outside the die"), std::string::npos)
+      << outcome.message;
+  EXPECT_EQ(session.edits(), 0u);
+  expectBitwiseEqual(session.predictAll(), baseline, "after rejected moves");
+
+  // The die boundary counts as inside.
+  EXPECT_NO_THROW(session.moveCell(cell, die.hi));
 }
 
 // -- Metrics and tracing surface ---------------------------------------------

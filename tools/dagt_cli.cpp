@@ -47,11 +47,12 @@
 //       Interactive what-if timing: load the design into the serving
 //       engine once, then apply ECO edits (cell resize/move, fanout
 //       buffering) and re-predict incrementally — only the edit's dirty
-//       cone is re-extracted. --edits replays a command file (one command
-//       per line, # comments); --repl drops into the interactive loop
-//       afterwards (or on its own). Commands: resize, move, buffer,
-//       query, sync, commit, revert, stats, help, quit — see
-//       docs/whatif.md. Exits nonzero if any scripted command failed.
+//       cone is re-extracted and re-run through the GNN. --edits replays
+//       a command file (one command per line, # comments); --repl drops
+//       into the interactive loop afterwards (or on its own). Commands:
+//       resize, move, buffer, query, sync, commit, revert, stats, help,
+//       quit — see docs/whatif.md. Exits nonzero if any scripted command
+//       failed.
 //
 //   dagt trace <command> [args...] [--trace-out F]
 //       Run any of the commands above with tracing enabled; writes the

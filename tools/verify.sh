@@ -13,7 +13,7 @@
 #   fusion    bench_fusion smoke run — fused-vs-unfused bitwise parity,
 #             >= 1.2x interactive-forward speedup, <= 3 allocs/predict
 #   asan      ASan/UBSan build, tensor + concurrency + parser-robustness
-#             suites
+#             + what-if suites
 #   tsan      ThreadSanitizer build, concurrency stress suite
 #   obs       ThreadSanitizer build, tracing-layer suite (dagt_obs_tests)
 #   whatif    ThreadSanitizer build of the what-if suite + bench_whatif
@@ -73,14 +73,17 @@ run_analyze() {
   ctest --test-dir build -L analyze --output-on-failure
 }
 
+# The what-if suite is here for the GNN memo's cone fills, which write
+# recomputed rows into cloned level tensors at computed indices.
 run_asan() {
   cmake -B build-asan -S . -DDAGT_SANITIZE="address;undefined" &&
     cmake --build build-asan -j "$JOBS" \
       --target dagt_tensor_tests dagt_concurrency_tests \
-      dagt_robustness_tests &&
+      dagt_robustness_tests dagt_whatif_tests &&
     ./build-asan/tests/dagt_tensor_tests &&
     ./build-asan/tests/dagt_concurrency_tests &&
-    ./build-asan/tests/dagt_robustness_tests
+    ./build-asan/tests/dagt_robustness_tests &&
+    ./build-asan/tests/dagt_whatif_tests
 }
 
 run_tsan() {
