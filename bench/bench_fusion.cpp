@@ -16,6 +16,13 @@
 //     context, plus the allocs-per-predict gate.
 //   * model — the full forward (extractor included) at the serve batch,
 //     reported as end-to-end context and used for the parity gate.
+//   * cone fill — the what-if GNN path: a seeded handful of pin-feature
+//     rows is perturbed and TimingGnn::forwardFrom rebuilds the sweep from
+//     the unperturbed one. Timed fused vs unfused; checked at the scalar
+//     and the active tier for fused == unfused bitwise and for cone fill ==
+//     full sweep of the perturbed features bitwise, and counted for the
+//     programs compiled after the first fill (row-polymorphic level
+//     programs: none).
 //
 // Both modes of a measurement run as ALTERNATING chunks so wall-clock
 // drift on a shared machine lands on both sides of the ratio.
@@ -30,7 +37,9 @@
 //     materializing every intermediate,
 //   * parity — predictions under DAGT_FUSION=0/1 must be bitwise
 //     identical at the scalar tier (pinned with kernels::forceTier); they
-//     are also compared at the detected tier.
+//     are also compared at the detected tier. The cone fill must match
+//     unfused and the full sweep at the scalar tier, and compile nothing
+//     after its first fill.
 //
 // Knobs: DAGT_FUSION_SCALE (design-size multiplier, default 0.2),
 // DAGT_FUSION_BATCH (serve endpoints per forward, default 64),
@@ -52,6 +61,7 @@
 #include "core/dataset.hpp"
 #include "core/disentangler.hpp"
 #include "core/models.hpp"
+#include "core/timing_gnn.hpp"
 #include "features/design_data.hpp"
 #include "harness.hpp"
 #include "tensor/expr.hpp"
@@ -171,6 +181,94 @@ bool bitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+/// Every level's embeddings, concatenated in level order.
+std::vector<float> flatten(const core::TimingGnn::Output& out) {
+  std::vector<float> flat;
+  for (const tensor::Tensor& level : out.levelEmbeddings) {
+    flat.insert(flat.end(), level.data(), level.data() + level.numel());
+  }
+  return flat;
+}
+
+/// The cone-fill case: `variants` feature snapshots, each the design's pin
+/// features with a seeded handful of rows perturbed, filled from the sweep
+/// of the unperturbed features (swept once per fusion mode).
+struct ConeCase {
+  const core::TimingGnn* gnn = nullptr;
+  const features::PinGraph* graph = nullptr;
+  tensor::Tensor base;
+  std::vector<tensor::Tensor> variants;
+  core::TimingGnn::Output fusedSweep;
+  core::TimingGnn::Output unfusedSweep;
+};
+
+ConeCase makeConeCase(const core::TimingGnn& gnn,
+                      const features::DesignData& design, int numVariants) {
+  ConeCase c;
+  c.gnn = &gnn;
+  c.graph = design.graph.get();
+  c.base = design.pinFeatures;
+  Rng rng(0xc0de5ULL);
+  const std::int64_t pins = design.pinFeatures.dim(0);
+  const std::int64_t dim = design.pinFeatures.dim(1);
+  for (int v = 0; v < numVariants; ++v) {
+    tensor::Tensor perturbed = design.pinFeatures.clone();
+    for (int k = 0; k < 4; ++k) {
+      const std::int64_t pin = rng.uniformInt(0, pins - 1);
+      perturbed.data()[pin * dim + rng.uniformInt(0, dim - 1)] += 0.5f;
+    }
+    c.variants.push_back(std::move(perturbed));
+  }
+  return c;
+}
+
+/// Sweep the base features once per fusion mode (at the active tier).
+void sweepBase(ConeCase& c) {
+  tensor::NoGradGuard guard;
+  tensor::expr::setFusionEnabled(false);
+  c.unfusedSweep = c.gnn->forward(*c.graph, c.base);
+  tensor::expr::setFusionEnabled(true);
+  c.fusedSweep = c.gnn->forward(*c.graph, c.base);
+}
+
+/// Fill variant v from the current fusion mode's base sweep.
+std::vector<float> coneFill(const ConeCase& c, std::size_t v,
+                            std::int64_t* rows = nullptr) {
+  tensor::NoGradGuard guard;
+  tensor::Workspace workspace;
+  const core::TimingGnn::Output& base =
+      tensor::expr::fusionEnabled() ? c.fusedSweep : c.unfusedSweep;
+  return flatten(
+      c.gnn->forwardFrom(base, c.base, *c.graph, c.variants[v], rows));
+}
+
+struct ConeChecks {
+  bool fusedEqualsUnfused = true;
+  bool coneEqualsSweep = true;
+};
+
+/// At the active tier: fused == unfused and cone fill == full sweep of the
+/// perturbed features, for every variant, both bitwise.
+ConeChecks checkCone(ConeCase& c) {
+  sweepBase(c);
+  ConeChecks checks;
+  for (std::size_t v = 0; v < c.variants.size(); ++v) {
+    tensor::expr::setFusionEnabled(false);
+    const std::vector<float> unfused = coneFill(c, v);
+    tensor::expr::setFusionEnabled(true);
+    const std::vector<float> fused = coneFill(c, v);
+    tensor::NoGradGuard guard;
+    const std::vector<float> sweep =
+        flatten(c.gnn->forward(*c.graph, c.variants[v]));
+    checks.fusedEqualsUnfused =
+        checks.fusedEqualsUnfused && bitwiseEqual(fused, unfused);
+    checks.coneEqualsSweep = checks.coneEqualsSweep &&
+                             bitwiseEqual(fused, sweep) &&
+                             bitwiseEqual(unfused, sweep);
+  }
+  return checks;
+}
+
 }  // namespace
 
 int run() {
@@ -267,6 +365,36 @@ int run() {
   const ModeResult& headFused = interactive.fused;
   const auto [unfused, fusedRun] = runInterleaved(
       iters, [&] { return runForward(model, batch, mcSamples); });
+
+  // Cone fill: the GNN the model serves (paper-default width) on the same
+  // design. The first fused fill compiles the level programs; the rest of
+  // the variants, cones of other widths, must compile nothing.
+  Rng gnnRng(0x9e77ULL);
+  const core::TimingGnn gnn(pipeline.featureDim(), modelConfig.gnnHidden,
+                            gnnRng);
+  ConeCase cone = makeConeCase(gnn, design, 8);
+  sweepBase(cone);
+  std::int64_t coneRows = 0;
+  (void)coneFill(cone, 0, &coneRows);
+  const std::uint64_t compiledAtFirstFill =
+      tensor::expr::stats().programsCompiled;
+  for (std::size_t v = 1; v < cone.variants.size(); ++v) {
+    (void)coneFill(cone, v);
+  }
+  const std::uint64_t coneCompiledAfterFirst =
+      tensor::expr::stats().programsCompiled - compiledAtFirstFill;
+  // Timed on variant 0 alone, so both modes do identical work; the full
+  // sweep of the same features alongside for scale.
+  const auto [unfusedSweep, fusedSweep] = runInterleaved(iters, [&] {
+    tensor::NoGradGuard guard;
+    tensor::Workspace workspace;
+    return flatten(gnn.forward(*cone.graph, cone.base));
+  });
+  const auto [unfusedFill, fusedFill] =
+      runInterleaved(iters, [&] { return coneFill(cone, 0); });
+  const double unfusedConeUs = unfusedFill.usPerForward;
+  const double fusedConeUs = fusedFill.usPerForward;
+  const ConeChecks coneActive = checkCone(cone);
   if (trace) {
     obs::TraceRegistry::global().setEnabled(true);
     tensor::expr::setFusionEnabled(true);
@@ -299,6 +427,7 @@ int run() {
   const std::vector<float> scalarUnfused = runForward(model, batch, mcSamples);
   tensor::expr::setFusionEnabled(true);
   const std::vector<float> scalarFused = runForward(model, batch, mcSamples);
+  const ConeChecks coneScalar = checkCone(cone);
   tensor::kernels::resetTier();
   const bool parityScalar = bitwiseEqual(scalarUnfused, scalarFused);
 
@@ -344,6 +473,17 @@ int run() {
       .set("fused_heap_allocs_per_forward", fusedRun.heapAllocsPerForward)
       .set("parity_bitwise_scalar", parityScalar)
       .set("parity_bitwise_active_tier", parityActive)
+      .set("cone_fill_rows", coneRows)
+      .set("unfused_sweep_us", unfusedSweep.usPerForward)
+      .set("fused_sweep_us", fusedSweep.usPerForward)
+      .set("unfused_cone_fill_us", unfusedConeUs)
+      .set("fused_cone_fill_us", fusedConeUs)
+      .set("cone_parity_bitwise_scalar", coneScalar.fusedEqualsUnfused)
+      .set("cone_parity_bitwise_active_tier", coneActive.fusedEqualsUnfused)
+      .set("cone_equals_sweep_scalar", coneScalar.coneEqualsSweep)
+      .set("cone_equals_sweep_active_tier", coneActive.coneEqualsSweep)
+      .set("cone_programs_compiled_after_first_fill",
+           static_cast<std::int64_t>(coneCompiledAfterFirst))
       .set("programs_compiled",
            static_cast<std::int64_t>(stats.programsCompiled))
       .set("program_replays", static_cast<std::int64_t>(stats.programReplays))
@@ -359,18 +499,42 @@ int run() {
   std::fprintf(stderr,
                "wrote %s\nhead b=1 %.1fus -> %.1fus (%.2fx), head b=%lld "
                "%.0fus -> %.0fus (%.2fx), model %.0fus -> %.0fus (%.2fx), "
-               "allocs/predict %.1f -> %.1f, parity scalar %s active %s\n",
+               "allocs/predict %.1f -> %.1f, parity scalar %s active %s\n"
+               "cone fill (%lld rows) %.0fus -> %.0fus, sweep %.0fus -> "
+               "%.0fus, cone parity scalar %s active %s, cone == sweep "
+               "scalar %s active %s, %llu programs compiled after the first "
+               "fill\n",
                path.c_str(), headUnfused.usPerForward, headFused.usPerForward,
                speedup, static_cast<long long>(batchSize),
                serveHead.unfused.usPerForward, serveHead.fused.usPerForward,
                serveHeadSpeedup, unfused.usPerForward, fusedRun.usPerForward,
                modelSpeedup, unfusedAllocsPerPredict, fusedAllocsPerPredict,
                parityScalar ? "ok" : "BROKEN",
-               parityActive ? "ok" : "differs");
+               parityActive ? "ok" : "differs",
+               static_cast<long long>(coneRows),
+               unfusedConeUs, fusedConeUs, unfusedSweep.usPerForward,
+               fusedSweep.usPerForward,
+               coneScalar.fusedEqualsUnfused ? "ok" : "BROKEN",
+               coneActive.fusedEqualsUnfused ? "ok" : "differs",
+               coneScalar.coneEqualsSweep ? "ok" : "BROKEN",
+               coneActive.coneEqualsSweep ? "ok" : "BROKEN",
+               static_cast<unsigned long long>(coneCompiledAfterFirst));
 
   if (!parityScalar) {
     std::fprintf(stderr, "FAIL: fused predictions are not bitwise identical "
                          "to unfused at the scalar tier\n");
+    return 1;
+  }
+  if (!coneScalar.fusedEqualsUnfused || !coneScalar.coneEqualsSweep ||
+      !coneActive.coneEqualsSweep) {
+    std::fprintf(stderr, "FAIL: the fused cone fill is not bitwise equal to "
+                         "the unfused fill and the full sweep\n");
+    return 1;
+  }
+  if (coneCompiledAfterFirst != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %llu programs compiled after the first cone fill\n",
+                 static_cast<unsigned long long>(coneCompiledAfterFirst));
     return 1;
   }
   if (speedup < minSpeedup) {

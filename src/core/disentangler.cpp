@@ -22,9 +22,9 @@ Disentangler::Split Disentangler::forward(const tensor::Tensor& u) const {
   // folded into the epilogue) and no intermediate graph bookkeeping.
   if (tensor::expr::shouldFuse()) {
     tensor::expr::SigHash sig;
-    sig.mixShape(u.shape());
+    sig.mixTrailingDims(u.shape());
     mixStateInto(sig);
-    auto program = programs_.getOrCompile(sig.h, [&] {
+    auto program = programs_.getOrCompile(sig.h, u.dim(0), [&] {
       tensor::expr::Capture cap;
       const tensor::Tensor lu = cap.input(u);
       const tensor::Tensor node = nodeMlp_.forward(lu);

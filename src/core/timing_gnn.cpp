@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
 
 #include "common/check.hpp"
 #include "tensor/ops.hpp"
@@ -38,72 +39,92 @@ void TimingGnn::checkInputs(const features::PinGraph& graph,
                                     << inputDim_);
 }
 
+std::uint64_t TimingGnn::levelKeyBase() const {
+  tensor::expr::SigHash sig;
+  mixStateInto(sig);
+  return sig.h;
+}
+
 Tensor TimingGnn::levelBody(const Tensor& pinFeatures,
                             const std::vector<std::int64_t>& pins,
                             const std::vector<Tensor>& earlier,
                             const features::LevelEdges* netEdges,
-                            const features::LevelEdges* cellEdges) const {
+                            const features::LevelEdges* cellEdges,
+                            std::uint64_t keyBase) const {
   const std::int64_t n = static_cast<std::int64_t>(pins.size());
   // Own features of the pins.
-  Tensor h = self_.forward(tensor::indexSelect0(pinFeatures, pins));
+  const Tensor x = tensor::indexSelect0(pinFeatures, pins);
 
-  // Fanin aggregation per edge type from earlier levels.
-  const auto addAggregates = [&](const features::LevelEdges* edges,
-                                 const nn::Linear& meanProj,
-                                 const nn::Linear& maxProj) {
-    if (edges == nullptr) return;
-    const Tensor sources = tensor::gatherRowsMulti(earlier, edges->src);
-    // Mean aggregation: divide the segment sums by per-pin fanin counts
-    // (sum aggregation compounds with depth and overflows float32 on
-    // deep designs).
-    std::vector<float> invCount(static_cast<std::size_t>(n), 0.0f);
-    for (const std::int64_t dst : edges->dstLocal) {
-      invCount[static_cast<std::size_t>(dst)] += 1.0f;
-    }
-    for (auto& c : invCount) c = c > 0.0f ? 1.0f / c : 0.0f;
-    const Tensor aggMean = tensor::mulColVec(
-        tensor::segmentSum(sources, edges->dstLocal, n),
-        Tensor::fromVector({n}, std::move(invCount)));
-    const Tensor aggMax = tensor::segmentMax(sources, edges->dstLocal, n);
-    // Fused combine: both projections lower to GEMMs whose epilogues fold
-    // the bias and the running residual, so the whole sublayer is two
-    // kernel launches and h is written exactly once per projection.
-    if (tensor::expr::shouldFuse()) {
-      tensor::expr::SigHash sig;
-      sig.mixShape(h.shape());
-      meanProj.mixStateInto(sig);
-      maxProj.mixStateInto(sig);
-      auto program = combinePrograms_.getOrCompile(sig.h, [&] {
-        tensor::expr::Capture cap;
-        const Tensor lh = cap.input(h);
-        const Tensor lMean = cap.input(aggMean);
-        const Tensor lMax = cap.input(aggMax);
-        const Tensor y = tensor::add(tensor::add(lh, meanProj.forward(lMean)),
-                                     maxProj.forward(lMax));
-        return cap.compile({&y});
-      });
-      h = program->runOne({h, aggMean, aggMax});
-      return;
-    }
-    h = tensor::add(h, meanProj.forward(aggMean));
-    h = tensor::add(h, maxProj.forward(aggMax));
-  };
-  addAggregates(netEdges, netSum_, netMax_);
-  addAggregates(cellEdges, cellSum_, cellMax_);
-
-  if (tensor::expr::shouldFuse()) {
-    tensor::expr::SigHash sig;
-    sig.mixShape(h.shape());
-    norm_.mixStateInto(sig);
-    auto program = normPrograms_.getOrCompile(sig.h, [&] {
-      tensor::expr::Capture cap;
-      const Tensor lh = cap.input(h);
-      const Tensor y = tensor::relu(norm_.forward(lh));
-      return cap.compile({&y});
-    });
-    return program->runOne({h});
+  if (!tensor::expr::shouldFuse()) {
+    // Training and DAGT_FUSION=0: the autograd op chain.
+    Tensor h = self_.forward(x);
+    const auto addAggregates = [&](const features::LevelEdges* edges,
+                                   const nn::Linear& meanProj,
+                                   const nn::Linear& maxProj) {
+      if (edges == nullptr) return;
+      const Tensor sources = tensor::gatherRowsMulti(earlier, edges->src);
+      // Mean aggregation: divide the segment sums by per-pin fanin counts
+      // (sum aggregation compounds with depth and overflows float32 on
+      // deep designs).
+      std::vector<float> invCount(static_cast<std::size_t>(n), 0.0f);
+      for (const std::int64_t dst : edges->dstLocal) {
+        invCount[static_cast<std::size_t>(dst)] += 1.0f;
+      }
+      for (auto& c : invCount) c = c > 0.0f ? 1.0f / c : 0.0f;
+      const Tensor aggMean = tensor::mulColVec(
+          tensor::segmentSum(sources, edges->dstLocal, n),
+          Tensor::fromVector({n}, std::move(invCount)));
+      const Tensor aggMax = tensor::segmentMax(sources, edges->dstLocal, n);
+      h = tensor::add(h, meanProj.forward(aggMean));
+      h = tensor::add(h, maxProj.forward(aggMax));
+    };
+    addAggregates(netEdges, netSum_, netMax_);
+    addAggregates(cellEdges, cellSum_, cellMax_);
+    return norm_.forward(h, /*relu=*/true);
   }
-  return tensor::relu(norm_.forward(h));
+
+  // Inference: one pass over each edge kind's in-edges, reading the source
+  // rows where they sit, then one program replay for the rest of the level:
+  // the five GEMMs with their bias and residual adds folded into epilogues,
+  // and the LayerNorm + relu kernel. The program is row-polymorphic, so each
+  // edge-kind combination compiles once for every level width.
+  Tensor netMean, netMax, cellMean, cellMax;
+  if (netEdges != nullptr) {
+    std::tie(netMean, netMax) =
+        tensor::segmentMeanMax(earlier, netEdges->src, netEdges->dstLocal, n);
+  }
+  if (cellEdges != nullptr) {
+    std::tie(cellMean, cellMax) = tensor::segmentMeanMax(
+        earlier, cellEdges->src, cellEdges->dstLocal, n);
+  }
+  tensor::expr::SigHash sig{keyBase};
+  sig.mixTrailingDims(x.shape());
+  sig.mix(netEdges != nullptr ? 1 : 0);
+  sig.mix(cellEdges != nullptr ? 1 : 0);
+  const auto program = levelPrograms_.getOrCompile(sig.h, n, [&] {
+    tensor::expr::Capture cap;
+    Tensor h = self_.forward(cap.input(x));
+    const auto addAggregates = [&](const Tensor& mean, const Tensor& max,
+                                   const nn::Linear& meanProj,
+                                   const nn::Linear& maxProj) {
+      const Tensor lMean = cap.input(mean);
+      const Tensor lMax = cap.input(max);
+      h = tensor::add(tensor::add(h, meanProj.forward(lMean)),
+                      maxProj.forward(lMax));
+    };
+    if (netEdges != nullptr) addAggregates(netMean, netMax, netSum_, netMax_);
+    if (cellEdges != nullptr) {
+      addAggregates(cellMean, cellMax, cellSum_, cellMax_);
+    }
+    const Tensor y = norm_.forward(h, /*relu=*/true);
+    return cap.compile({&y});
+  });
+  if (netEdges != nullptr && cellEdges != nullptr) {
+    return program->runOne({x, netMean, netMax, cellMean, cellMax});
+  }
+  if (netEdges != nullptr) return program->runOne({x, netMean, netMax});
+  if (cellEdges != nullptr) return program->runOne({x, cellMean, cellMax});
+  return program->runOne({x});
 }
 
 TimingGnn::Output TimingGnn::forward(const features::PinGraph& graph,
@@ -112,14 +133,24 @@ TimingGnn::Output TimingGnn::forward(const features::PinGraph& graph,
   Output out;
   out.graph = &graph;
   out.levelEmbeddings.reserve(static_cast<std::size_t>(graph.numLevels()));
+  const std::uint64_t keyBase =
+      tensor::expr::shouldFuse() ? levelKeyBase() : 0;
+  // Sized once for the widest level; every level reuses it.
+  std::vector<std::int64_t> pins;
+  std::size_t widest = 0;
   for (std::int32_t level = 0; level < graph.numLevels(); ++level) {
-    const auto& pins = graph.pinsAtLevel(level);
+    widest = std::max(widest, graph.pinsAtLevel(level).size());
+  }
+  pins.reserve(widest);
+  for (std::int32_t level = 0; level < graph.numLevels(); ++level) {
+    const auto& levelPins = graph.pinsAtLevel(level);
+    pins.assign(levelPins.begin(), levelPins.end());
     const features::LevelEdges& net = graph.netEdgesInto(level);
     const features::LevelEdges& cell = graph.cellEdgesInto(level);
     out.levelEmbeddings.push_back(levelBody(
-        pinFeatures, std::vector<std::int64_t>(pins.begin(), pins.end()),
-        out.levelEmbeddings, net.size() > 0 ? &net : nullptr,
-        cell.size() > 0 ? &cell : nullptr));
+        pinFeatures, pins, out.levelEmbeddings,
+        net.size() > 0 ? &net : nullptr, cell.size() > 0 ? &cell : nullptr,
+        keyBase));
   }
   return out;
 }
@@ -145,12 +176,16 @@ TimingGnn::Output TimingGnn::forwardFrom(const Output& base,
   std::vector<std::int64_t> levelStart(static_cast<std::size_t>(numLevels) + 1,
                                        0);
   std::size_t widest = 0;
+  std::size_t mostNetEdges = 0;
+  std::size_t mostCellEdges = 0;
   for (std::int32_t level = 0; level < numLevels; ++level) {
     const std::size_t width = graph.pinsAtLevel(level).size();
     levelStart[static_cast<std::size_t>(level) + 1] =
         levelStart[static_cast<std::size_t>(level)] +
         static_cast<std::int64_t>(width);
     widest = std::max(widest, width);
+    mostNetEdges = std::max(mostNetEdges, graph.netEdgesInto(level).size());
+    mostCellEdges = std::max(mostCellEdges, graph.cellEdgesInto(level).size());
   }
   std::vector<std::uint8_t> inCone(
       static_cast<std::size_t>(graph.numPins()), 0);
@@ -188,8 +223,18 @@ TimingGnn::Output TimingGnn::forwardFrom(const Output& base,
   Output out;
   out.graph = &graph;
   out.levelEmbeddings.reserve(static_cast<std::size_t>(numLevels));
+  const std::uint64_t keyBase =
+      tensor::expr::shouldFuse() ? levelKeyBase() : 0;
   std::int64_t computed = 0;
+  // Per-level scratch, sized once so a level allocates only its tensors.
   std::vector<std::int64_t> pins;
+  pins.reserve(widest);
+  features::LevelEdges coneNet;
+  coneNet.src.reserve(mostNetEdges);
+  coneNet.dstLocal.reserve(mostNetEdges);
+  features::LevelEdges coneCell;
+  coneCell.src.reserve(mostCellEdges);
+  coneCell.dstLocal.reserve(mostCellEdges);
   // Position of a cone row among its level's cone rows; valid for cone
   // rows of the current level only.
   std::vector<std::int64_t> position(widest, 0);
@@ -226,21 +271,23 @@ TimingGnn::Output TimingGnn::forwardFrom(const Output& base,
     }
     // In-edges of the cone rows, in the level's edge order, so each
     // destination reduces its sources in the order the full sweep does.
-    const auto restrict = [&](const features::LevelEdges& edges) {
-      features::LevelEdges sub;
+    const auto restrict = [&](const features::LevelEdges& edges,
+                              features::LevelEdges& sub) {
+      sub.src.clear();
+      sub.dstLocal.clear();
       for (std::size_t e = 0; e < edges.size(); ++e) {
         const auto dst = static_cast<std::size_t>(edges.dstLocal[e]);
         if (cone[dst] == 0) continue;
         sub.src.push_back(edges.src[e]);
         sub.dstLocal.push_back(position[dst]);
       }
-      return sub;
     };
-    const features::LevelEdges coneNet = restrict(net);
-    const features::LevelEdges coneCell = restrict(cell);
+    restrict(net, coneNet);
+    restrict(cell, coneCell);
     const Tensor rows = levelBody(pinFeatures, pins, out.levelEmbeddings,
                                   net.size() > 0 ? &coneNet : nullptr,
-                                  cell.size() > 0 ? &coneCell : nullptr);
+                                  cell.size() > 0 ? &coneCell : nullptr,
+                                  keyBase);
     computed += static_cast<std::int64_t>(pins.size());
     if (pins.size() == levelPins.size()) {
       out.levelEmbeddings.push_back(rows);

@@ -33,7 +33,9 @@ class TimingGnn : public nn::Module {
     const features::PinGraph* graph = nullptr;
   };
 
-  /// pinFeatures: [numPins, inputDim] in pin-id order.
+  /// pinFeatures: [numPins, inputDim] in pin-id order. Per-level scratch
+  /// is sized once per call, so a level allocates only its (pooled)
+  /// tensors; the same holds for forwardFrom.
   Output forward(const features::PinGraph& graph,
                  const tensor::Tensor& pinFeatures) const;
 
@@ -60,17 +62,30 @@ class TimingGnn : public nn::Module {
  private:
   void checkInputs(const features::PinGraph& graph,
                    const tensor::Tensor& pinFeatures) const;
+  /// The parameter-storage part of every level program's key, computed
+  /// once per sweep.
+  std::uint64_t levelKeyBase() const;
   /// The sweep's per-level body: embeddings [pins.size(), hidden] of `pins`
   /// (rows of `pinFeatures`) from their own features and, per edge kind,
   /// the mean and max of their in-edge sources in `earlier` (the
   /// embeddings of every earlier level). An edge list's dstLocal indexes
   /// `pins`; a null list means the level has no edge of that kind, while a
-  /// pin without edges in a non-null list aggregates zeros.
+  /// pin without edges in a non-null list aggregates zeros. `keyBase` is
+  /// levelKeyBase() when fusing (unused otherwise).
+  ///
+  /// Inference with fusion on aggregates with tensor::segmentMeanMax (one
+  /// pass over the in-edges, sources read in place) and replays one
+  /// row-polymorphic program per edge-kind combination: the five GEMMs
+  /// with bias and residual epilogues, then the LayerNorm + relu kernel.
+  /// Training and DAGT_FUSION=0 run the autograd op chain (gatherRowsMulti,
+  /// segmentSum, mulColVec, segmentMax, Linear, LayerNorm, relu); both are
+  /// bitwise equal at the scalar and avx2 tiers.
   tensor::Tensor levelBody(const tensor::Tensor& pinFeatures,
                            const std::vector<std::int64_t>& pins,
                            const std::vector<tensor::Tensor>& earlier,
                            const features::LevelEdges* netEdges,
-                           const features::LevelEdges* cellEdges) const;
+                           const features::LevelEdges* cellEdges,
+                           std::uint64_t keyBase) const;
 
   std::int64_t inputDim_;
   std::int64_t hidden_;
@@ -80,11 +95,9 @@ class TimingGnn : public nn::Module {
   nn::Linear cellSum_;
   nn::Linear cellMax_;
   nn::LayerNorm norm_;
-  // Combine sublayer (h + meanProj(aggMean) + maxProj(aggMax)) and the
-  // relu(norm(h)) tail, compiled per level width; the projections' weight
-  // pointers in the signature keep net and cell entries distinct.
-  mutable tensor::expr::ProgramCache combinePrograms_;
-  mutable tensor::expr::ProgramCache normPrograms_;
+  // The fused level body, one program per edge-kind combination (at most
+  // four), each serving every level width.
+  mutable tensor::expr::ProgramCache levelPrograms_;
 };
 
 }  // namespace dagt::core

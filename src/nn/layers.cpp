@@ -45,9 +45,9 @@ Tensor Linear::forward(const Tensor& x) const {
   // GEMM-with-epilogue launch instead of matmul + addBias + activation.
   if (tensor::expr::shouldFuse()) {
     tensor::expr::SigHash sig;
-    sig.mixShape(x.shape());
+    sig.mixTrailingDims(x.shape());
     mixStateInto(sig);
-    auto program = programs_.getOrCompile(sig.h, [&] {
+    auto program = programs_.getOrCompile(sig.h, x.dim(0), [&] {
       tensor::expr::Capture cap;
       const Tensor lx = cap.input(x);
       const Tensor y = body(lx);
@@ -83,22 +83,14 @@ LayerNorm::LayerNorm(std::int64_t dim, float epsilon)
   bias_ = registerParameter(Tensor::zeros({dim}));
 }
 
-Tensor LayerNorm::forward(const Tensor& x) const {
+Tensor LayerNorm::forward(const Tensor& x, bool relu) const {
   DAGT_CHECK_MSG(x.ndim() == 2 && x.dim(1) == dim_,
                  "LayerNorm: bad input shape");
-  if (tensor::expr::shouldFuse()) {
-    tensor::expr::SigHash sig;
-    sig.mixShape(x.shape());
-    mixStateInto(sig);
-    auto program = programs_.getOrCompile(sig.h, [&] {
-      tensor::expr::Capture cap;
-      const Tensor lx = cap.input(x);
-      const Tensor y = body(lx);
-      return cap.compile({&y});
-    });
-    return program->runOne({x});
+  if (!tensor::NoGradGuard::gradEnabled() && tensor::expr::fusionEnabled()) {
+    return tensor::layerNorm(x, gain_, bias_, epsilon_, relu);
   }
-  return body(x);
+  const Tensor y = body(x);
+  return relu ? tensor::relu(y) : y;
 }
 
 Tensor LayerNorm::body(const Tensor& x) const {

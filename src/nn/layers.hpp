@@ -35,8 +35,8 @@ class Linear : public Module {
   Activation activation_;
   tensor::Tensor weight_;  // [in, out]
   tensor::Tensor bias_;    // [out]
-  // Compiled steady-state forwards, keyed by input shape + parameter
-  // storage (see Module::mixStateInto).
+  // Compiled steady-state forwards, keyed by input width + parameter
+  // storage (see Module::mixStateInto); one program serves every row count.
   mutable tensor::expr::ProgramCache programs_;
 };
 
@@ -62,7 +62,11 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(std::int64_t dim, float epsilon = 1e-5f);
 
-  tensor::Tensor forward(const tensor::Tensor& x) const;
+  /// LayerNorm(x), followed by relu when `relu`. Inference with fusion on
+  /// runs (or, under a capture, records) tensor::layerNorm, one row kernel;
+  /// training and DAGT_FUSION=0 run the autograd op chain, whose roundings
+  /// that kernel repeats bit for bit.
+  tensor::Tensor forward(const tensor::Tensor& x, bool relu = false) const;
 
  private:
   tensor::Tensor body(const tensor::Tensor& x) const;
@@ -71,7 +75,6 @@ class LayerNorm : public Module {
   float epsilon_;
   tensor::Tensor gain_;  // [D], init 1
   tensor::Tensor bias_;  // [D], init 0
-  mutable tensor::expr::ProgramCache programs_;
 };
 
 /// 2-D convolution layer (NCHW) with optional activation.

@@ -1,8 +1,8 @@
 #include "serve/metrics.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <thread>
+#include <bit>
+#include <cmath>
 
 #include "common/table.hpp"
 #include "tensor/expr.hpp"
@@ -10,19 +10,82 @@
 
 namespace dagt::serve {
 
-namespace {
-
-double percentile(const std::vector<float>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return static_cast<double>(sorted[lo]) * (1.0 - frac) +
-         static_cast<double>(sorted[hi]) * frac;
+std::size_t LatencyHistogram::bucketOf(std::uint64_t ns) {
+  constexpr std::uint64_t kLinear = std::uint64_t{2} << kSubBits;
+  if (ns < kLinear) return static_cast<std::size_t>(ns);
+  ns = std::min(ns, (std::uint64_t{1} << kMaxBits) - 1);
+  // ns in [2^e, 2^(e+1)): its top kSubBits + 1 bits pick the bucket.
+  const int shift = std::bit_width(ns) - 1 - kSubBits;
+  return (static_cast<std::size_t>(shift) << kSubBits) +
+         static_cast<std::size_t>(ns >> shift);
 }
 
-}  // namespace
+std::uint64_t LatencyHistogram::bucketWidth(std::size_t bucket) {
+  const std::size_t octave = bucket >> kSubBits;
+  return octave < 2 ? 1 : std::uint64_t{1} << (octave - 1);
+}
+
+std::uint64_t LatencyHistogram::bucketLow(std::size_t bucket) {
+  const std::size_t octave = bucket >> kSubBits;
+  if (octave < 2) return bucket;
+  const std::uint64_t mantissa =
+      (bucket & ((std::size_t{1} << kSubBits) - 1)) |
+      (std::size_t{1} << kSubBits);
+  return mantissa << (octave - 1);
+}
+
+void LatencyHistogram::record(double us) {
+  const double ns = std::round(us * 1000.0);
+  const std::uint64_t whole =
+      !(ns > 0.0) ? 0
+      : ns >= 0x1p63 ? std::uint64_t{1} << 63
+                    : static_cast<std::uint64_t>(ns);
+  buckets_[bucketOf(whole)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sumNs_.fetch_add(whole, std::memory_order_relaxed);
+  std::uint64_t seen = maxNs_.load(std::memory_order_relaxed);
+  while (whole > seen &&
+         !maxNs_.compare_exchange_weak(seen, whole,
+                                       std::memory_order_relaxed)) {
+  }
+}
+
+LatencyHistogram::Summary LatencyHistogram::summarize() const {
+  Summary out;
+  std::array<std::uint64_t, kBuckets> counts;
+  std::uint64_t total = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    counts[b] = buckets_[b].load(std::memory_order_relaxed);
+    total += counts[b];
+  }
+  if (total == 0) return out;
+  const std::uint64_t maxNs = maxNs_.load(std::memory_order_relaxed);
+  const std::uint64_t count = count_.load(std::memory_order_relaxed);
+  out.count = count;
+  out.meanUs = static_cast<double>(sumNs_.load(std::memory_order_relaxed)) /
+               static_cast<double>(std::max<std::uint64_t>(count, 1)) / 1000.0;
+  out.maxUs = static_cast<double>(maxNs) / 1000.0;
+  // Nearest rank: the ceil(q * total)-th smallest sample.
+  const auto rankOf = [total](double q) {
+    const double rank = std::ceil(q * static_cast<double>(total));
+    return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(rank));
+  };
+  const std::uint64_t ranks[3] = {rankOf(0.50), rankOf(0.95), rankOf(0.99)};
+  double* targets[3] = {&out.p50Us, &out.p95Us, &out.p99Us};
+  std::size_t next = 0;
+  std::uint64_t cumulative = 0;
+  for (std::size_t b = 0; b < kBuckets && next < 3; ++b) {
+    cumulative += counts[b];
+    while (next < 3 && cumulative >= ranks[next]) {
+      const double middle =
+          static_cast<double>(bucketLow(b)) +
+          static_cast<double>(bucketWidth(b) - 1) / 2.0;
+      *targets[next] = std::min(middle, static_cast<double>(maxNs)) / 1000.0;
+      ++next;
+    }
+  }
+  return out;
+}
 
 std::string MetricsSnapshot::renderTable() const {
   TextTable table({"metric", "value"});
@@ -198,21 +261,7 @@ void ServeMetrics::recordBatch(std::uint64_t coalescedSize) {
   coalesced_.fetch_add(coalescedSize, std::memory_order_relaxed);
 }
 
-ServeMetrics::LatencyStripe& ServeMetrics::stripeForThisThread() {
-  // Stable per-thread stripe choice: an engine worker always lands on the
-  // same stripe, so its lock is effectively private (contended only by the
-  // occasional snapshot drain of that stripe).
-  const std::size_t idx =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      kLatencyStripes;
-  return stripes_[idx];
-}
-
-void ServeMetrics::recordLatencyUs(double us) {
-  LatencyStripe& stripe = stripeForThisThread();
-  std::lock_guard<std::mutex> lock(stripe.stripeMutex_);
-  stripe.samplesUs_.push_back(static_cast<float>(us));
-}
+void ServeMetrics::recordLatencyUs(double us) { latency_.record(us); }
 
 MetricsSnapshot ServeMetrics::snapshot(std::uint64_t cacheHits,
                                        std::uint64_t cacheMisses,
@@ -242,15 +291,6 @@ MetricsSnapshot ServeMetrics::snapshot(std::uint64_t cacheHits,
       snap.batches == 0 ? 0.0
                         : static_cast<double>(coalesced) /
                               static_cast<double>(snap.batches);
-  // Merge the latency stripes one at a time — each stripe's lock is held
-  // only for its copy, so recorders on other stripes are never blocked and
-  // the recorder sharing a stripe blocks for one memcpy at poll cadence.
-  std::vector<float> sorted;
-  for (const LatencyStripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.stripeMutex_);
-    sorted.insert(sorted.end(), stripe.samplesUs_.begin(),
-                  stripe.samplesUs_.end());
-  }
   snap.cacheHits = cacheHits;
   snap.cacheMisses = cacheMisses;
   const std::uint64_t lookups = cacheHits + cacheMisses;
@@ -258,16 +298,12 @@ MetricsSnapshot ServeMetrics::snapshot(std::uint64_t cacheHits,
       lookups == 0 ? 0.0
                    : static_cast<double>(cacheHits) /
                          static_cast<double>(lookups);
-  if (!sorted.empty()) {
-    std::sort(sorted.begin(), sorted.end());
-    double sum = 0.0;
-    for (const float v : sorted) sum += v;
-    snap.meanUs = sum / static_cast<double>(sorted.size());
-    snap.p50Us = percentile(sorted, 0.50);
-    snap.p95Us = percentile(sorted, 0.95);
-    snap.p99Us = percentile(sorted, 0.99);
-    snap.maxUs = static_cast<double>(sorted.back());
-  }
+  const LatencyHistogram::Summary latency = latency_.summarize();
+  snap.meanUs = latency.meanUs;
+  snap.p50Us = latency.p50Us;
+  snap.p95Us = latency.p95Us;
+  snap.p99Us = latency.p99Us;
+  snap.maxUs = latency.maxUs;
   return snap;
 }
 

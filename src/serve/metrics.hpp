@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -88,20 +87,62 @@ struct MetricsSnapshot {
   JsonValue toJson() const;
 };
 
-/// Thread-safe recorder behind a PredictionEngine. Latencies are kept in
-/// full (a float per request) — exact percentiles matter more at bench
-/// scale than the memory of a reservoir would save.
+/// Fixed-size log-linear latency histogram: lock-free to record, constant
+/// memory however many samples it has seen.
+///
+/// A sample is rounded to whole nanoseconds. Below 128 ns every nanosecond
+/// has its own bucket; above, each power-of-two octave splits into 64 equal
+/// buckets, so a bucket is at most 1/64 as wide as its lower bound.
+/// Samples of 2^40 ns (about 18 minutes) or more share the last bucket.
+/// Count, mean and max are exact (to the nanosecond rounding); a percentile
+/// reports the middle of the bucket holding its nearest-rank sample, capped
+/// at the max, which is within 2^-7 (0.79%) of the exact nearest-rank value
+/// plus 0.5 ns.
+class LatencyHistogram {
+ public:
+  static constexpr int kSubBits = 6;  // 64 buckets per octave
+  static constexpr int kMaxBits = 40;
+  // Octaves 0 and 1 are the 128 one-nanosecond buckets; octave o >= 2
+  // covers [2^(o + kSubBits - 1), 2^(o + kSubBits)).
+  static constexpr std::size_t kBuckets =
+      static_cast<std::size_t>(kMaxBits - kSubBits + 1) << kSubBits;
+
+  struct Summary {
+    std::uint64_t count = 0;
+    double meanUs = 0.0;
+    double p50Us = 0.0;
+    double p95Us = 0.0;
+    double p99Us = 0.0;
+    double maxUs = 0.0;
+  };
+
+  void record(double us);
+  /// Point-in-time summary (relaxed loads; all zero before any sample).
+  Summary summarize() const;
+
+  /// Bucket holding a nanosecond count, and that bucket's [lo, lo + width).
+  static std::size_t bucketOf(std::uint64_t ns);
+  static std::uint64_t bucketLow(std::size_t bucket);
+  static std::uint64_t bucketWidth(std::size_t bucket);
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> sumNs_{0};
+  std::atomic<std::uint64_t> maxNs_{0};
+};
+
+/// Thread-safe recorder behind a PredictionEngine.
 ///
 /// Counters are relaxed atomics: workers on the serve hot path increment
 /// without taking a lock, and each counter is monotone, so a snapshot that
 /// reads them individually is consistent enough for monitoring (it may sit
 /// between two increments of one batch, never see torn values).
 ///
-/// Latency samples land in per-thread-striped accumulators (the vector
-/// growth is not atomic, so each stripe keeps a mutex — but a recorder
-/// thread hashes to its own stripe, so the hot path never contends with
-/// other workers or with a metrics poll draining a different stripe).
-/// Snapshots merge all stripes; percentiles stay exact.
+/// Request latencies go to a LatencyHistogram: a recorder pays a few
+/// relaxed atomic adds, a metrics poll reads a fixed set of buckets, and a
+/// long-lived engine's footprint does not grow with the requests it has
+/// served. Percentiles carry the histogram's documented resolution.
 class ServeMetrics {
  public:
   void recordRequests(std::uint64_t count);
@@ -109,31 +150,18 @@ class ServeMetrics {
   void recordBatch(std::uint64_t coalescedSize);
   void recordLatencyUs(double us);
 
-  /// Percentiles are computed here (merged + sorted copy); call off the
-  /// hot path. Cache counters are supplied by the caller (the
-  /// FeatureService owns them), as are the buffer-pool counters (the
-  /// BufferPool owns those).
+  /// Cache counters are supplied by the caller (the FeatureService owns
+  /// them), as are the buffer-pool counters (the BufferPool owns those).
   MetricsSnapshot snapshot(std::uint64_t cacheHits, std::uint64_t cacheMisses,
                            const tensor::PoolStats& pool = {}) const;
 
  private:
-  static constexpr std::size_t kLatencyStripes = 8;
-
-  /// One latency accumulator stripe; cache-line separated so recorder
-  /// threads on different stripes don't false-share.
-  struct alignas(64) LatencyStripe {
-    mutable std::mutex stripeMutex_;
-    std::vector<float> samplesUs_;  // GUARDED_BY(stripeMutex_)
-  };
-
-  LatencyStripe& stripeForThisThread();
-
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> fullDesignRequests_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> coalesced_{0};
 
-  mutable std::array<LatencyStripe, kLatencyStripes> stripes_;
+  LatencyHistogram latency_;
 };
 
 }  // namespace dagt::serve

@@ -211,6 +211,31 @@ struct KernelTable {
   /// out[r, :] = srcRows[r][0:cols] — gather pre-resolved row pointers.
   void (*gatherRowsPtrs)(const float* const* srcRows, std::int64_t rows,
                          std::int64_t cols, float* out);
+
+  // -- GNN level body (inference lowering targets) ---------------------------
+  /// Mean and max of each destination's in-edge sources, reading source rows
+  /// in place. Walks e = 0..edges-1 in order: mean[dst[e]] += srcRows[e]
+  /// (accAddVec, so `mean` must arrive zero-filled) and
+  /// max[dst[e]] = src > max ? src : max (NaN skipped). Then every row d is
+  /// scaled by invCount[d] (scaleVec), and a max still at -inf (no edge, or
+  /// every source -inf) becomes 0. This is segmentSumRows + mulColVec + the
+  /// eager segmentMax, step for step, so it is bitwise in every tier (as for
+  /// every kernel here, up to which NaN an add of two NaNs returns: IEEE 754
+  /// leaves that open).
+  void (*segmentMeanMaxRows)(const float* const* srcRows,
+                             const std::int64_t* dst, std::int64_t edges,
+                             std::int64_t cols, const float* invCount,
+                             std::int64_t numDst, float* mean, float* max);
+  /// out[r, :] = LayerNorm(x[r, :]) * gain + bias, then relu when `relu`:
+  /// nn::LayerNorm's eager chain (mean by sumVec, centering, variance by
+  /// dotVec of the centered row, which is the sumVec of its rounded
+  /// squares, rstd = 1 / sqrt(max(var + eps, 1e-12f)), scale, gain, bias)
+  /// with each step run by this tier's own elementwise and reduction
+  /// kernels, so it is bitwise equal to the chain in every tier (up to
+  /// which NaN a step on two NaNs returns).
+  void (*layerNormRows)(const float* x, const float* gain, const float* bias,
+                        float eps, bool relu, std::int64_t rows,
+                        std::int64_t cols, float* out);
 };
 
 /// Canonical lower-case tier name ("scalar", "avx2", "avx2fma") — the

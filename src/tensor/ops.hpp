@@ -68,6 +68,12 @@ Tensor meanDim0(const Tensor& t);
 /// [N,D] -> [N]: sum over columns.
 Tensor sumDim1(const Tensor& t);
 Tensor meanDim1(const Tensor& t);
+/// Row-wise LayerNorm of x [N, D] with per-feature gain and bias [D], then
+/// relu when `relu`: one kernel (KernelTable::layerNormRows) bitwise equal
+/// to nn::LayerNorm's op chain. Capturable (one program node); inference
+/// only (no backward): training runs the op chain.
+Tensor layerNorm(const Tensor& x, const Tensor& gain, const Tensor& bias,
+                 float eps, bool relu);
 /// [N,M] -> [N]: log(sum(exp(row))) with max-subtraction stabilization.
 Tensor logSumExpDim1(const Tensor& t);
 
@@ -115,6 +121,18 @@ Tensor segmentSum(const Tensor& src, const std::vector<std::int64_t>& segment,
 /// Segment max with -inf identity; empty segments yield 0 (and no grad).
 Tensor segmentMax(const Tensor& src, const std::vector<std::int64_t>& segment,
                   std::int64_t numSegments);
+/// Mean and max aggregation of in-edges without gathering their sources:
+/// edge e reads row src[e] of `mats` (coordinates as in gatherRowsMulti)
+/// in place and feeds destination dst[e] in [0, numDst). Returns
+/// {mean, max}, each [numDst, cols]: bitwise equal to
+/// mulColVec(segmentSum(g, dst, numDst), 1 / count) and
+/// segmentMax(g, dst, numDst) over g = gatherRowsMulti(mats, src), with a
+/// destination without edges giving 0 in both. Inference only (no
+/// backward): training runs that eager chain.
+std::pair<Tensor, Tensor> segmentMeanMax(
+    const std::vector<Tensor>& mats,
+    const std::vector<std::pair<std::int32_t, std::int64_t>>& src,
+    const std::vector<std::int64_t>& dst, std::int64_t numDst);
 
 // ---------------------------------------------------------------------------
 // Convolution / pooling (NCHW)

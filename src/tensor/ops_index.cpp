@@ -14,6 +14,36 @@ using detail::attachTape;
 using detail::makeOut;
 using detail::tapeActive;
 
+namespace {
+
+/// Per-thread row-pointer scratch of at least n entries: the gathers below
+/// resolve their rows into it, so a steady-state call allocates nothing but
+/// its output.
+std::vector<const float*>& rowPtrScratch(std::size_t n) {
+  thread_local std::vector<const float*> scratch;
+  if (scratch.size() < n) scratch.resize(n);
+  return scratch;
+}
+
+/// Row `row` of mats[ord], checked: the ordinal and the row must be in
+/// range, and the matrix must be 2-D with `cols` columns. Only matrices an
+/// index reads are checked, so a gather from the earlier levels of a deep
+/// sweep costs its rows, not its level count.
+const float* checkedRow(const std::vector<Tensor>& mats,
+                        const std::pair<std::int32_t, std::int64_t>& at,
+                        std::int64_t cols, const char* op) {
+  const auto [ord, row] = at;
+  DAGT_CHECK_MSG(ord >= 0 && ord < static_cast<std::int32_t>(mats.size()),
+                 op << ": tensor ordinal " << ord);
+  const Tensor& m = mats[static_cast<std::size_t>(ord)];
+  DAGT_CHECK_MSG(m.ndim() == 2 && m.dim(1) == cols, op << ": column mismatch");
+  DAGT_CHECK_MSG(row >= 0 && row < m.dim(0),
+                 op << ": row " << row << " out of " << m.dim(0));
+  return m.data() + row * cols;
+}
+
+}  // namespace
+
 Tensor indexSelect0(const Tensor& t, const std::vector<std::int64_t>& index) {
   DAGT_CHECK(t.ndim() == 2);
   // Index vectors are rebuilt per batch on the host, so capturing them would
@@ -26,7 +56,7 @@ Tensor indexSelect0(const Tensor& t, const std::vector<std::int64_t>& index) {
   auto out = makeOut({outRows, cols});
   const float* p = t.data();
   float* po = out->data.data();
-  std::vector<const float*> rowPtrs(static_cast<std::size_t>(outRows));
+  std::vector<const float*>& rowPtrs = rowPtrScratch(index.size());
   for (std::int64_t r = 0; r < outRows; ++r) {
     const std::int64_t src = index[static_cast<std::size_t>(r)];
     DAGT_CHECK_MSG(src >= 0 && src < rows,
@@ -58,29 +88,23 @@ Tensor gatherRowsMulti(
   DAGT_CHECK(!mats.empty());
   DAGT_DCHECK_MSG(!expr::Recorder::active(),
                   "gatherRowsMulti is not expression-capturable");
+  DAGT_CHECK(mats.front().ndim() == 2);
   const std::int64_t cols = mats.front().dim(1);
-  for (const auto& m : mats) {
-    DAGT_CHECK(m.ndim() == 2);
-    DAGT_CHECK_MSG(m.dim(1) == cols, "gatherRowsMulti: column mismatch");
-  }
   const std::int64_t outRows = static_cast<std::int64_t>(index.size());
   auto out = makeOut({outRows, cols});
   float* po = out->data.data();
-  std::vector<const float*> rowPtrs(static_cast<std::size_t>(outRows));
+  std::vector<const float*>& rowPtrs = rowPtrScratch(index.size());
   for (std::int64_t r = 0; r < outRows; ++r) {
-    const auto [ord, row] = index[static_cast<std::size_t>(r)];
-    DAGT_CHECK_MSG(ord >= 0 && ord < static_cast<std::int32_t>(mats.size()),
-                   "gatherRowsMulti: tensor ordinal " << ord);
-    const Tensor& m = mats[static_cast<std::size_t>(ord)];
-    DAGT_CHECK_MSG(row >= 0 && row < m.dim(0),
-                   "gatherRowsMulti: row " << row << " out of " << m.dim(0));
-    rowPtrs[static_cast<std::size_t>(r)] = m.data() + row * cols;
+    rowPtrs[static_cast<std::size_t>(r)] = checkedRow(
+        mats, index[static_cast<std::size_t>(r)], cols, "gatherRowsMulti");
   }
   kernels::active().gatherRowsPtrs(rowPtrs.data(), outRows, cols, po);
 
   bool anyGrad = false;
-  for (const auto& m : mats) anyGrad = anyGrad || m.requiresGrad();
-  if (anyGrad && NoGradGuard::gradEnabled()) {
+  if (NoGradGuard::gradEnabled()) {
+    for (const auto& m : mats) anyGrad = anyGrad || m.requiresGrad();
+  }
+  if (anyGrad) {
     std::vector<std::shared_ptr<TensorImpl>> impls;
     impls.reserve(mats.size());
     for (const auto& m : mats) impls.push_back(m.impl());
@@ -208,6 +232,43 @@ Tensor segmentMax(const Tensor& src, const std::vector<std::int64_t>& segment,
     });
   }
   return Tensor(std::move(out));
+}
+
+std::pair<Tensor, Tensor> segmentMeanMax(
+    const std::vector<Tensor>& mats,
+    const std::vector<std::pair<std::int32_t, std::int64_t>>& src,
+    const std::vector<std::int64_t>& dst, std::int64_t numDst) {
+  DAGT_CHECK(!mats.empty());
+  DAGT_DCHECK_MSG(!expr::Recorder::active(),
+                  "segmentMeanMax is not expression-capturable");
+  DAGT_CHECK_MSG(!NoGradGuard::gradEnabled(),
+                 "segmentMeanMax is inference only (no backward)");
+  DAGT_CHECK_MSG(src.size() == dst.size(),
+                 "segmentMeanMax: " << src.size() << " sources for "
+                                    << dst.size() << " destinations");
+  DAGT_CHECK(numDst >= 0 && mats.front().ndim() == 2);
+  const std::int64_t cols = mats.front().dim(1);
+  const auto edges = static_cast<std::int64_t>(src.size());
+  std::vector<const float*>& rowPtrs = rowPtrScratch(src.size());
+  // 1 / fanin per destination, counted and inverted exactly like the eager
+  // chain's mulColVec operand.
+  thread_local std::vector<float> invCount;
+  invCount.assign(static_cast<std::size_t>(numDst), 0.0f);
+  for (std::int64_t e = 0; e < edges; ++e) {
+    const auto i = static_cast<std::size_t>(e);
+    rowPtrs[i] = checkedRow(mats, src[i], cols, "segmentMeanMax");
+    const std::int64_t d = dst[i];
+    DAGT_CHECK_MSG(d >= 0 && d < numDst, "segmentMeanMax: destination "
+                                             << d << " out of " << numDst);
+    invCount[static_cast<std::size_t>(d)] += 1.0f;
+  }
+  for (float& c : invCount) c = c > 0.0f ? 1.0f / c : 0.0f;
+  auto mean = makeOut({numDst, cols});
+  auto max = makeOut({numDst, cols});
+  kernels::active().segmentMeanMaxRows(rowPtrs.data(), dst.data(), edges, cols,
+                                       invCount.data(), numDst,
+                                       mean->data.data(), max->data.data());
+  return {Tensor(std::move(mean)), Tensor(std::move(max))};
 }
 
 }  // namespace dagt::tensor

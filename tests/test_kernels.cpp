@@ -22,6 +22,7 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "tensor/expr.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -640,6 +641,294 @@ TEST(KernelParity, GatherRowsPtrsBitwiseAcrossTiers) {
     std::vector<float> out(ref.size(), -7.0f);
     table(tier).gatherRowsPtrs(ptrs.data(), rows, cols, out.data());
     EXPECT_TRUE(bitwiseEqual(ref, out));
+  }
+}
+
+// -- GNN level kernels against the eager chains they replace ------------------
+
+/// Overwrite about `rate` of t's entries with +0, -0, +inf, -inf or a NaN of
+/// either sign.
+void sprinkleSpecials(Tensor& t, Rng& rng, double rate) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f, -0.0f, inf, -inf, nan, -nan};
+  float* p = t.data();
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    if (rng.uniform() < rate) p[i] = specials[rng.uniformInt(6)];
+  }
+}
+
+void expectSameBits(const Tensor& a, const Tensor& b, const char* what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<std::size_t>(a.numel()) * sizeof(float)),
+            0)
+      << what;
+}
+
+/// Bitwise equality, except that any NaN matches any NaN: when both
+/// operands of an add or multiply are NaN, IEEE 754 leaves open which one
+/// comes out, and the compiler's operand order decides it (the eager
+/// kernels themselves differ there between their vector bodies and tails).
+void expectSameBitsOrNaN(const Tensor& a, const Tensor& b, const char* what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  std::int64_t mismatches = 0;
+  std::int64_t nans = 0;
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    const float x = a.data()[i];
+    const float y = b.data()[i];
+    if (std::isnan(x) && std::isnan(y)) {
+      ++nans;
+      continue;
+    }
+    if (std::memcmp(&x, &y, sizeof(float)) != 0) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0) << what << " (" << nans << " NaN entries)";
+}
+
+TEST(KernelParity, SegmentMeanMaxMatchesEagerChainEveryTier) {
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const Tier tier : supportedTiers()) {
+    SCOPED_TRACE(tierName(tier));
+    TierGuard guard(tier);
+    NoGradGuard noGrad;
+    Rng rng(71);
+    for (const std::int64_t numDst : {1, 2, 7, 13, 64, 65, 300}) {
+      for (const std::int64_t cols : {64, 9}) {
+        SCOPED_TRACE(testing::Message() << numDst << " x " << cols);
+        // Three source levels of different heights, row 0 of the middle
+        // one all -inf.
+        std::vector<Tensor> mats;
+        for (const std::int64_t height : {numDst, std::int64_t{5},
+                                          2 * numDst + 1}) {
+          Tensor m = Tensor::randn({height, cols}, rng);
+          sprinkleSpecials(m, rng, 0.1);
+          mats.push_back(m);
+        }
+        std::fill(mats[1].data(), mats[1].data() + cols, -inf);
+        // Destination 0 reads only the -inf row, twice; the last one (when
+        // there are several) reads nothing; the rest read ~3 random
+        // sources each, repeats included, in shuffled destination order.
+        std::vector<std::pair<std::int32_t, std::int64_t>> src = {{1, 0},
+                                                                  {1, 0}};
+        std::vector<std::int64_t> dst = {0, 0};
+        for (std::int64_t e = 0; numDst > 2 && e < 3 * numDst; ++e) {
+          const auto ord = static_cast<std::int32_t>(rng.uniformInt(3));
+          src.emplace_back(ord, rng.uniformInt(0, mats[ord].dim(0) - 1));
+          dst.push_back(rng.uniformInt(1, numDst - 2));
+        }
+        for (std::size_t e = src.size(); e > 1; --e) {
+          const std::size_t j = rng.uniformInt(e);
+          std::swap(src[e - 1], src[j]);
+          std::swap(dst[e - 1], dst[j]);
+        }
+
+        const Tensor gathered = gatherRowsMulti(mats, src);
+        std::vector<float> invCount(static_cast<std::size_t>(numDst), 0.0f);
+        for (const std::int64_t d : dst) {
+          invCount[static_cast<std::size_t>(d)] += 1.0f;
+        }
+        for (float& c : invCount) c = c > 0.0f ? 1.0f / c : 0.0f;
+        const Tensor refMean =
+            mulColVec(segmentSum(gathered, dst, numDst),
+                      Tensor::fromVector({numDst}, invCount));
+        const Tensor refMax = segmentMax(gathered, dst, numDst);
+
+        const auto [mean, max] = segmentMeanMax(mats, src, dst, numDst);
+        expectSameBitsOrNaN(refMean, mean, "mean");
+        expectSameBits(refMax, max, "max");
+        // The all -inf destination and (when present) the edgeless one.
+        EXPECT_EQ(max.data()[0], 0.0f);
+        if (numDst > 1) {
+          EXPECT_EQ(mean.data()[(numDst - 1) * cols], 0.0f);
+          EXPECT_EQ(max.data()[(numDst - 1) * cols], 0.0f);
+        }
+      }
+    }
+  }
+}
+
+/// nn::LayerNorm's op chain, op for op (tests/test_nn.cpp checks the module
+/// itself against the kernel).
+Tensor layerNormChain(const Tensor& x, const Tensor& gain, const Tensor& bias,
+                      float eps) {
+  const Tensor mean = meanDim1(x);
+  const Tensor centered = addColVec(x, neg(mean));
+  const Tensor var = meanDim1(square(centered));
+  const Tensor invStd =
+      div(Tensor::ones({x.dim(0)}), sqrtOp(addScalar(var, eps)));
+  const Tensor normalized = mulColVec(centered, invStd);
+  return addBias(mul(normalized, repeatRows(reshape(gain, {1, x.dim(1)}),
+                                            x.dim(0))),
+                 bias);
+}
+
+TEST(KernelParity, LayerNormMatchesEagerChainEveryTier) {
+  for (const Tier tier : supportedTiers()) {
+    SCOPED_TRACE(tierName(tier));
+    TierGuard guard(tier);
+    NoGradGuard noGrad;
+    Rng rng(73);
+    for (const std::int64_t rows : {1, 3, 13, 64, 300}) {
+      for (const std::int64_t cols : {64, 9, 1}) {
+        SCOPED_TRACE(testing::Message() << rows << " x " << cols);
+        Tensor x = Tensor::randn({rows, cols}, rng, 3.0f);
+        sprinkleSpecials(x, rng, 0.02);
+        Tensor gain = Tensor::randn({cols}, rng);
+        Tensor bias = Tensor::randn({cols}, rng);
+        sprinkleSpecials(gain, rng, 0.05);
+        sprinkleSpecials(bias, rng, 0.05);
+        const Tensor ref = layerNormChain(x, gain, bias, 1e-5f);
+        expectSameBitsOrNaN(ref, layerNorm(x, gain, bias, 1e-5f, false),
+                            "plain");
+        expectSameBits(relu(ref), layerNorm(x, gain, bias, 1e-5f, true),
+                       "relu");
+      }
+    }
+  }
+}
+
+TEST(KernelParity, LayerNormNodeReplaysAtAnyRowCount) {
+  // Captured as one node, the kernel keeps its parity inside a program and
+  // leaves the program row-polymorphic.
+  Rng rng(74);
+  const Tensor gain = Tensor::randn({16}, rng);
+  const Tensor bias = Tensor::randn({16}, rng);
+  NoGradGuard noGrad;
+  std::shared_ptr<const expr::FusedProgram> program;
+  {
+    expr::Capture cap;
+    const Tensor lx = cap.input(Tensor::zeros({4, 16}));
+    const Tensor y = layerNorm(lx, gain, bias, 1e-5f, true);
+    program = cap.compile({&y});
+  }
+  EXPECT_TRUE(program->rowPolymorphic());
+  for (const std::int64_t rows : {1, 4, 37}) {
+    const Tensor x = Tensor::randn({rows, 16}, rng);
+    expectSameBits(relu(layerNormChain(x, gain, bias, 1e-5f)),
+                   program->runOne({x}), "replay");
+  }
+}
+
+// -- conv2d im2col against the per-element bounds-tested reference -----------
+
+/// The im2col conv2d computed before the contiguous-run rewrite: every
+/// entry tested against the image bounds. Forward and the three gradients
+/// with the same kernels conv2d uses, so the comparison isolates im2col.
+struct ConvReference {
+  std::vector<float> out, dImg, dW, dBias;
+};
+
+ConvReference referenceConv(const Tensor& img, const Tensor& w,
+                            const Tensor& bias, std::int64_t stride,
+                            std::int64_t pad, const std::vector<float>& gOut) {
+  const std::int64_t n = img.dim(0), c = img.dim(1), h = img.dim(2),
+                     wd = img.dim(3);
+  const std::int64_t f = w.dim(0), kh = w.dim(2), kw = w.dim(3);
+  const std::int64_t oh = (h + 2 * pad - kh) / stride + 1;
+  const std::int64_t ow = (wd + 2 * pad - kw) / stride + 1;
+  const std::int64_t colRows = c * kh * kw, colCols = oh * ow;
+  const KernelTable& kt = active();
+  ConvReference ref;
+  ref.out.assign(static_cast<std::size_t>(n * f * colCols), 0.0f);
+  ref.dImg.assign(static_cast<std::size_t>(img.numel()), 0.0f);
+  ref.dW.assign(static_cast<std::size_t>(w.numel()), 0.0f);
+  ref.dBias.assign(static_cast<std::size_t>(f), 0.0f);
+  std::vector<float> col(static_cast<std::size_t>(colRows * colCols));
+  std::vector<float> colGrad(col.size());
+  for (std::int64_t s = 0; s < n; ++s) {
+    const float* in = img.data() + s * c * h * wd;
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      for (std::int64_t ky = 0; ky < kh; ++ky) {
+        for (std::int64_t kx = 0; kx < kw; ++kx) {
+          float* dst = col.data() + ((ch * kh + ky) * kw + kx) * colCols;
+          for (std::int64_t oy = 0; oy < oh; ++oy) {
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              const std::int64_t iy = oy * stride + ky - pad;
+              const std::int64_t ix = ox * stride + kx - pad;
+              const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < wd;
+              dst[oy * ow + ox] = inside ? in[(ch * h + iy) * wd + ix] : 0.0f;
+            }
+          }
+        }
+      }
+    }
+    float* o = ref.out.data() + s * f * colCols;
+    for (std::int64_t fi = 0; fi < f; ++fi) {
+      std::fill(o + fi * colCols, o + (fi + 1) * colCols, bias.data()[fi]);
+    }
+    kt.gemmRows(w.data(), col.data(), o, 0, f, colRows, colCols);
+    const float* go = gOut.data() + s * f * colCols;
+    kt.gemmTransBRows(go, col.data(), ref.dW.data(), 0, f, colCols, colRows);
+    for (std::int64_t fi = 0; fi < f; ++fi) {
+      ref.dBias[static_cast<std::size_t>(fi)] += static_cast<float>(
+          kt.sumVec(go + fi * colCols, static_cast<std::size_t>(colCols)));
+    }
+    std::fill(colGrad.begin(), colGrad.end(), 0.0f);
+    kt.gemmTransARows(w.data(), go, colGrad.data(), 0, colRows, f, colRows,
+                      colCols);
+    float* gi = ref.dImg.data() + s * c * h * wd;
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      for (std::int64_t ky = 0; ky < kh; ++ky) {
+        for (std::int64_t kx = 0; kx < kw; ++kx) {
+          const float* srcRow =
+              colGrad.data() + ((ch * kh + ky) * kw + kx) * colCols;
+          for (std::int64_t oy = 0; oy < oh; ++oy) {
+            const std::int64_t iy = oy * stride + ky - pad;
+            if (iy < 0 || iy >= h) continue;
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              const std::int64_t ix = ox * stride + kx - pad;
+              if (ix < 0 || ix >= wd) continue;
+              gi[(ch * h + iy) * wd + ix] += srcRow[oy * ow + ox];
+            }
+          }
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+bool sameBits(const float* a, const std::vector<float>& b) {
+  return std::memcmp(a, b.data(), b.size() * sizeof(float)) == 0;
+}
+
+TEST(KernelParity, Conv2dMatchesBoundsTestedIm2colEveryTier) {
+  for (const Tier tier : supportedTiers()) {
+    SCOPED_TRACE(tierName(tier));
+    TierGuard guard(tier);
+    Rng rng(75);
+    for (const std::int64_t stride : {1, 2}) {
+      for (const std::int64_t pad : {0, 1}) {
+        for (const std::int64_t k : {1, 2, 3}) {
+          for (const std::int64_t size : {5, 7, 8}) {
+            SCOPED_TRACE(testing::Message() << "stride " << stride << " pad "
+                                            << pad << " k " << k << " size "
+                                            << size);
+            Tensor img = Tensor::randn({2, 3, size, size + 2}, rng, 1.0f,
+                                       /*requiresGrad=*/true);
+            Tensor w =
+                Tensor::randn({4, 3, k, k}, rng, 0.5f, /*requiresGrad=*/true);
+            Tensor bias =
+                Tensor::randn({4}, rng, 0.2f, /*requiresGrad=*/true);
+            Tensor out = conv2d(img, w, bias, stride, pad);
+            std::vector<float> gOut(static_cast<std::size_t>(out.numel()));
+            for (float& g : gOut) g = static_cast<float>(rng.uniform(-1, 1));
+            const ConvReference ref =
+                referenceConv(img, w, bias, stride, pad, gOut);
+            ASSERT_EQ(static_cast<std::size_t>(out.numel()), ref.out.size());
+            EXPECT_TRUE(sameBits(out.data(), ref.out)) << "forward";
+            img.zeroGrad();
+            w.zeroGrad();
+            bias.zeroGrad();
+            sumAll(mul(out, Tensor::fromVector(out.shape(), gOut))).backward();
+            EXPECT_TRUE(sameBits(img.grad().data(), ref.dImg)) << "d input";
+            EXPECT_TRUE(sameBits(w.grad().data(), ref.dW)) << "d weight";
+            EXPECT_TRUE(sameBits(bias.grad().data(), ref.dBias)) << "d bias";
+          }
+        }
+      }
+    }
   }
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -12,10 +16,12 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "core/trainer.hpp"
 #include "features/design_data.hpp"
 #include "netlist/io.hpp"
 #include "serve/feature_service.hpp"
+#include "serve/metrics.hpp"
 #include "serve/model_bundle.hpp"
 #include "serve/prediction_engine.hpp"
 
@@ -372,6 +378,94 @@ TEST(PredictionEngine, FileRoundTripMatchesInMemory) {
   engine.loadDesign("file", nlPath, libPath, plPath);
   EXPECT_GE(engine.metrics().cacheHits, 1u);
   std::filesystem::remove_all(dir);
+}
+
+// -- Latency histogram -------------------------------------------------------
+
+// Independent reference: exact nearest-rank percentiles of the raw samples,
+// against which every reported percentile must sit within the documented
+// resolution (2^-7 relative, plus the 0.5 ns rounding of a sample).
+TEST(LatencyHistogram, PercentilesWithinResolutionOfNearestRank) {
+  Rng rng(20261017);
+  constexpr std::size_t kSamples = 100000;
+  std::vector<double> samples;
+  samples.reserve(kSamples);
+  LatencyHistogram histogram;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    // Log-normal around 1 ms, clamped to 1 us .. 1 s.
+    const double us =
+        std::clamp(std::exp(rng.normal(std::log(1000.0), 2.3)), 1.0, 1e6);
+    samples.push_back(us);
+    histogram.record(us);
+    sum += us;
+  }
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_LT(sorted.front(), 10.0) << "samples must span the low end";
+  ASSERT_GT(sorted.back(), 1e5) << "samples must span the high end";
+
+  const LatencyHistogram::Summary summary = histogram.summarize();
+  EXPECT_EQ(summary.count, kSamples);
+  EXPECT_NEAR(summary.meanUs, sum / kSamples, 0.0005 + 1e-9 * sum);
+  EXPECT_NEAR(summary.maxUs, sorted.back(), 0.0005);
+  const auto nearestRank = [&](double q) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    return sorted[std::max<std::size_t>(rank, 1) - 1];
+  };
+  const std::pair<double, double> checks[] = {{0.50, summary.p50Us},
+                                              {0.95, summary.p95Us},
+                                              {0.99, summary.p99Us}};
+  for (const auto& [q, reported] : checks) {
+    const double exact = nearestRank(q);
+    EXPECT_NEAR(reported, exact, exact / 128.0 + 0.0005) << "q = " << q;
+  }
+}
+
+TEST(LatencyHistogram, BucketsTileTheRangeWithBoundedWidth) {
+  // Every nanosecond count maps into a bucket that contains it, and a
+  // bucket above the linear range is at most 1/64 of its lower bound.
+  for (std::uint64_t ns :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{127},
+        std::uint64_t{128}, std::uint64_t{129}, std::uint64_t{1000},
+        std::uint64_t{123456789}, (std::uint64_t{1} << 40) - 1}) {
+    const std::size_t b = LatencyHistogram::bucketOf(ns);
+    ASSERT_LT(b, LatencyHistogram::kBuckets);
+    const std::uint64_t lo = LatencyHistogram::bucketLow(b);
+    const std::uint64_t width = LatencyHistogram::bucketWidth(b);
+    EXPECT_LE(lo, ns);
+    EXPECT_LT(ns, lo + width);
+    if (ns >= 128) {
+      EXPECT_LE(width * 64, lo) << ns;
+    }
+  }
+  for (std::size_t b = 1; b < LatencyHistogram::kBuckets; ++b) {
+    EXPECT_EQ(LatencyHistogram::bucketLow(b),
+              LatencyHistogram::bucketLow(b - 1) +
+                  LatencyHistogram::bucketWidth(b - 1))
+        << "bucket " << b;
+  }
+}
+
+TEST(LatencyHistogram, FootprintDoesNotGrowWithSamples) {
+  // The recorder is a fixed array: recording 10^5 requests allocates
+  // nothing (a per-request float would be ~400 KB).
+  ServeMetrics metrics;
+  metrics.recordLatencyUs(10.0);
+  (void)metrics.snapshot(0, 0);
+#if defined(__GLIBC__)
+  const std::size_t before = mallinfo2().uordblks;
+#endif
+  for (int i = 0; i < 100000; ++i) metrics.recordLatencyUs(1.0 + i % 977);
+#if defined(__GLIBC__)
+  const std::size_t after = mallinfo2().uordblks;
+  EXPECT_LT(after > before ? after - before : 0, std::size_t{4096});
+#endif
+  const MetricsSnapshot snap = metrics.snapshot(0, 0);
+  EXPECT_GT(snap.p50Us, 0.0);
+  EXPECT_LE(snap.p99Us, snap.maxUs);
+  EXPECT_NEAR(snap.maxUs, 977.0, 0.0005);
 }
 
 }  // namespace

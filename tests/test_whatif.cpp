@@ -38,6 +38,7 @@
 #include "serve/model_bundle.hpp"
 #include "serve/prediction_engine.hpp"
 #include "sta/netlist_edits.hpp"
+#include "tensor/expr.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "whatif/edit_script.hpp"
 #include "whatif/whatif_session.hpp"
@@ -485,6 +486,50 @@ TEST(WhatIfSession, RowsComputedCountTheDirtyFanoutCone) {
             static_cast<std::uint64_t>(session.netlist().numPins()));
   const std::string json = buffered.toJson().dump();
   EXPECT_NE(json.find("\"graph_memo_rows_computed\""), std::string::npos);
+}
+
+TEST(WhatIfSession, ResizeAndMoveEditsCompileNoPrograms) {
+  // Once the load's sweep and a first answered edit have compiled the
+  // programs a query needs (the GNN's level programs serve every level
+  // width; the path programs are keyed by the fixed query width), cone
+  // fills of any size compile nothing more.
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  Rng rng(29);
+  const auto drawQuery = [&] {
+    std::set<std::int64_t> distinct;
+    while (distinct.size() < 8) {
+      distinct.insert(rng.uniformInt(0, session.numEndpoints() - 1));
+    }
+    return std::vector<std::int64_t>(distinct.begin(), distinct.end());
+  };
+  const Rect& die = f.placement.dieArea;
+  const auto edit = [&](int i) {
+    const auto cells =
+        static_cast<std::uint64_t>(session.netlist().numCells());
+    const auto cell = static_cast<netlist::CellId>(rng.uniformInt(cells));
+    if (i % 4 != 3) return session.resizeCell(cell, rng.uniform() < 0.5);
+    const Point to{static_cast<float>(rng.uniform(die.lo.x, die.hi.x)),
+                   static_cast<float>(rng.uniform(die.lo.y, die.hi.y))};
+    session.moveCell(cell, to);
+    return true;
+  };
+  ASSERT_TRUE(session.resizeCell(findResizable(session.netlist()), true));
+  (void)session.predict(drawQuery());
+
+  const std::uint64_t compiledBefore =
+      tensor::expr::stats().programsCompiled;
+  const std::uint64_t fillsBefore = f.engine.metrics().graphMemoFills;
+  int edits = 0;
+  for (int i = 0; edits < 30 && i < 300; ++i) {
+    if (!edit(i)) continue;
+    (void)session.predict(drawQuery());
+    ++edits;
+  }
+  ASSERT_EQ(edits, 30);
+  EXPECT_EQ(f.engine.metrics().graphMemoFills - fillsBefore, 30u)
+      << "every edit's query fills a memo";
+  EXPECT_EQ(tensor::expr::stats().programsCompiled - compiledBefore, 0u);
 }
 
 // -- Rejected edits ----------------------------------------------------------

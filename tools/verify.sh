@@ -11,7 +11,9 @@
 #             metrics keys, span names, kernel tiers, DAGT_* knobs, benches
 #   bench     bench_micro_ops smoke run + BENCH JSON validation (tier table)
 #   fusion    bench_fusion smoke run — fused-vs-unfused bitwise parity,
-#             >= 1.2x interactive-forward speedup, <= 3 allocs/predict
+#             >= 1.2x interactive-forward speedup, <= 3 allocs/predict;
+#             GNN cone fills bitwise equal fused vs unfused and to a full
+#             sweep, with no program compiled after the first fill
 #   asan      ASan/UBSan build, tensor + concurrency + parser-robustness
 #             + what-if suites
 #   tsan      ThreadSanitizer build, concurrency stress suite
@@ -198,7 +200,9 @@ EOF
 # are 1.3x / 3 allocs; the smoke gate leaves margin for noisy CI boxes),
 # then validate the JSON it writes: parity must be bitwise at the scalar
 # tier AND the active tier, and the compiled programs must actually have
-# replaced graph launches with fused kernels.
+# replaced graph launches with fused kernels. The GNN cone fill must match
+# the unfused fill and a full sweep of the perturbed features bitwise at
+# both tiers, and compile nothing after its first fill.
 run_fusion() {
   cmake --build build -j "$JOBS" --target bench_fusion &&
     rm -rf build/fusion-smoke && mkdir -p build/fusion-smoke &&
@@ -215,8 +219,18 @@ assert doc["fused_allocs_per_predict"] <= 3, (
     f"{doc['fused_allocs_per_predict']:.1f} pooled allocs/predict > 3")
 assert doc["fused_gemm_launches"] > 0, "no fused GEMM launches recorded"
 assert doc["fused_ew_launches"] > 0, "no fused elementwise launches recorded"
+for tier in ("scalar", "active_tier"):
+    assert doc[f"cone_parity_bitwise_{tier}"], (
+        f"fused cone fill != unfused ({tier})")
+    assert doc[f"cone_equals_sweep_{tier}"], (
+        f"cone fill != full sweep ({tier})")
+assert doc["cone_programs_compiled_after_first_fill"] == 0, (
+    f"{doc['cone_programs_compiled_after_first_fill']} programs compiled "
+    "after the first cone fill")
 print(f"fusion-smoke: ok ({doc['speedup']:.2f}x, "
-      f"{doc['fused_allocs_per_predict']:.1f} allocs/predict)")
+      f"{doc['fused_allocs_per_predict']:.1f} allocs/predict, cone fill "
+      f"{doc['unfused_cone_fill_us']:.0f} -> "
+      f"{doc['fused_cone_fill_us']:.0f} us)")
 EOF
 }
 
