@@ -38,9 +38,9 @@ Tensor PathCnn::forward(const Tensor& images) const {
   // compile-once shape checking for the whole stack.
   if (tensor::expr::shouldFuse()) {
     tensor::expr::SigHash sig;
-    sig.mixShape(images.shape());
+    sig.mixTrailingDims(images.shape());
     mixStateInto(sig);
-    auto program = programs_.getOrCompile(sig.h, [&] {
+    auto program = programs_.getOrCompile(sig.h, images.dim(0), [&] {
       tensor::expr::Capture cap;
       const Tensor li = cap.input(images);
       const Tensor y = body(li);

@@ -521,9 +521,9 @@ TEST(ConcurrencyStress, FusionProgramsCompileAndReplayConcurrently) {
         const std::int64_t batch = 2 + (t + it) % 3;
         const Tensor x = Tensor::randn({batch, 24}, rng);
         expr::SigHash sig;
-        sig.mixShape(x.shape());
+        sig.mixTrailingDims(x.shape());
         sig.mixTensor(w);
-        const auto program = cache.getOrCompile(sig.h, [&] {
+        const auto program = cache.getOrCompile(sig.h, batch, [&] {
           compiles.fetch_add(1, std::memory_order_relaxed);
           expr::Capture cap;
           const Tensor lx = cap.input(x);
