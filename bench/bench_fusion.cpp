@@ -196,8 +196,8 @@ std::vector<float> flatten(const core::TimingGnn::Output& out) {
 struct ConeCase {
   const core::TimingGnn* gnn = nullptr;
   const features::PinGraph* graph = nullptr;
-  tensor::Tensor base;
-  std::vector<tensor::Tensor> variants;
+  features::PinFeatures base;
+  std::vector<features::PinFeatures> variants;
   core::TimingGnn::Output fusedSweep;
   core::TimingGnn::Output unfusedSweep;
 };
@@ -209,13 +209,14 @@ ConeCase makeConeCase(const core::TimingGnn& gnn,
   c.graph = design.graph.get();
   c.base = design.pinFeatures;
   Rng rng(0xc0de5ULL);
-  const std::int64_t pins = design.pinFeatures.dim(0);
-  const std::int64_t dim = design.pinFeatures.dim(1);
+  const std::int64_t pins = design.pinFeatures.numPins();
+  const std::int64_t dim = design.pinFeatures.dim();
   for (int v = 0; v < numVariants; ++v) {
-    tensor::Tensor perturbed = design.pinFeatures.clone();
+    // Shares every block but the ones the row writer clones.
+    features::PinFeatures perturbed = design.pinFeatures;
     for (int k = 0; k < 4; ++k) {
       const std::int64_t pin = rng.uniformInt(0, pins - 1);
-      perturbed.data()[pin * dim + rng.uniformInt(0, dim - 1)] += 0.5f;
+      perturbed.mutableRow(pin)[rng.uniformInt(0, dim - 1)] += 0.5f;
     }
     c.variants.push_back(std::move(perturbed));
   }

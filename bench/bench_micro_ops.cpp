@@ -194,7 +194,7 @@ BENCHMARK(BM_PinGraphBuild);
 void BM_GnnForward(benchmark::State& state) {
   const auto& d = design();
   Rng rng(5);
-  core::TimingGnn gnn(d.pinFeatures.dim(1), 64, rng);
+  core::TimingGnn gnn(d.pinFeatures.dim(), 64, rng);
   tensor::NoGradGuard guard;
   tensor::Workspace workspace;
   benchmark::DoNotOptimize(gnn.forward(*d.graph, d.pinFeatures));

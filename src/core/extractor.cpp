@@ -63,7 +63,7 @@ const TimingGnn::Output& GraphMemo::getOrFill(
   }
   DAGT_CHECK_MSG(
       graph_ == design.graph &&
-          pinFeatures_.sharesStorageWith(design.pinFeatures),
+          pinFeatures_.sharesEveryBlockWith(design.pinFeatures),
       "GraphMemo asked for '" << design.name
                               << "' but filled for another snapshot");
   return output_;

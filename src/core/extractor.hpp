@@ -23,10 +23,11 @@ namespace dagt::core {
 /// before it. When both share a pin graph (any what-if edit but a buffer
 /// insertion), the fill re-runs the GNN only on the fanout cone of the pin
 /// rows whose features changed and shares every other level with the base
-/// (TimingGnn::forwardFrom), bitwise equal to a full sweep. The fill then
-/// drops the base, so a chain of memos never grows past one link. A filled
-/// memo holds its own pin-feature and pin-graph handles, so it can serve
-/// as a base after its snapshot is gone.
+/// (TimingGnn::forwardFrom), bitwise equal to a full sweep. The changed
+/// rows are found by diffing only the pin-feature blocks the two snapshots
+/// do not share. The fill then drops the base, so a chain of memos never
+/// grows past one link. A filled memo holds its own pin-feature and
+/// pin-graph handles, so it can serve as a base after its snapshot is gone.
 ///
 /// Thread-safe: concurrent first callers wait for the one fill.
 class GraphMemo {
@@ -75,7 +76,7 @@ class GraphMemo {
   std::mutex fillMutex_;
   std::shared_ptr<const GraphMemo> base_;  // GUARDED_BY(fillMutex_)
   // Set once, by the fill, and never changed afterwards.
-  tensor::Tensor pinFeatures_;                       // GUARDED_BY(fillMutex_)
+  features::PinFeatures pinFeatures_;                // GUARDED_BY(fillMutex_)
   std::shared_ptr<const features::PinGraph> graph_;  // GUARDED_BY(fillMutex_)
   TimingGnn::Output output_;                         // GUARDED_BY(fillMutex_)
 };

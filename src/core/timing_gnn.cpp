@@ -29,13 +29,12 @@ TimingGnn::TimingGnn(std::int64_t inputDim, std::int64_t hidden, Rng& rng)
 }
 
 void TimingGnn::checkInputs(const features::PinGraph& graph,
-                            const Tensor& pinFeatures) const {
-  DAGT_CHECK(pinFeatures.ndim() == 2);
-  DAGT_CHECK_MSG(pinFeatures.dim(0) == graph.numPins(),
-                 "pin feature rows " << pinFeatures.dim(0) << " != pins "
+                            const features::PinFeatures& pinFeatures) const {
+  DAGT_CHECK_MSG(pinFeatures.numPins() == graph.numPins(),
+                 "pin feature rows " << pinFeatures.numPins() << " != pins "
                                      << graph.numPins());
-  DAGT_CHECK_MSG(pinFeatures.dim(1) == inputDim_,
-                 "pin feature dim " << pinFeatures.dim(1) << " != "
+  DAGT_CHECK_MSG(pinFeatures.dim() == inputDim_,
+                 "pin feature dim " << pinFeatures.dim() << " != "
                                     << inputDim_);
 }
 
@@ -45,7 +44,7 @@ std::uint64_t TimingGnn::levelKeyBase() const {
   return sig.h;
 }
 
-Tensor TimingGnn::levelBody(const Tensor& pinFeatures,
+Tensor TimingGnn::levelBody(const features::PinFeatures& pinFeatures,
                             const std::vector<std::int64_t>& pins,
                             const std::vector<Tensor>& earlier,
                             const features::LevelEdges* netEdges,
@@ -53,7 +52,7 @@ Tensor TimingGnn::levelBody(const Tensor& pinFeatures,
                             std::uint64_t keyBase) const {
   const std::int64_t n = static_cast<std::int64_t>(pins.size());
   // Own features of the pins.
-  const Tensor x = tensor::indexSelect0(pinFeatures, pins);
+  const Tensor x = pinFeatures.gather(pins);
 
   if (!tensor::expr::shouldFuse()) {
     // Training and DAGT_FUSION=0: the autograd op chain.
@@ -127,8 +126,9 @@ Tensor TimingGnn::levelBody(const Tensor& pinFeatures,
   return program->runOne({x});
 }
 
-TimingGnn::Output TimingGnn::forward(const features::PinGraph& graph,
-                                     const Tensor& pinFeatures) const {
+TimingGnn::Output TimingGnn::forward(
+    const features::PinGraph& graph,
+    const features::PinFeatures& pinFeatures) const {
   checkInputs(graph, pinFeatures);
   Output out;
   out.graph = &graph;
@@ -155,18 +155,16 @@ TimingGnn::Output TimingGnn::forward(const features::PinGraph& graph,
   return out;
 }
 
-TimingGnn::Output TimingGnn::forwardFrom(const Output& base,
-                                         const Tensor& basePinFeatures,
-                                         const features::PinGraph& graph,
-                                         const Tensor& pinFeatures,
-                                         std::int64_t* rowsComputed) const {
+TimingGnn::Output TimingGnn::forwardFrom(
+    const Output& base, const features::PinFeatures& basePinFeatures,
+    const features::PinGraph& graph, const features::PinFeatures& pinFeatures,
+    std::int64_t* rowsComputed) const {
   checkInputs(graph, pinFeatures);
   // Rows are patched into cloned tensors behind the tape's back.
   DAGT_CHECK_MSG(!tensor::NoGradGuard::gradEnabled(),
                  "forwardFrom is inference only");
   DAGT_CHECK_MSG(base.graph == &graph,
                  "forwardFrom: the base was swept over another pin graph");
-  DAGT_CHECK(basePinFeatures.shape() == pinFeatures.shape());
   const std::int32_t numLevels = graph.numLevels();
   DAGT_CHECK(static_cast<std::int32_t>(base.levelEmbeddings.size()) ==
              numLevels);
@@ -195,29 +193,10 @@ TimingGnn::Output TimingGnn::forwardFrom(const Output& base,
         levelStart[static_cast<std::size_t>(at.first)] + at.second)];
   };
 
-  // Seeds: the pins whose feature rows differ bitwise from the base's,
-  // compared a block of rows at a time since most rows match.
-  if (!pinFeatures.sharesStorageWith(basePinFeatures)) {
-    constexpr std::int64_t kBlock = 32;
-    const std::size_t rowBytes =
-        static_cast<std::size_t>(inputDim_) * sizeof(float);
-    const float* now = pinFeatures.data();
-    const float* was = basePinFeatures.data();
-    for (std::int64_t first = 0; first < graph.numPins(); first += kBlock) {
-      const std::int64_t last = std::min(first + kBlock, graph.numPins());
-      const std::int64_t offset = first * inputDim_;
-      if (std::memcmp(now + offset, was + offset,
-                      static_cast<std::size_t>(last - first) * rowBytes) ==
-          0) {
-        continue;
-      }
-      for (std::int64_t pin = first; pin < last; ++pin) {
-        if (std::memcmp(now + pin * inputDim_, was + pin * inputDim_,
-                        rowBytes) != 0) {
-          member(graph.locate(static_cast<netlist::PinId>(pin))) = 1;
-        }
-      }
-    }
+  // Seeds: the pins whose feature rows differ bitwise from the base's; the
+  // blocks the two share are skipped unread.
+  for (const netlist::PinId pin : pinFeatures.changedRows(basePinFeatures)) {
+    member(graph.locate(pin)) = 1;
   }
 
   Output out;

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "features/pin_features.hpp"
 #include "features/pin_graph.hpp"
 #include "nn/layers.hpp"
 #include "nn/module.hpp"
@@ -37,20 +38,21 @@ class TimingGnn : public nn::Module {
   /// is sized once per call, so a level allocates only its (pooled)
   /// tensors; the same holds for forwardFrom.
   Output forward(const features::PinGraph& graph,
-                 const tensor::Tensor& pinFeatures) const;
+                 const features::PinFeatures& pinFeatures) const;
 
   /// forward(graph, pinFeatures) rebuilt from `base`, the forward() of
   /// `basePinFeatures` over the same graph. Only the fanout cone of the
   /// pin rows whose features differ bitwise from `basePinFeatures` is
-  /// recomputed; every level without a cone row is `base`'s tensor. Each
-  /// op of the level body is row-local (a GEMM row, a destination's
-  /// segment in edge order, a LayerNorm row), so the result is bitwise
-  /// equal to the full sweep. `rowsComputed`, when non-null, receives the
-  /// cone's size in pins. Inference only: the output shares tensors with
-  /// `base`.
-  Output forwardFrom(const Output& base, const tensor::Tensor& basePinFeatures,
+  /// recomputed (PinFeatures::changedRows, which skips the blocks the two
+  /// share); every level without a cone row is `base`'s tensor. Each op of
+  /// the level body is row-local (a GEMM row, a destination's segment in
+  /// edge order, a LayerNorm row), so the result is bitwise equal to the
+  /// full sweep. `rowsComputed`, when non-null, receives the cone's size in
+  /// pins. Inference only: the output shares tensors with `base`.
+  Output forwardFrom(const Output& base,
+                     const features::PinFeatures& basePinFeatures,
                      const features::PinGraph& graph,
-                     const tensor::Tensor& pinFeatures,
+                     const features::PinFeatures& pinFeatures,
                      std::int64_t* rowsComputed = nullptr) const;
 
   /// Rows of the per-level embeddings for the given pins: [pins.size(), D].
@@ -61,17 +63,18 @@ class TimingGnn : public nn::Module {
 
  private:
   void checkInputs(const features::PinGraph& graph,
-                   const tensor::Tensor& pinFeatures) const;
+                   const features::PinFeatures& pinFeatures) const;
   /// The parameter-storage part of every level program's key, computed
   /// once per sweep.
   std::uint64_t levelKeyBase() const;
   /// The sweep's per-level body: embeddings [pins.size(), hidden] of `pins`
-  /// (rows of `pinFeatures`) from their own features and, per edge kind,
-  /// the mean and max of their in-edge sources in `earlier` (the
-  /// embeddings of every earlier level). An edge list's dstLocal indexes
-  /// `pins`; a null list means the level has no edge of that kind, while a
-  /// pin without edges in a non-null list aggregates zeros. `keyBase` is
-  /// levelKeyBase() when fusing (unused otherwise).
+  /// (rows of `pinFeatures`) from their own features, gathered with
+  /// PinFeatures::gather, and, per edge kind, the mean and max of their
+  /// in-edge sources in `earlier` (the embeddings of every earlier level).
+  /// An edge list's dstLocal indexes `pins`; a null list means the level
+  /// has no edge of that kind, while a pin without edges in a non-null list
+  /// aggregates zeros. `keyBase` is levelKeyBase() when fusing (unused
+  /// otherwise).
   ///
   /// Inference with fusion on aggregates with tensor::segmentMeanMax (one
   /// pass over the in-edges, sources read in place) and replays one
@@ -80,7 +83,7 @@ class TimingGnn : public nn::Module {
   /// Training and DAGT_FUSION=0 run the autograd op chain (gatherRowsMulti,
   /// segmentSum, mulColVec, segmentMax, Linear, LayerNorm, relu); both are
   /// bitwise equal at the scalar and avx2 tiers.
-  tensor::Tensor levelBody(const tensor::Tensor& pinFeatures,
+  tensor::Tensor levelBody(const features::PinFeatures& pinFeatures,
                            const std::vector<std::int64_t>& pins,
                            const std::vector<tensor::Tensor>& earlier,
                            const features::LevelEdges* netEdges,

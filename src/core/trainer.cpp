@@ -72,9 +72,9 @@ void aliasStateToMaster(ModelT& replica, ModelT& master) {
 Trainer::Trainer(const TimingDataset& trainData, TrainConfig config)
     : data_(&trainData), config_(config) {
   DAGT_CHECK(!trainData.designs().empty());
-  pinFeatureDim_ = trainData.designs().front()->pinFeatures.dim(1);
+  pinFeatureDim_ = trainData.designs().front()->pinFeatures.dim();
   for (const auto* d : trainData.designs()) {
-    DAGT_CHECK_MSG(d->pinFeatures.dim(1) == pinFeatureDim_,
+    DAGT_CHECK_MSG(d->pinFeatures.dim() == pinFeatureDim_,
                    "inconsistent pin feature dims across designs");
     if (d->role == designgen::DesignRole::kTrainSource) {
       sources_.push_back(d);

@@ -67,7 +67,8 @@ DesignData DataPipeline::buildCustom(
       sta::RouteConfig{sta::WireModel::kPreRouting, 0.0f, 0.0f});
   data.preRouteArrivals = preTiming.endpointArrivals(data.netlist);
 
-  data.pinFeatures = featureBuilder_->build(data.netlist, &preTiming);
+  data.pinFeatures =
+      PinFeatures(featureBuilder_->build(data.netlist, &preTiming));
   data.setPaths(PathExtractor::extract(data.netlist, data.maps.get()));
   data.stats = data.netlist.stats();
 

@@ -7,6 +7,7 @@
 #include "designgen/design_suite.hpp"
 #include "features/feature_builder.hpp"
 #include "features/path_extractor.hpp"
+#include "features/pin_features.hpp"
 #include "features/pin_graph.hpp"
 #include "netlist/netlist.hpp"
 #include "place/layout_maps.hpp"
@@ -42,14 +43,18 @@ struct DesignData {
   netlist::TechNode node = netlist::TechNode::k7nm;
   designgen::DesignRole role = designgen::DesignRole::kTest;
 
-  netlist::Netlist netlist;  // pre-routing snapshot (placed, un-optimized)
+  /// Pre-routing snapshot (placed, un-optimized). Read by the training
+  /// pipeline; a served snapshot leaves it empty (see serve::ServableDesign).
+  netlist::Netlist netlist;
   place::PlacementResult placement;
   std::unique_ptr<place::LayoutMaps> maps;
   /// Shared so the incremental what-if path can alias the prior snapshot's
   /// graph instead of copying it (connectivity is identical across
   /// non-structural edits). Immutable once built.
   std::shared_ptr<const PinGraph> graph;
-  tensor::Tensor pinFeatures;  // [numPins, featureDim]
+  /// [numPins, featureDim] in row blocks. A what-if snapshot shares every
+  /// block its edit did not rewrite with its predecessor (see PinFeatures).
+  PinFeatures pinFeatures;
   /// One TimingPath per endpoint. Shared for the same reason as `graph`:
   /// when no pin moved, every cone and mask footprint is unchanged and
   /// what-if snapshots alias one paths vector instead of deep-copying

@@ -40,14 +40,13 @@ tensor::Tensor FeatureBuilder::build(
 void FeatureBuilder::rebuildRows(const Netlist& nl,
                                  const sta::TimingResult* preRouteTiming,
                                  const std::vector<PinId>& pins,
-                                 tensor::Tensor& features) const {
+                                 PinFeatures& features) const {
   const std::int64_t dim = featureDim();
-  DAGT_CHECK_MSG(features.ndim() == 2 && features.dim(0) == nl.numPins() &&
-                     features.dim(1) == dim,
+  DAGT_CHECK_MSG(features.numPins() == nl.numPins() && features.dim() == dim,
                  "pin-feature matrix does not match the netlist");
   for (const PinId p : pins) {
     DAGT_CHECK(p >= 0 && p < nl.numPins());
-    float* row = features.data() + p * dim;
+    float* row = features.mutableRow(p);
     std::fill(row, row + dim, 0.0f);
     fillRow(nl, preRouteTiming, p, row);
   }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include "features/pin_features.hpp"
 #include "netlist/netlist.hpp"
 #include "sta/sta_engine.hpp"
 #include "tensor/tensor.hpp"
@@ -44,15 +45,16 @@ class FeatureBuilder {
   tensor::Tensor build(const netlist::Netlist& netlist,
                        const sta::TimingResult* preRouteTiming) const;
 
-  /// Rewrites the rows of `pins` inside `features` (a matrix produced by
-  /// build() for a netlist with the same pin-id space). A row is a pure
+  /// Rewrites the rows of `pins` inside `features` (built from build()'s
+  /// matrix for a netlist with the same pin-id space) through its row
+  /// writer, which clones only the blocks it writes. A row is a pure
   /// function of its own pin, so patching the changed rows is bitwise
   /// identical to a full rebuild — this is the incremental what-if path's
   /// cheap alternative when only a few pins changed.
   void rebuildRows(const netlist::Netlist& netlist,
                    const sta::TimingResult* preRouteTiming,
                    const std::vector<netlist::PinId>& pins,
-                   tensor::Tensor& features) const;
+                   PinFeatures& features) const;
 
   static constexpr std::int64_t kNumericFeatures = 11;
 

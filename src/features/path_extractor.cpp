@@ -11,8 +11,7 @@ using netlist::PinId;
 
 namespace {
 
-/// Shared per-endpoint body of extract/extractOne, so the incremental path
-/// reproduces the batch extraction bit-for-bit. `visited` and `stack` are
+/// Shared per-endpoint body of extract/extractOne. `visited` and `stack` are
 /// caller-owned scratch; `visited` is left all-zero again on return.
 TimingPath extractCone(const Netlist& nl, const place::LayoutMaps* maps,
                        const PinId endpoint,
@@ -43,20 +42,27 @@ TimingPath extractCone(const Netlist& nl, const place::LayoutMaps* maps,
   }
 
   if (maps != nullptr) {
-    const std::int32_t res = maps->resolution();
-    for (const PinId p : path.conePins) {
-      const auto [gx, gy] = maps->binOf(nl.pinLocation(p));
-      path.maskBins.push_back(gy * res + gx);
-    }
-    std::sort(path.maskBins.begin(), path.maskBins.end());
-    path.maskBins.erase(
-        std::unique(path.maskBins.begin(), path.maskBins.end()),
-        path.maskBins.end());
+    path.maskBins = PathExtractor::maskBins(nl, *maps, path.conePins);
   }
   return path;
 }
 
 }  // namespace
+
+std::vector<std::int32_t> PathExtractor::maskBins(
+    const Netlist& nl, const place::LayoutMaps& maps,
+    const std::vector<PinId>& conePins) {
+  std::vector<std::int32_t> bins;
+  bins.reserve(conePins.size());
+  const std::int32_t res = maps.resolution();
+  for (const PinId p : conePins) {
+    const auto [gx, gy] = maps.binOf(nl.pinLocation(p));
+    bins.push_back(gy * res + gx);
+  }
+  std::sort(bins.begin(), bins.end());
+  bins.erase(std::unique(bins.begin(), bins.end()), bins.end());
+  return bins;
+}
 
 std::vector<TimingPath> PathExtractor::extract(const Netlist& nl,
                                                const place::LayoutMaps* maps) {
@@ -100,15 +106,14 @@ std::vector<float> PathExtractor::maskedImage(const place::LayoutMaps& maps,
       }
     }
   }
-  const auto& image = maps.image();
-  DAGT_CHECK(image.size() == 3 * plane);
-  std::vector<float> out(3 * plane, 0.0f);
-  for (std::int32_t c = 0; c < 3; ++c) {
+  std::vector<float> out(
+      static_cast<std::size_t>(place::LayoutMaps::kNumChannels) * plane, 0.0f);
+  for (std::int32_t c = 0; c < place::LayoutMaps::kNumChannels; ++c) {
+    const std::vector<float>& channel = maps.channel(c);
+    DAGT_CHECK(channel.size() == plane);
+    float* dst = out.data() + static_cast<std::size_t>(c) * plane;
     for (std::size_t i = 0; i < plane; ++i) {
-      if (mask[i]) {
-        out[static_cast<std::size_t>(c) * plane + i] =
-            image[static_cast<std::size_t>(c) * plane + i];
-      }
+      if (mask[i]) dst[i] = channel[i];
     }
   }
   return out;

@@ -28,11 +28,17 @@ class PathExtractor {
   static std::vector<TimingPath> extract(const netlist::Netlist& netlist,
                                          const place::LayoutMaps* maps);
 
-  /// Cone of a single endpoint — the incremental path for what-if edits
-  /// that invalidate one endpoint's window without touching the rest.
+  /// Cone of a single endpoint.
   static TimingPath extractOne(const netlist::Netlist& netlist,
                                const place::LayoutMaps* maps,
                                netlist::PinId endpoint);
+
+  /// The mask half of a cone's extraction: the sorted unique bins of
+  /// `conePins`' locations. A what-if move changes no cone membership,
+  /// only locations, so a moved path re-runs just this on its conePins.
+  static std::vector<std::int32_t> maskBins(
+      const netlist::Netlist& netlist, const place::LayoutMaps& maps,
+      const std::vector<netlist::PinId>& conePins);
 
   /// Masked copy of the layout image for one path: bins outside the path's
   /// footprint are zeroed (with the footprint dilated by one bin so local

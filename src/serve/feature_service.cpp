@@ -53,6 +53,36 @@ std::string fileFingerprint(const std::string& path) {
   return hex;
 }
 
+bool sameRect(const Rect& a, const Rect& b) {
+  return a.lo.x == b.lo.x && a.lo.y == b.lo.y && a.hi.x == b.hi.x &&
+         a.hi.y == b.hi.y;
+}
+
+/// Same die and macros: what the layout channels read of a placement.
+bool sameFloorplan(const place::PlacementResult& a,
+                   const place::PlacementResult& b) {
+  return sameRect(a.dieArea, b.dieArea) && a.macros.size() == b.macros.size() &&
+         std::equal(a.macros.begin(), a.macros.end(), b.macros.begin(),
+                    sameRect);
+}
+
+/// A snapshot of `nl` with its identity and stats filled in and an empty
+/// netlist: the caller builds every artifact from `nl`, which the snapshot
+/// does not keep.
+std::shared_ptr<ServableDesign> emptySnapshot(
+    const netlist::Netlist& nl, netlist::TechNode node,
+    const place::PlacementResult& placement) {
+  auto servable = std::make_shared<ServableDesign>(features::DesignData(
+      netlist::Netlist(&nl.library(), nl.name())));
+  features::DesignData& data = servable->data;
+  data.name = nl.name();
+  data.node = node;
+  data.role = designgen::DesignRole::kTest;
+  data.placement = placement;
+  data.stats = nl.stats();
+  return servable;
+}
+
 }  // namespace
 
 void writePlacementFile(const place::PlacementResult& placement,
@@ -129,30 +159,24 @@ std::int64_t FeatureService::featureDim() const {
 }
 
 std::shared_ptr<const ServableDesign> FeatureService::build(
-    netlist::Netlist netlist, netlist::TechNode node,
+    const netlist::Netlist& netlist, netlist::TechNode node,
     const place::PlacementResult& placement) const {
-  auto servable =
-      std::make_shared<ServableDesign>(features::DesignData(std::move(netlist)));
+  auto servable = emptySnapshot(netlist, node, placement);
   features::DesignData& data = servable->data;
-  data.name = data.netlist.name();
-  data.node = node;
-  data.role = designgen::DesignRole::kTest;
-  data.placement = placement;
 
   // The same pre-routing snapshot sequence as DataPipeline::buildCustom,
   // minus the sign-off flow (labels are what the model predicts).
   data.maps = std::make_unique<place::LayoutMaps>(
-      data.netlist, data.placement,
+      netlist, data.placement,
       static_cast<std::int32_t>(manifest_.model.imageResolution));
-  data.graph = std::make_shared<const features::PinGraph>(data.netlist);
+  data.graph = std::make_shared<const features::PinGraph>(netlist);
   const auto preTiming = sta::StaEngine::run(
-      data.netlist, nullptr,
+      netlist, nullptr,
       sta::RouteConfig{sta::WireModel::kPreRouting, 0.0f, 0.0f});
-  data.preRouteArrivals = preTiming.endpointArrivals(data.netlist);
-  data.pinFeatures = featureBuilder_->build(data.netlist, &preTiming);
-  data.setPaths(
-      features::PathExtractor::extract(data.netlist, data.maps.get()));
-  data.stats = data.netlist.stats();
+  data.preRouteArrivals = preTiming.endpointArrivals(netlist);
+  data.pinFeatures =
+      features::PinFeatures(featureBuilder_->build(netlist, &preTiming));
+  data.setPaths(features::PathExtractor::extract(netlist, data.maps.get()));
   data.labels.assign(data.paths().size(), 0.0f);  // unknown at serve time
 
   servable->dataset = std::make_unique<core::TimingDataset>(
@@ -203,7 +227,7 @@ std::shared_ptr<const ServableDesign> FeatureService::fromFiles(
     placement.dieArea = die;
   }
 
-  auto servable = build(std::move(nl), fileLib.node(), placement);
+  auto servable = build(nl, fileLib.node(), placement);
   std::lock_guard<std::mutex> lock(mutex_);
   misses_.fetch_add(1, std::memory_order_relaxed);
   cache_[key] = {std::move(fingerprint), servable};
@@ -212,7 +236,7 @@ std::shared_ptr<const ServableDesign> FeatureService::fromFiles(
 
 std::shared_ptr<const ServableDesign> FeatureService::fromNetlist(
     const std::string& key, const std::string& revision,
-    netlist::Netlist netlist, netlist::TechNode node,
+    const netlist::Netlist& netlist, netlist::TechNode node,
     const place::PlacementResult& placement) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -225,7 +249,7 @@ std::shared_ptr<const ServableDesign> FeatureService::fromNetlist(
     }
   }
   DAGT_TRACE_SCOPE("serve/feature_build");
-  auto servable = build(std::move(netlist), node, placement);
+  auto servable = build(netlist, node, placement);
   std::lock_guard<std::mutex> lock(mutex_);
   misses_.fetch_add(1, std::memory_order_relaxed);
   cache_[key] = {revision, servable};
@@ -240,17 +264,18 @@ std::shared_ptr<const ServableDesign> FeatureService::cached(
 }
 
 FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
-    const std::string& key, const std::string& revision, ConeUpdate update) {
+    const std::string& key, const std::string& revision,
+    const ConeUpdate& update) {
   DAGT_TRACE_SCOPE("serve/cone_update");
   coneUpdates_.fetch_add(1, std::memory_order_relaxed);
   ConeUpdateResult result;
+  const netlist::Netlist& nl = update.netlist;
 
   std::shared_ptr<const ServableDesign> prior = cached(key);
   if (update.structural || prior == nullptr) {
     // Pins/nets were added (or there is nothing to diff against): every
     // cone and every mask footprint is suspect, so take the cold path.
-    auto servable =
-        build(std::move(update.netlist), update.node, update.placement);
+    auto servable = build(nl, update.node, update.placement);
     coneStructuralRebuilds_.fetch_add(1, std::memory_order_relaxed);
     coneEndpointsEvicted_.fetch_add(
         static_cast<std::uint64_t>(servable->numEndpoints()),
@@ -269,50 +294,52 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
 
   // Non-structural edit: the pin/net id spaces match the prior snapshot,
   // so its per-endpoint artifacts can be diffed against the new state.
-  auto servable = std::make_shared<ServableDesign>(
-      features::DesignData(std::move(update.netlist)));
+  auto servable = emptySnapshot(nl, update.node, update.placement);
   features::DesignData& data = servable->data;
-  data.name = data.netlist.name();
-  data.node = update.node;
-  data.role = designgen::DesignRole::kTest;
-  data.placement = update.placement;
   DAGT_CHECK_MSG(
-      data.netlist.numPins() == prior->data.netlist.numPins(),
+      nl.numPins() == prior->data.graph->numPins(),
       "non-structural cone update changed the pin count of " << data.name);
+  DAGT_CHECK_MSG(sameFloorplan(update.placement, prior->data.placement),
+                 "cone update moved the die or a macro of " << data.name);
 
   // Per-pin and global artifacts. Anything whose inputs did not change is
-  // aliased from the prior snapshot (graph, paths, clean pin-feature rows,
-  // clean masked images) — reuse is bitwise, not approximate, because each
-  // artifact is a deterministic per-element function of the netlist. The
-  // layout image is the exception and is rebuilt wholesale: RUDY is
-  // normalized by its global mean, so one moved cell perturbs nearly every
-  // nonzero bin, and patching it locally could not stay bit-exact anyway.
+  // shared with the prior snapshot (graph, paths, pin-feature blocks
+  // without a dirty row, the layout channels a resize cannot change, clean
+  // masked images) — reuse is bitwise, not approximate, because each
+  // artifact is a deterministic per-element function of the netlist.
   {
     DAGT_TRACE_SCOPE("serve/cone_features");
     {
+      // A resize changes at most cell density. A move rebuilds all three
+      // channels: RUDY is normalized by its global mean, so one moved cell
+      // perturbs nearly every nonzero bin.
       DAGT_TRACE_SCOPE("serve/cone_maps");
-      data.maps = std::make_unique<place::LayoutMaps>(
-          data.netlist, data.placement,
-          static_cast<std::int32_t>(manifest_.model.imageResolution));
+      data.maps = update.movedPins.empty()
+                      ? std::make_unique<place::LayoutMaps>(
+                            *prior->data.maps, nl)
+                      : std::make_unique<place::LayoutMaps>(
+                            nl, data.placement,
+                            static_cast<std::int32_t>(
+                                manifest_.model.imageResolution));
     }
     // Connectivity is untouched, so the pin graph carries over as-is.
     data.graph = prior->data.graph;
-    data.preRouteArrivals = update.preTiming.endpointArrivals(data.netlist);
+    data.preRouteArrivals = update.preTiming.endpointArrivals(nl);
     {
       // A pin-feature row is a pure function of its own pin, so patching
-      // the dirty rows of a copied matrix equals a full rebuild bit for
-      // bit (FeatureBuilder::rebuildRows shares build()'s row code).
+      // the dirty rows equals a full rebuild bit for bit
+      // (FeatureBuilder::rebuildRows shares build()'s row code). The copy
+      // shares every block; the writes clone only the blocks they touch.
       DAGT_TRACE_SCOPE("serve/cone_pinfeats");
-      data.pinFeatures = prior->data.pinFeatures.clone();
-      featureBuilder_->rebuildRows(data.netlist, &update.preTiming,
-                                   update.dirtyPins, data.pinFeatures);
-      featureBuilder_->rebuildRows(data.netlist, &update.preTiming,
-                                   update.movedPins, data.pinFeatures);
+      data.pinFeatures = prior->data.pinFeatures;
+      featureBuilder_->rebuildRows(nl, &update.preTiming, update.dirtyPins,
+                                   data.pinFeatures);
+      featureBuilder_->rebuildRows(nl, &update.preTiming, update.movedPins,
+                                   data.pinFeatures);
     }
-    data.stats = data.netlist.stats();
   }
 
-  const std::size_t numPins = static_cast<std::size_t>(data.netlist.numPins());
+  const std::size_t numPins = static_cast<std::size_t>(nl.numPins());
   std::vector<std::uint8_t> dirtyPin(numPins, 0);
   std::vector<std::uint8_t> movedPin(numPins, 0);
   for (const netlist::PinId p : update.dirtyPins) {
@@ -325,9 +352,9 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
 
   // Cones: connectivity is unchanged, so cone membership carries over.
   // Only a moved pin invalidates a path (its mask footprint shifted) —
-  // those are re-extracted with the single-endpoint extractor, which
-  // shares the batch extractor's body bit-for-bit. When nothing moved
-  // (resizes only — the common ECO), the whole paths vector is aliased.
+  // those get their mask bins recomputed from the cone they already have,
+  // with the extractor's own mask code. When nothing moved (resizes only
+  // — the common ECO), the whole paths vector is shared.
   const auto& oldPaths = prior->data.paths();
   std::vector<std::uint8_t> maskStale(oldPaths.size(), 0);
   {
@@ -338,19 +365,15 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
       std::vector<features::TimingPath> paths;
       paths.reserve(oldPaths.size());
       for (std::size_t i = 0; i < oldPaths.size(); ++i) {
-        bool moved = false;
-        for (const netlist::PinId p : oldPaths[i].conePins) {
+        const features::TimingPath& old = oldPaths[i];
+        paths.push_back(old);
+        for (const netlist::PinId p : old.conePins) {
           if (movedPin[static_cast<std::size_t>(p)]) {
-            moved = true;
+            maskStale[i] = 1;
+            paths.back().maskBins = features::PathExtractor::maskBins(
+                nl, *data.maps, old.conePins);
             break;
           }
-        }
-        if (moved) {
-          maskStale[i] = 1;
-          paths.push_back(features::PathExtractor::extractOne(
-              data.netlist, data.maps.get(), oldPaths[i].endpoint));
-        } else {
-          paths.push_back(oldPaths[i]);
         }
       }
       data.setPaths(std::move(paths));
@@ -362,30 +385,31 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
   // bit-valid iff no changed bin falls inside its dilated footprint.
   // maskedImage dilates the footprint by one bin, and dilate(A)∩B != ∅
   // iff A∩dilate(B) != ∅, so we dilate the *changed* bins once and test
-  // the raw maskBins against that.
+  // the raw maskBins against that. A shared channel is bitwise equal by
+  // construction, so only the recomputed ones are compared.
   DAGT_TRACE_SCOPE("serve/cone_images");
-  const auto& oldImg = prior->data.maps->image();
-  const auto& newImg = data.maps->image();
-  DAGT_CHECK(oldImg.size() == newImg.size());
-  const std::int32_t res = data.maps->resolution();
+  const place::LayoutMaps& oldMaps = *prior->data.maps;
+  const place::LayoutMaps& newMaps = *data.maps;
+  DAGT_CHECK(oldMaps.resolution() == newMaps.resolution());
+  const std::int32_t res = newMaps.resolution();
   const std::size_t plane = static_cast<std::size_t>(res) *
                             static_cast<std::size_t>(res);
   std::vector<std::uint8_t> nearChanged(plane, 0);
-  for (std::size_t i = 0; i < plane; ++i) {
-    bool changed = false;
-    for (std::size_t c = 0; c < 3 && !changed; ++c) {
-      changed = std::memcmp(&oldImg[c * plane + i], &newImg[c * plane + i],
-                            sizeof(float)) != 0;
-    }
-    if (!changed) continue;
-    const std::int32_t gx = static_cast<std::int32_t>(i) % res;
-    const std::int32_t gy = static_cast<std::int32_t>(i) / res;
-    for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      for (std::int32_t dx = -1; dx <= 1; ++dx) {
-        const std::int32_t x = gx + dx;
-        const std::int32_t y = gy + dy;
-        if (x >= 0 && x < res && y >= 0 && y < res) {
-          nearChanged[static_cast<std::size_t>(y * res + x)] = 1;
+  for (std::int32_t c = 0; c < place::LayoutMaps::kNumChannels; ++c) {
+    const std::vector<float>& was = oldMaps.channel(c);
+    const std::vector<float>& now = newMaps.channel(c);
+    if (&was == &now) continue;
+    for (std::size_t i = 0; i < plane; ++i) {
+      if (std::memcmp(&was[i], &now[i], sizeof(float)) == 0) continue;
+      const std::int32_t gx = static_cast<std::int32_t>(i) % res;
+      const std::int32_t gy = static_cast<std::int32_t>(i) / res;
+      for (std::int32_t dy = -1; dy <= 1; ++dy) {
+        for (std::int32_t dx = -1; dx <= 1; ++dx) {
+          const std::int32_t x = gx + dx;
+          const std::int32_t y = gy + dy;
+          if (x >= 0 && x < res && y >= 0 && y < res) {
+            nearChanged[static_cast<std::size_t>(y * res + x)] = 1;
+          }
         }
       }
     }

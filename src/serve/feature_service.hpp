@@ -33,6 +33,11 @@ place::PlacementResult readPlacementFile(const std::string& path);
 /// TimingDataset whose per-endpoint masked-image cache has been prewarmed,
 /// making subsequent batch assembly read-only and therefore safe to share
 /// across engine worker threads.
+///
+/// A served snapshot holds no netlist: nothing reads it after the build,
+/// so `data.netlist` is an empty Netlist(&library, name), cold-built and
+/// cone-updated snapshots alike. The pin graph, paths, pin features,
+/// layout maps and stats carry what queries and later cone updates need.
 struct ServableDesign {
   features::DesignData data;
   std::unique_ptr<core::TimingDataset> dataset;  // refers to `data`
@@ -65,7 +70,7 @@ class FeatureService {
   /// cache validity (e.g. a netlist edit counter).
   std::shared_ptr<const ServableDesign> fromNetlist(
       const std::string& key, const std::string& revision,
-      netlist::Netlist netlist, netlist::TechNode node,
+      const netlist::Netlist& netlist, netlist::TechNode node,
       const place::PlacementResult& placement);
 
   /// Cached snapshot for a key, or nullptr if never prepared.
@@ -74,14 +79,18 @@ class FeatureService {
   /// One what-if edit batch against a cached design: the post-edit netlist
   /// plus everything the caller (a WhatIfSession) already knows about the
   /// edit's blast radius, so feature extraction can stay proportional to
-  /// the dirty cone instead of the design.
+  /// the dirty cone instead of the design. The references are the caller's
+  /// own state and need to stay valid only for the applyConeUpdate call:
+  /// the snapshot it builds keeps none of them.
   struct ConeUpdate {
-    netlist::Netlist netlist;  // post-edit netlist (placed)
+    const netlist::Netlist& netlist;  // post-edit netlist (placed)
     netlist::TechNode node = netlist::TechNode::k7nm;
-    place::PlacementResult placement;
+    /// The prior snapshot's placement (die and macros): edits move cells,
+    /// never the die or a macro.
+    const place::PlacementResult& placement;
     /// Pre-routing STA of `netlist` — an IncrementalSta view, which is
     /// bitwise equal to the cold StaEngine::run the full build would do.
-    sta::TimingResult preTiming;
+    const sta::TimingResult& preTiming;
     /// Sorted superset of pins whose feature rows may have changed
     /// (edited cells' pins + pins the STA update actually changed + pins
     /// of re-estimated nets).
@@ -106,13 +115,16 @@ class FeatureService {
   };
 
   /// Rebuild the snapshot under `key` incrementally from the previous one
-  /// and store it under `revision`. Reuses per-endpoint paths and masked
-  /// images whose inputs are untouched by the edit; the result is bitwise
-  /// identical to a cold build() of the same netlist. Falls back to a full
-  /// rebuild for structural edits or when `key` has no prior snapshot.
+  /// and store it under `revision`. Shares with the previous snapshot the
+  /// pin graph, every pin-feature block without a dirty row, the paths
+  /// (when no pin moved) and the RUDY and macro channels (likewise), and
+  /// reuses masked images whose inputs are untouched by the edit; the
+  /// result is bitwise identical to a cold build() of the same netlist.
+  /// Falls back to a full rebuild for structural edits or when `key` has
+  /// no prior snapshot.
   ConeUpdateResult applyConeUpdate(const std::string& key,
                                    const std::string& revision,
-                                   ConeUpdate update);
+                                   const ConeUpdate& update);
 
   /// Re-install a previously built snapshot under `key`/`revision` without
   /// any rebuild — the revert path of a what-if session.
@@ -144,7 +156,7 @@ class FeatureService {
 
  private:
   std::shared_ptr<const ServableDesign> build(
-      netlist::Netlist netlist, netlist::TechNode node,
+      const netlist::Netlist& netlist, netlist::TechNode node,
       const place::PlacementResult& placement) const;
 
   BundleManifest manifest_;

@@ -137,8 +137,9 @@ std::int64_t PredictionEngine::loadDesign(const std::string& key,
 }
 
 std::int64_t PredictionEngine::loadDesign(
-    const std::string& key, netlist::Netlist netlist, netlist::TechNode node,
-    const place::PlacementResult& placement, const std::string& revision) {
+    const std::string& key, const netlist::Netlist& netlist,
+    netlist::TechNode node, const place::PlacementResult& placement,
+    const std::string& revision) {
   DesignRef ref;
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
@@ -147,9 +148,8 @@ std::int64_t PredictionEngine::loadDesign(
                                            << netlist::techNodeName(node));
     ref.node = &it->second;
   }
-  ref.design = ref.node->features->fromNetlist(key, revision,
-                                               std::move(netlist), node,
-                                               placement);
+  ref.design =
+      ref.node->features->fromNetlist(key, revision, netlist, node, placement);
   ref.graphMemo = newGraphMemo();
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
@@ -192,10 +192,9 @@ void PredictionEngine::warmUp(const DesignRef& ref) {
 
 FeatureService::ConeUpdateResult PredictionEngine::applyConeUpdate(
     const std::string& key, const std::string& revision,
-    FeatureService::ConeUpdate update) {
+    const FeatureService::ConeUpdate& update) {
   DesignRef ref = designRef(key);
-  auto result =
-      ref.node->features->applyConeUpdate(key, revision, std::move(update));
+  auto result = ref.node->features->applyConeUpdate(key, revision, update);
   // No eager fill: the next query fills the memo from the key's current
   // one, so sync stays a pure feature refresh and the predecessor is
   // released by that fill, not here.

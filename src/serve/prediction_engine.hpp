@@ -100,8 +100,10 @@ class PredictionEngine {
                           const std::string& netlistPath,
                           const std::string& libraryPath,
                           const std::string& placementPath = "");
-  /// In-memory variant; `revision` decides feature-cache validity.
-  std::int64_t loadDesign(const std::string& key, netlist::Netlist netlist,
+  /// In-memory variant; `revision` decides feature-cache validity. The
+  /// netlist is read during the call, not kept.
+  std::int64_t loadDesign(const std::string& key,
+                          const netlist::Netlist& netlist,
                           netlist::TechNode node,
                           const place::PlacementResult& placement,
                           const std::string& revision = "0");
@@ -113,7 +115,7 @@ class PredictionEngine {
   /// snapshot they hold a reference to.
   FeatureService::ConeUpdateResult applyConeUpdate(
       const std::string& key, const std::string& revision,
-      FeatureService::ConeUpdate update);
+      const FeatureService::ConeUpdate& update);
 
   /// Point `key` back at a previously served snapshot (what-if revert).
   void installSnapshot(const std::string& key, const std::string& revision,

@@ -109,6 +109,15 @@ Tensor sliceRows(const Tensor& t, std::int64_t begin, std::int64_t end);
 // ---------------------------------------------------------------------------
 /// Rows of a 2-D tensor selected by index (duplicates allowed).
 Tensor indexSelect0(const Tensor& t, const std::vector<std::int64_t>& index);
+/// indexSelect0 of a matrix held as row blocks: row r is row
+/// r % rowsPerBlock of blocks[r / rowsPerBlock], every block is
+/// [rowsPerBlock, cols] except the last, which may be shorter, and
+/// rowsPerBlock is a power of two. Same kernel and index check as
+/// indexSelect0. Records no tape: for inputs that never require grad
+/// (features::PinFeatures).
+Tensor indexSelectBlocks(const std::vector<Tensor>& blocks,
+                         std::int64_t rowsPerBlock,
+                         const std::vector<std::int64_t>& index);
 /// Gather rows out of a *list* of 2-D tensors (same column count).
 /// index[i] = {tensor ordinal, row within that tensor}. Used by the
 /// levelized GNN to read embeddings from any earlier level in one op.

@@ -82,6 +82,35 @@ Tensor indexSelect0(const Tensor& t, const std::vector<std::int64_t>& index) {
   return Tensor(std::move(out));
 }
 
+Tensor indexSelectBlocks(const std::vector<Tensor>& blocks,
+                         std::int64_t rowsPerBlock,
+                         const std::vector<std::int64_t>& index) {
+  DAGT_CHECK(!blocks.empty() && rowsPerBlock > 0);
+  DAGT_DCHECK_MSG(!expr::Recorder::active(),
+                  "indexSelectBlocks is not expression-capturable");
+  const Tensor& last = blocks.back();
+  DAGT_CHECK(last.ndim() == 2 && last.dim(0) <= rowsPerBlock);
+  const std::int64_t rows =
+      static_cast<std::int64_t>(blocks.size() - 1) * rowsPerBlock +
+      last.dim(0);
+  const std::int64_t cols = last.dim(1);
+  const std::int64_t outRows = static_cast<std::int64_t>(index.size());
+  auto out = makeOut({outRows, cols});
+  std::vector<const float*>& rowPtrs = rowPtrScratch(index.size());
+  for (std::int64_t r = 0; r < outRows; ++r) {
+    const std::int64_t src = index[static_cast<std::size_t>(r)];
+    DAGT_CHECK_MSG(src >= 0 && src < rows,
+                   "indexSelectBlocks: index " << src << " out of " << rows);
+    const Tensor& block = blocks[static_cast<std::size_t>(src / rowsPerBlock)];
+    DAGT_DCHECK_MSG(block.dim(1) == cols, "indexSelectBlocks: column mismatch");
+    rowPtrs[static_cast<std::size_t>(r)] =
+        block.data() + (src % rowsPerBlock) * cols;
+  }
+  kernels::active().gatherRowsPtrs(rowPtrs.data(), outRows, cols,
+                                   out->data.data());
+  return Tensor(std::move(out));
+}
+
 Tensor gatherRowsMulti(
     const std::vector<Tensor>& mats,
     const std::vector<std::pair<std::int32_t, std::int64_t>>& index) {

@@ -10,6 +10,7 @@ namespace dagt::tensor {
 namespace {
 
 thread_local Workspace* tActiveWorkspace = nullptr;
+std::atomic<std::uint64_t> gNextWorkspaceId{1};
 
 }  // namespace
 
@@ -74,6 +75,7 @@ std::shared_ptr<Buffer> BufferPool::acquire(std::size_t n) {
                                                           << " for request in "
                                                           << bucket);
   buffer->parked_ = false;  // live from here until the deleter releases it
+  buffer->workspace_ = tActiveWorkspace != nullptr ? tActiveWorkspace->id_ : 0;
   bytesOutstanding_.fetch_add(cap * sizeof(float), std::memory_order_relaxed);
 
   return std::shared_ptr<Buffer>(buffer.release(), [](Buffer* raw) {
@@ -98,10 +100,10 @@ void BufferPool::release(std::unique_ptr<Buffer> buffer) {
   const std::size_t bytes = buffer->capacity() * sizeof(float);
   released_.fetch_add(1, std::memory_order_relaxed);
   bytesOutstanding_.fetch_sub(bytes, std::memory_order_relaxed);
-  if (Workspace* ws = tActiveWorkspace) {
-    // Same bound as the global lists: a serve worker's workspace lives as
-    // long as its thread, so buffers it releases but never reacquires
-    // (a replaced snapshot's last reference dropped here) must not pile up.
+  Workspace* ws = tActiveWorkspace;
+  if (ws != nullptr && buffer->workspace_ == ws->id_) {
+    // Only the workspace's own buffers, and no more than the global lists
+    // hold: a step that releases a burst of them must not pin it forever.
     auto& cache = ws->cache_[static_cast<std::size_t>(buffer->bucket())];
     if (cache.size() < kMaxPerBucket) {
       cache.push_back(std::move(buffer));
@@ -168,7 +170,9 @@ std::size_t BufferPool::trim() {
 // Workspace
 // ---------------------------------------------------------------------------
 
-Workspace::Workspace() : previous_(tActiveWorkspace) {
+Workspace::Workspace()
+    : previous_(tActiveWorkspace),
+      id_(gNextWorkspaceId.fetch_add(1, std::memory_order_relaxed)) {
   tActiveWorkspace = this;
 }
 

@@ -11,8 +11,9 @@
 namespace dagt::tensor {
 
 /// Fixed-capacity float buffer. Pool-originated buffers carry the bucket
-/// they came from so release can re-park them; adopted buffers (wrapping a
-/// caller-provided vector) carry bucket -1 and are freed on release.
+/// they came from so release can re-park them, and the Workspace that
+/// handed them out; adopted buffers (wrapping a caller-provided vector)
+/// carry bucket -1 and are freed on release.
 class Buffer {
  public:
   Buffer(std::size_t capacity, int bucket)
@@ -35,6 +36,7 @@ class Buffer {
   std::vector<float> values_;
   int bucket_;  // free-list index in BufferPool; -1 = not poolable
   bool parked_ = false;
+  std::uint64_t workspace_ = 0;  // id of the Workspace that handed it out
 };
 
 /// Counters describing pool behaviour since the last resetStats().
@@ -133,13 +135,18 @@ struct PoolContractTestPeer {
 /// RAII buffer-recycling scope for one unit of repeated work (a training
 /// step, one Monte-Carlo sampling loop, one served batch).
 ///
-/// While a Workspace is active on a thread, buffers released on that
-/// thread are cached locally (no lock, up to kMaxPerBucket per bucket;
-/// the overflow goes to the global lists) and handed back on the next
-/// acquisition; on destruction the remaining cache is returned to the
-/// global BufferPool, so the next step — possibly on another thread —
-/// starts from a warm pool instead of the heap. Workspaces nest; the
-/// innermost one on each thread is active.
+/// While a Workspace is active on a thread, the buffers it handed out that
+/// are released on that thread are cached locally (no lock, up to
+/// kMaxPerBucket per bucket; the overflow goes to the global lists) and
+/// handed back on the next acquisition; on destruction the remaining cache
+/// is returned to the global BufferPool, so the next step — possibly on
+/// another thread — starts from a warm pool instead of the heap. A buffer
+/// acquired elsewhere goes straight to the global lists: a workspace that
+/// lives as long as its thread (a serve worker's) may never acquire that
+/// bucket, and would hoard every such buffer released on it (say, the
+/// level tensors of a memo that a design load's warm-up filled, dropped
+/// by the worker's next memo fill). Workspaces nest; the innermost one on
+/// each thread is active.
 class Workspace {
  public:
   Workspace();
@@ -157,6 +164,7 @@ class Workspace {
   friend class BufferPool;
 
   Workspace* previous_;
+  std::uint64_t id_;  // unique per Workspace, never 0
   std::array<std::vector<std::unique_ptr<Buffer>>, BufferPool::kNumBuckets>
       cache_;
 };

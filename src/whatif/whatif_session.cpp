@@ -144,14 +144,16 @@ void WhatIfSession::sync() {
   DAGT_TRACE_SCOPE("whatif/sync");
   sortUnique(dirtyPins_);
   sortUnique(movedPins_);
-  serve::FeatureService::ConeUpdate update{netlist_,
-                                           node_,
-                                           placement_,
-                                           sta_->timing(),
-                                           std::move(dirtyPins_),
-                                           std::move(movedPins_),
-                                           structural_};
-  lastSync_ = engine_.applyConeUpdate(key_, revision(), std::move(update));
+  // The update reads the session's own netlist, placement and timing in
+  // place: the snapshot it builds keeps none of them.
+  const serve::FeatureService::ConeUpdate update{netlist_,
+                                                 node_,
+                                                 placement_,
+                                                 sta_->timing(),
+                                                 std::move(dirtyPins_),
+                                                 std::move(movedPins_),
+                                                 structural_};
+  lastSync_ = engine_.applyConeUpdate(key_, revision(), update);
   numEndpoints_ = lastSync_.design->numEndpoints();
   dirtyPins_.clear();
   movedPins_.clear();

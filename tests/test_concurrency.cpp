@@ -35,6 +35,7 @@
 #include "features/design_data.hpp"
 #include "serve/model_bundle.hpp"
 #include "serve/prediction_engine.hpp"
+#include "sta/netlist_edits.hpp"
 #include "tensor/expr.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/storage.hpp"
@@ -342,9 +343,10 @@ TEST(ConcurrencyStress, ConeUpdatedSnapshotFillsOnceUnderConcurrentReaders) {
   // each round's new memo has the previous round's filled memo as its
   // base, and the racing first readers must run exactly one cone fill,
   // answer bitwise like a cold engine, and release the base with it. The
-  // base holds the previous snapshot's pin-feature tensor, which nothing
-  // else does once the snapshot is re-routed, so that tensor's lifetime
-  // shows when the base goes.
+  // base holds the previous snapshot's pin-feature blocks. A block the
+  // edit rewrote is held by nothing else once the snapshot is re-routed,
+  // unless the session's revert baseline shares it, so such a block's
+  // lifetime shows when the base goes.
   ThreadCountGuard guard(4);
   const features::DesignData& reference = target7();
   constexpr int kFull = 3;
@@ -353,27 +355,52 @@ TEST(ConcurrencyStress, ConeUpdatedSnapshotFillsOnceUnderConcurrentReaders) {
     auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/8, batching);
     whatif::WhatIfSession session(*engine, "smallboom", reference.netlist,
                                   reference.node, reference.placement);
+    const std::shared_ptr<const ServableDesign> baseline =
+        engine->currentSnapshot("smallboom");
     const std::int64_t endpointCount = session.numEndpoints();
     const std::int64_t numPins = session.netlist().numPins();
     netlist::CellId cell = 0;
-    // Resizes the next resizable cell; the first one leaves the session's
-    // revert baseline, which pins its snapshot, behind.
-    const auto resizeNext = [&] {
-      for (; cell < session.netlist().numCells(); ++cell) {
-        if (session.resizeCell(cell, /*up=*/true)) break;
-      }
-      ASSERT_LT(cell++, session.netlist().numCells());
+    while (cell < session.netlist().numCells() &&
+           sta::upsizedVariant(session.netlist(), cell) ==
+               netlist::kInvalidCellType) {
+      ++cell;
+    }
+    ASSERT_LT(cell, session.netlist().numCells());
+    // Resizes one cell up and down in turn, so every round rewrites the
+    // blocks of its pins, which the first resize took off the baseline.
+    bool up = true;
+    const auto resize = [&] {
+      ASSERT_TRUE(session.resizeCell(cell, up));
+      up = !up;
     };
-    resizeNext();
+    resize();
     (void)session.predict({0});
     for (int round = 0; round < 3; ++round) {
-      const std::weak_ptr<tensor::TensorImpl> basePinFeatures =
-          engine->currentSnapshot("smallboom")->data.pinFeatures.impl();
-      resizeNext();
+      std::shared_ptr<const ServableDesign> base =
+          engine->currentSnapshot("smallboom");
+      resize();
       session.sync();
       ASSERT_FALSE(session.lastSync().structuralRebuild);
-      EXPECT_FALSE(basePinFeatures.expired())
-          << "the sync released the base; its fill should";
+      // The base's blocks this edit rewrote and the baseline does not hold.
+      std::vector<std::weak_ptr<tensor::TensorImpl>> rewritten;
+      {
+        const auto& was = base->data.pinFeatures;
+        const auto& now =
+            engine->currentSnapshot("smallboom")->data.pinFeatures;
+        const auto& first = baseline->data.pinFeatures;
+        for (std::int64_t b = 0; b < was.numBlocks(); ++b) {
+          if (now.block(b).data() != was.block(b).data() &&
+              first.block(b).data() != was.block(b).data()) {
+            rewritten.push_back(was.block(b).impl());
+          }
+        }
+      }
+      base.reset();
+      ASSERT_FALSE(rewritten.empty()) << "round " << round;
+      for (const auto& block : rewritten) {
+        EXPECT_FALSE(block.expired())
+            << "the sync released the base; its fill should";
+      }
 
       auto cold = makeEngine(/*workers=*/1, /*maxBatch=*/8, /*batching=*/false);
       cold->loadDesign("cold", session.netlist(), reference.node,
@@ -420,9 +447,11 @@ TEST(ConcurrencyStress, ConeUpdatedSnapshotFillsOnceUnderConcurrentReaders) {
       EXPECT_GT(rows, 0u);
       EXPECT_LT(rows, static_cast<std::uint64_t>(numPins))
           << "a resize should fill the cone, not sweep the design";
-      EXPECT_TRUE(basePinFeatures.expired())
-          << "batching=" << batching << " round " << round
-          << ": the fill kept its base";
+      for (const auto& block : rewritten) {
+        EXPECT_TRUE(block.expired())
+            << "batching=" << batching << " round " << round
+            << ": the fill kept its base";
+      }
     }
   }
 }

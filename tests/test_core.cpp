@@ -144,7 +144,7 @@ TEST(Losses, GaussianKlMatchesClosedFormScalarCase) {
 TEST(TimingGnn, EmbeddingsBoundedOnDeepDesign) {
   Rng rng(8);
   const auto& d = target7();
-  TimingGnn gnn(d.pinFeatures.dim(1), 32, rng);
+  TimingGnn gnn(d.pinFeatures.dim(), 32, rng);
   const auto out = gnn.forward(*d.graph, d.pinFeatures);
   ASSERT_EQ(static_cast<std::int32_t>(out.levelEmbeddings.size()),
             d.graph->numLevels());
@@ -159,7 +159,7 @@ TEST(TimingGnn, EmbeddingsBoundedOnDeepDesign) {
 TEST(TimingGnn, SelectReturnsEndpointRows) {
   Rng rng(9);
   const auto& d = target7();
-  TimingGnn gnn(d.pinFeatures.dim(1), 16, rng);
+  TimingGnn gnn(d.pinFeatures.dim(), 16, rng);
   const auto out = gnn.forward(*d.graph, d.pinFeatures);
   const auto endpoints = d.netlist.endpoints();
   const Tensor sel = TimingGnn::select(out, endpoints);

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "features/design_data.hpp"
 #include "features/feature_builder.hpp"
 #include "features/path_extractor.hpp"
+#include "features/pin_features.hpp"
 #include "features/pin_graph.hpp"
+#include "tensor/ops.hpp"
 
 namespace dagt::features {
 namespace {
@@ -77,14 +83,14 @@ TEST(PinGraph, LocateRoundTrips) {
 TEST(FeatureBuilder, RowsAreOneHotAndFinite) {
   const auto& d = arm9();
   const auto& t = d.pinFeatures;
-  const std::int64_t dim = t.dim(1);
+  const std::int64_t dim = t.dim();
   const std::int64_t vocabSize = pipeline().vocabulary().size();
   ASSERT_EQ(dim, FeatureBuilder::kNumericFeatures + vocabSize);
-  for (std::int64_t r = 0; r < t.dim(0); ++r) {
+  for (std::int64_t r = 0; r < t.numPins(); ++r) {
     float onehotSum = 0.0f;
     float kindSum = 0.0f;
     for (std::int64_t c = 0; c < dim; ++c) {
-      const float v = t.at(r, c);
+      const float v = t.row(r)[c];
       EXPECT_TRUE(std::isfinite(v));
       if (c >= FeatureBuilder::kNumericFeatures) onehotSum += v;
       if (c >= 3 && c <= 6) kindSum += v;
@@ -104,9 +110,9 @@ TEST(FeatureBuilder, NodesUseDisjointVocabularySlots) {
       pipeline().library(netlist::TechNode::k130nm).numCells();
   auto activeSlots = [&](const DesignData& d) {
     std::set<std::int64_t> slots;
-    for (std::int64_t r = 0; r < d.pinFeatures.dim(0); ++r) {
-      for (std::int64_t c = base; c < d.pinFeatures.dim(1); ++c) {
-        if (d.pinFeatures.at(r, c) > 0.5f) slots.insert(c - base);
+    for (std::int64_t r = 0; r < d.pinFeatures.numPins(); ++r) {
+      for (std::int64_t c = base; c < d.pinFeatures.dim(); ++c) {
+        if (d.pinFeatures.row(r)[c] > 0.5f) slots.insert(c - base);
       }
     }
     return slots;
@@ -239,6 +245,118 @@ TEST(DataPipeline, ThreeNodePipelineBuildsCustomDesigns) {
     return s / static_cast<double>(v.size());
   };
   EXPECT_LT(mean(d45.labels), mean(d130.labels));
+}
+
+// -- Pin features as shared row blocks ---------------------------------------
+
+constexpr std::int64_t kBlockRows = PinFeatures::kRowsPerBlock;
+// Three full blocks and a partial last one.
+constexpr std::int64_t kPins = 3 * kBlockRows + 29;
+constexpr std::int64_t kDim = 13;
+
+tensor::Tensor denseFeatures(std::uint64_t seed) {
+  Rng rng(seed);
+  return tensor::Tensor::randn({kPins, kDim}, rng);
+}
+
+bool rowEquals(const float* a, const float* b) {
+  return std::memcmp(a, b, static_cast<std::size_t>(kDim) * sizeof(float)) ==
+         0;
+}
+
+TEST(PinFeatures, GatherMatchesIndexSelectBitwise) {
+  const tensor::Tensor dense = denseFeatures(0x9a7e);
+  const PinFeatures features(dense);
+  ASSERT_EQ(features.numPins(), kPins);
+  ASSERT_EQ(features.numBlocks(), 4);
+  EXPECT_EQ(features.block(3).dim(0), 29);
+  Rng rng(0x9a7f);
+  for (int trial = 0; trial < 16; ++trial) {
+    std::vector<std::int64_t> index(
+        static_cast<std::size_t>(rng.uniformInt(1, 300)));
+    for (std::int64_t& pin : index) pin = rng.uniformInt(0, kPins - 1);
+    index.push_back(kPins - 1);      // the partial block's last row
+    index.push_back(index.front());  // a repeat
+    const tensor::Tensor got = features.gather(index);
+    const tensor::Tensor want = tensor::indexSelect0(dense, index);
+    ASSERT_EQ(got.shape(), want.shape());
+    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<std::size_t>(want.numel()) *
+                              sizeof(float)),
+              0)
+        << "trial " << trial;
+  }
+  EXPECT_THROW(features.gather({kPins}), CheckError);
+  EXPECT_THROW(features.gather({-1}), CheckError);
+}
+
+TEST(PinFeatures, WritingACopyLeavesTheOriginalAndSharesTheRest) {
+  const tensor::Tensor dense = denseFeatures(0x57a3);
+  const PinFeatures original(dense);
+  PinFeatures copy = original;
+  const std::int64_t pin = kBlockRows + 5;  // block 1
+  copy.mutableRow(pin)[2] += 1.0f;
+  const float* clone = copy.block(1).data();
+  copy.mutableRow(pin + 1)[0] = 7.0f;  // the clone is written in place
+  EXPECT_EQ(copy.block(1).data(), clone);
+  EXPECT_EQ(copy.row(pin)[2], dense.data()[pin * kDim + 2] + 1.0f);
+
+  for (std::int64_t p = 0; p < kPins; ++p) {
+    ASSERT_TRUE(rowEquals(original.row(p), dense.data() + p * kDim))
+        << "original row " << p;
+  }
+  for (std::int64_t b = 0; b < original.numBlocks(); ++b) {
+    if (b == 1) {
+      EXPECT_NE(copy.block(b).data(), original.block(b).data());
+    } else {
+      EXPECT_EQ(copy.block(b).data(), original.block(b).data())
+          << "block " << b;
+    }
+  }
+
+  // A copy of the writer shares its clone, so the next write clones again
+  // and the second copy keeps what it saw.
+  const PinFeatures second = copy;
+  copy.mutableRow(pin + 1)[0] = 8.0f;
+  EXPECT_NE(copy.block(1).data(), second.block(1).data());
+  EXPECT_EQ(second.row(pin + 1)[0], 7.0f);
+  EXPECT_EQ(copy.row(pin + 1)[0], 8.0f);
+}
+
+TEST(PinFeatures, ChangedRowsMatchABruteForceDiff) {
+  const tensor::Tensor dense = denseFeatures(0xd1ff);
+  const PinFeatures base(dense);
+  PinFeatures edited = base;
+  Rng rng(0xd200);
+  // Seeded edits outside the last block.
+  for (int k = 0; k < 12; ++k) {
+    const std::int64_t pin = rng.uniformInt(0, 3 * kBlockRows - 1);
+    edited.mutableRow(pin)[rng.uniformInt(0, kDim - 1)] += 1.0f;
+  }
+  // A row rewritten to the bytes it had: its block is cloned, but the row
+  // did not change.
+  const std::int64_t same = kPins - 1;
+  float* row = edited.mutableRow(same);
+  const std::vector<float> kept(row, row + kDim);
+  std::fill(row, row + kDim, 0.0f);
+  std::copy(kept.begin(), kept.end(), row);
+  ASSERT_NE(edited.block(3).data(), base.block(3).data());
+
+  std::vector<netlist::PinId> brute;
+  for (std::int64_t p = 0; p < kPins; ++p) {
+    if (!rowEquals(edited.row(p), base.row(p))) {
+      brute.push_back(static_cast<netlist::PinId>(p));
+    }
+  }
+  ASSERT_FALSE(brute.empty());
+  EXPECT_EQ(std::count(brute.begin(), brute.end(),
+                       static_cast<netlist::PinId>(same)),
+            0);
+  EXPECT_EQ(edited.changedRows(base), brute);
+  EXPECT_EQ(base.changedRows(edited), brute);
+  // Equal bytes in blocks shared with nothing: no row differs.
+  EXPECT_TRUE(PinFeatures(dense.clone()).changedRows(base).empty());
+  EXPECT_TRUE(base.changedRows(base).empty());
 }
 
 }  // namespace

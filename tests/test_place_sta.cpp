@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.hpp"
 #include "designgen/design_suite.hpp"
 #include "place/layout_maps.hpp"
 #include "place/placer.hpp"
+#include "sta/netlist_edits.hpp"
 #include "sta/sta_engine.hpp"
 #include "sta/timing_optimizer.hpp"
 
@@ -72,8 +76,10 @@ TEST(Placer, PortsSitOnDieBoundary) {
 TEST(LayoutMaps, ChannelsAreBoundedAndNonTrivial) {
   PlacedDesign d("or1200", 0.3f);
   const place::LayoutMaps maps(d.nl, d.placement, 32);
-  const auto& img = maps.image();
-  ASSERT_EQ(img.size(), 3u * 32 * 32);
+  ASSERT_EQ(place::LayoutMaps::kNumChannels, 3);
+  for (std::int32_t c = 0; c < place::LayoutMaps::kNumChannels; ++c) {
+    ASSERT_EQ(maps.channel(c).size(), 32u * 32);
+  }
   float densitySum = 0.0f, rudySum = 0.0f, macroSum = 0.0f;
   for (std::int32_t gy = 0; gy < 32; ++gy) {
     for (std::int32_t gx = 0; gx < 32; ++gx) {
@@ -89,6 +95,46 @@ TEST(LayoutMaps, ChannelsAreBoundedAndNonTrivial) {
   EXPECT_GT(densitySum, 0.0f);
   EXPECT_GT(rudySum, 0.0f);
   EXPECT_GT(macroSum, 0.0f);  // macros exist for designs this size
+}
+
+TEST(LayoutMaps, DensityUpdateAfterResizesEqualsAColdBuild) {
+  // Maps built from their predecessor's after each batch of seeded resizes
+  // share its RUDY and macro planes and must equal a cold build bitwise.
+  PlacedDesign d("or1200", 0.3f);
+  Rng rng(0x1a40);
+  for (const std::int32_t res : {16, 32}) {
+    Netlist nl = d.nl;
+    const place::LayoutMaps first(nl, d.placement, res);
+    place::LayoutMaps maps = first;
+    bool densityMoved = false;
+    for (int step = 0; step < 6; ++step) {
+      for (int resized = 0; resized < 4;) {
+        const auto cell = static_cast<netlist::CellId>(
+            rng.uniformInt(static_cast<std::uint64_t>(nl.numCells())));
+        const netlist::CellTypeId variant =
+            rng.uniform() < 0.5 ? sta::upsizedVariant(nl, cell)
+                                : sta::downsizedVariant(nl, cell);
+        if (variant == netlist::kInvalidCellType) continue;
+        nl.resizeCell(cell, variant);
+        ++resized;
+      }
+      const place::LayoutMaps updated(maps, nl);
+      const place::LayoutMaps cold(nl, d.placement, res);
+      for (std::int32_t c = 0; c < place::LayoutMaps::kNumChannels; ++c) {
+        ASSERT_EQ(updated.channel(c).size(), cold.channel(c).size());
+        ASSERT_EQ(std::memcmp(updated.channel(c).data(),
+                              cold.channel(c).data(),
+                              cold.channel(c).size() * sizeof(float)),
+                  0)
+            << "resolution " << res << " step " << step << " channel " << c;
+      }
+      EXPECT_EQ(&updated.channel(1), &maps.channel(1));
+      EXPECT_EQ(&updated.channel(2), &maps.channel(2));
+      densityMoved = densityMoved || updated.channel(0) != first.channel(0);
+      maps = updated;
+    }
+    EXPECT_TRUE(densityMoved) << "resolution " << res;
+  }
 }
 
 TEST(LayoutMaps, MacroChannelMatchesMacroRects) {

@@ -202,12 +202,15 @@ TEST(FeatureService, RebuildsTrainingFeaturesExactly) {
   const auto servable = service.fromNetlist(
       "smallboom", "r1", reference.netlist, reference.node,
       reference.placement);
-  ASSERT_EQ(servable->data.pinFeatures.shape(),
-            reference.pinFeatures.shape());
-  const float* a = servable->data.pinFeatures.data();
-  const float* b = reference.pinFeatures.data();
-  for (std::int64_t i = 0; i < reference.pinFeatures.numel(); ++i) {
-    ASSERT_FLOAT_EQ(a[i], b[i]) << "pin feature " << i;
+  const features::PinFeatures& served = servable->data.pinFeatures;
+  ASSERT_EQ(served.numPins(), reference.pinFeatures.numPins());
+  ASSERT_EQ(served.dim(), reference.pinFeatures.dim());
+  for (std::int64_t pin = 0; pin < served.numPins(); ++pin) {
+    const float* a = served.row(pin);
+    const float* b = reference.pinFeatures.row(pin);
+    for (std::int64_t c = 0; c < served.dim(); ++c) {
+      ASSERT_FLOAT_EQ(a[c], b[c]) << "pin " << pin << " feature " << c;
+    }
   }
   EXPECT_EQ(servable->data.preRouteArrivals, reference.preRouteArrivals);
 }

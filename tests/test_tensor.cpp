@@ -430,9 +430,10 @@ TEST(Pool, WorkspaceCachesAndDrainsToGlobalPool) {
 }
 
 TEST(Pool, WorkspaceCacheIsBoundedPerBucket) {
-  // A long-lived workspace (a serve worker's) that releases more buffers
-  // of one bucket than it ever reacquires keeps at most kMaxPerBucket; the
-  // rest go to the (equally bounded) global list or back to the heap.
+  // A workspace that gets back more of its own buffers of one bucket than
+  // it reacquires (a burst of live tensors in one step) keeps at most
+  // kMaxPerBucket; the rest go to the (equally bounded) global list or
+  // back to the heap.
   constexpr std::size_t kElems = std::size_t{1} << 13;  // one bucket
   constexpr std::size_t kCount = 2 * BufferPool::kMaxPerBucket + 1;
   constexpr std::uint64_t kBytes = kElems * sizeof(float);
@@ -453,6 +454,30 @@ TEST(Pool, WorkspaceCacheIsBoundedPerBucket) {
   EXPECT_LE(stats.bytesPooled - pooledBefore,
             2 * BufferPool::kMaxPerBucket * kBytes);
   EXPECT_EQ(stats.freed, kCount - 2 * BufferPool::kMaxPerBucket);
+}
+
+TEST(Pool, WorkspaceCachesOnlyBuffersItHandedOut) {
+  // A long-lived workspace (a serve worker's) also gets back buffers that
+  // were acquired elsewhere, such as the level tensors of the memo a
+  // design load's warm-up filled, dropped by the worker's next memo fill.
+  // It may never acquire their bucket, so they go to the global list,
+  // while the buffers it handed out stay in its cache.
+  BufferPool& pool = BufferPool::global();
+  pool.trim();
+  pool.resetStats();
+  Storage foreign = Storage::allocate(100);
+  Workspace ws;
+  Storage own = Storage::allocate(100);
+  own.reset();
+  EXPECT_EQ(ws.cachedBuffers(), 1u);
+  foreign.reset();
+  EXPECT_EQ(ws.cachedBuffers(), 1u);
+  EXPECT_EQ(pool.stats().released, 2u);
+  EXPECT_EQ(pool.trim(), 1u);  // the global list held the foreign buffer
+  // The cached one is handed back without touching the global list.
+  { Storage again = Storage::allocate(100); (void)again; }
+  EXPECT_EQ(pool.stats().workspaceReuses, 1u);
+  EXPECT_EQ(pool.stats().poolReuses, 0u);
 }
 
 TEST(Pool, SteadyStateForwardIsAllocationFree) {

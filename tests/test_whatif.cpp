@@ -32,6 +32,7 @@
 #include "common/rng.hpp"
 #include "designgen/design_suite.hpp"
 #include "features/design_data.hpp"
+#include "features/path_extractor.hpp"
 #include "netlist/cell_library.hpp"
 #include "obs/trace.hpp"
 #include "place/placer.hpp"
@@ -400,15 +401,17 @@ TEST(WhatIfSession, ConeFilledMemosMatchColdLoadsAtEveryTier) {
   expectConeFillsMatchColdLoads(0xc0e1ULL);
 }
 
-/// Pins whose pin-feature rows differ bitwise between two snapshots.
-std::vector<netlist::PinId> changedFeatureRows(const tensor::Tensor& before,
-                                               const tensor::Tensor& after) {
-  EXPECT_EQ(before.shape(), after.shape());
-  const std::int64_t cols = after.dim(1);
+/// Pins whose pin-feature rows differ bitwise between two snapshots,
+/// comparing every row (PinFeatures::changedRows skips shared blocks).
+std::vector<netlist::PinId> changedFeatureRows(
+    const features::PinFeatures& before, const features::PinFeatures& after) {
+  EXPECT_EQ(before.numPins(), after.numPins());
+  EXPECT_EQ(before.dim(), after.dim());
+  const std::size_t rowBytes =
+      static_cast<std::size_t>(after.dim()) * sizeof(float);
   std::vector<netlist::PinId> changed;
-  for (std::int64_t pin = 0; pin < after.dim(0); ++pin) {
-    if (std::memcmp(before.data() + pin * cols, after.data() + pin * cols,
-                    static_cast<std::size_t>(cols) * sizeof(float)) != 0) {
+  for (std::int64_t pin = 0; pin < after.numPins(); ++pin) {
+    if (std::memcmp(before.row(pin), after.row(pin), rowBytes) != 0) {
       changed.push_back(static_cast<netlist::PinId>(pin));
     }
   }
@@ -486,6 +489,107 @@ TEST(WhatIfSession, RowsComputedCountTheDirtyFanoutCone) {
             static_cast<std::uint64_t>(session.netlist().numPins()));
   const std::string json = buffered.toJson().dump();
   EXPECT_NE(json.find("\"graph_memo_rows_computed\""), std::string::npos);
+}
+
+TEST(WhatIfSession, ResizeSyncSharesWhatItDidNotRewrite) {
+  // A resize sync shares with its predecessor the pin graph, the paths,
+  // the RUDY and macro channels and every pin-feature block without a
+  // rewritten row. The rewritten rows are the resized cell's pins, the
+  // drivers and sinks of their nets, and the pins whose timing changed.
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  const auto before = f.engine.currentSnapshot("wi");
+  const sta::TimingResult timingBefore = session.timing();
+  const netlist::CellId cell = findResizable(session.netlist());
+  ASSERT_TRUE(session.resizeCell(cell, /*up=*/true));
+  session.sync();
+  ASSERT_FALSE(session.lastSync().structuralRebuild);
+  const auto after = f.engine.currentSnapshot("wi");
+  ASSERT_NE(after.get(), before.get());
+
+  EXPECT_EQ(after->data.graph, before->data.graph);
+  EXPECT_EQ(after->data.pathsPtr, before->data.pathsPtr);
+  EXPECT_NE(&after->data.maps->channel(0), &before->data.maps->channel(0));
+  EXPECT_EQ(&after->data.maps->channel(1), &before->data.maps->channel(1));
+  EXPECT_EQ(&after->data.maps->channel(2), &before->data.maps->channel(2));
+  // Served snapshots keep no netlist.
+  EXPECT_EQ(before->data.netlist.numPins(), 0);
+  EXPECT_EQ(after->data.netlist.numPins(), 0);
+
+  const netlist::Netlist& nl = session.netlist();
+  std::vector<std::uint8_t> rewritten(static_cast<std::size_t>(nl.numPins()),
+                                      0);
+  std::vector<netlist::PinId> cellPins = nl.cell(cell).inputPins;
+  cellPins.push_back(nl.cell(cell).outputPin);
+  for (const netlist::PinId p : cellPins) {
+    rewritten[static_cast<std::size_t>(p)] = 1;
+    const netlist::Net& net = nl.net(nl.pin(p).net);
+    rewritten[static_cast<std::size_t>(net.driver)] = 1;
+    for (const netlist::PinId sink : net.sinks) {
+      rewritten[static_cast<std::size_t>(sink)] = 1;
+    }
+  }
+  const sta::TimingResult& timingAfter = session.timing();
+  for (std::size_t p = 0; p < rewritten.size(); ++p) {
+    if (std::memcmp(&timingBefore.arrival[p], &timingAfter.arrival[p],
+                    sizeof(float)) != 0 ||
+        std::memcmp(&timingBefore.slew[p], &timingAfter.slew[p],
+                    sizeof(float)) != 0) {
+      rewritten[p] = 1;
+    }
+  }
+  const features::PinFeatures& was = before->data.pinFeatures;
+  const features::PinFeatures& now = after->data.pinFeatures;
+  constexpr std::int64_t kRows = features::PinFeatures::kRowsPerBlock;
+  std::int64_t cloned = 0;
+  for (std::int64_t b = 0; b < now.numBlocks(); ++b) {
+    const std::int64_t first = b * kRows;
+    const std::int64_t last = std::min(first + kRows, now.numPins());
+    const bool holdsRewritten =
+        std::any_of(rewritten.begin() + first, rewritten.begin() + last,
+                    [](std::uint8_t r) { return r != 0; });
+    const bool shared = now.block(b).data() == was.block(b).data();
+    EXPECT_EQ(shared, !holdsRewritten) << "block " << b;
+    cloned += shared ? 0 : 1;
+  }
+  EXPECT_GT(cloned, 0);
+  EXPECT_LT(cloned, now.numBlocks());
+}
+
+TEST(WhatIfSession, MovedConesRemaskLikeAFreshExtraction) {
+  // A move keeps every cone's pins and recomputes the mask bins of the
+  // cones it touched; each path must equal extractOne's on the moved
+  // netlist, over maps built here from scratch.
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  const auto loaded = f.engine.currentSnapshot("wi");
+  const Rect die = f.placement.dieArea;
+  Rng rng(0x3a5c);
+  for (int m = 0; m < 6; ++m) {
+    const auto cell = static_cast<netlist::CellId>(rng.uniformInt(
+        static_cast<std::uint64_t>(session.netlist().numCells())));
+    session.moveCell(
+        cell, Point{static_cast<float>(rng.uniform(die.lo.x, die.hi.x)),
+                    static_cast<float>(rng.uniform(die.lo.y, die.hi.y))});
+    if (m % 2 == 1) session.sync();  // each sync carries two moves
+  }
+  const auto moved = f.engine.currentSnapshot("wi");
+  const place::LayoutMaps maps(session.netlist(), f.placement,
+                               dataConfig().imageResolution);
+  const std::vector<netlist::PinId> endpoints = session.netlist().endpoints();
+  ASSERT_EQ(moved->data.paths().size(), endpoints.size());
+  int remasked = 0;
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    const features::TimingPath want =
+        features::PathExtractor::extractOne(session.netlist(), &maps,
+                                            endpoints[i]);
+    const features::TimingPath& got = moved->data.paths()[i];
+    ASSERT_EQ(got.endpoint, want.endpoint) << "path " << i;
+    ASSERT_EQ(got.conePins, want.conePins) << "path " << i;
+    ASSERT_EQ(got.maskBins, want.maskBins) << "path " << i;
+    remasked += got.maskBins != loaded->data.paths()[i].maskBins ? 1 : 0;
+  }
+  EXPECT_GT(remasked, 0);
 }
 
 TEST(WhatIfSession, ResizeAndMoveEditsCompileNoPrograms) {

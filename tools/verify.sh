@@ -15,7 +15,7 @@
 #             GNN cone fills bitwise equal fused vs unfused and to a full
 #             sweep, with no program compiled after the first fill
 #   asan      ASan/UBSan build, tensor + concurrency + parser-robustness
-#             + what-if suites
+#             + what-if + serve suites
 #   tsan      ThreadSanitizer build, concurrency stress suite
 #   obs       ThreadSanitizer build, tracing-layer suite (dagt_obs_tests)
 #   whatif    ThreadSanitizer build of the what-if suite + bench_whatif
@@ -76,16 +76,19 @@ run_analyze() {
 }
 
 # The what-if suite is here for the GNN memo's cone fills, which write
-# recomputed rows into cloned level tensors at computed indices.
+# recomputed rows into cloned level tensors at computed indices, and for
+# the copy-on-write pin-feature blocks. The serve suite is here because a
+# cold feature build reads the caller's netlist through a reference.
 run_asan() {
   cmake -B build-asan -S . -DDAGT_SANITIZE="address;undefined" &&
     cmake --build build-asan -j "$JOBS" \
       --target dagt_tensor_tests dagt_concurrency_tests \
-      dagt_robustness_tests dagt_whatif_tests &&
+      dagt_robustness_tests dagt_whatif_tests dagt_serve_tests &&
     ./build-asan/tests/dagt_tensor_tests &&
     ./build-asan/tests/dagt_concurrency_tests &&
     ./build-asan/tests/dagt_robustness_tests &&
-    ./build-asan/tests/dagt_whatif_tests
+    ./build-asan/tests/dagt_whatif_tests &&
+    ./build-asan/tests/dagt_serve_tests
 }
 
 run_tsan() {
