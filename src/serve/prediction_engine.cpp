@@ -175,7 +175,6 @@ core::DesignBatch PredictionEngine::DesignRef::batch(
 }
 
 void PredictionEngine::warmUp(const DesignRef& ref) {
-  if (!config_.warmFusion) return;
   if (ref.design->numEndpoints() <= 0) return;
   DAGT_TRACE_SCOPE("serve/warm_fusion");
   tensor::NoGradGuard guard;

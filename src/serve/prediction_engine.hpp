@@ -39,11 +39,6 @@ struct EngineConfig {
   bool batching = true;
   /// Monte-Carlo samples for Bayesian-head bundles on the batched path.
   std::int32_t mcSamples = 8;
-  /// One single-endpoint warm forward at loadDesign time. It fills the
-  /// snapshot's GNN memo and compiles the fused forward programs, so the
-  /// first real query pays neither the sweep nor the compile. Off: the
-  /// first query does both.
-  bool warmFusion = true;
   /// Learned prediction cache (uncertainty-gated ANN retrieval over the
   /// model's disentangled embeddings). Off by default; every knob comes
   /// from DAGT_RETRIEVAL* (see retrieval::CacheConfig and
@@ -173,9 +168,9 @@ class PredictionEngine {
   /// graph_memo_rows_computed, filled from `base` where it can be.
   std::shared_ptr<core::GraphMemo> newGraphMemo(
       std::shared_ptr<const core::GraphMemo> base = nullptr);
-  /// The load-time warm forward (see EngineConfig::warmFusion): fills the
-  /// snapshot's GNN memo and compiles its fused programs. No-op when
-  /// warmFusion is off.
+  /// The load-time warm forward: one single-endpoint forward that fills
+  /// the snapshot's GNN memo and compiles its fused programs, so the first
+  /// real query pays neither the sweep nor the compile.
   void warmUp(const DesignRef& ref);
   /// Run one forward over the union of the groups' endpoints and fulfill
   /// their promises. noexcept-ish: failures land in the promises.

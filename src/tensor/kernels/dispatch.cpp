@@ -17,8 +17,8 @@ namespace dagt::tensor::kernels {
 
 namespace {
 
-// Canonical tier names, indexed by Tier. tools/check_docs.sh extracts these
-// literals to drift-check docs/performance.md — keep them on one line each.
+// Canonical tier names, indexed by Tier. dagt-analyze reads these literals
+// to drift-check docs/performance.md.
 const char* const kTierNames[kTierCount] = {
     "scalar",
     "avx2",

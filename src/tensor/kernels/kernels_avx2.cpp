@@ -447,7 +447,7 @@ struct LevelOps {
 }  // namespace avx2
 
 // Assignment style (see kernels_scalar.cpp): new members get registered by
-// name, and dagt-lint's fused-kernel-registration rule checks they are.
+// name, and dagt-analyze's kernel-table-complete rule checks they are.
 const KernelTable& avx2Table() {
   static const KernelTable t = [] {
     KernelTable x{};

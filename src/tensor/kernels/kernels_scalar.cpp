@@ -201,8 +201,8 @@ struct LevelOps {
 }  // namespace scalar
 
 // Assignment style (not a positional aggregate) so adding a KernelTable
-// member can never silently shift later entries; dagt-lint's
-// fused-kernel-registration rule keys off these named assignments.
+// member can never silently shift later entries; dagt-analyze's
+// kernel-table-complete rule keys off these named assignments.
 const KernelTable& scalarTable() {
   static const KernelTable t = [] {
     KernelTable x{};

@@ -32,7 +32,7 @@ void gemmAcc(const float* a, const float* b, float* c, std::int64_t n,
   if (panelSize > 0 && n >= static_cast<std::int64_t>(2 * kGemmRowGrain)) {
     // Pooled scratch, not an op output: the packed panel is shared by every
     // parallelForRange worker and dies with this call.
-    Storage panel =  // dagt-lint: allow(kernel-alloc) -- pooled shared scratch
+    Storage panel =  // dagt-analyze: allow(kernel-alloc) -- shared scratch
         Storage::allocate(static_cast<std::size_t>(panelSize));
     kt.gemmPackB(b, k, m, panel.data());
     const float* packed = panel.data();

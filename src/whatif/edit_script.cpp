@@ -12,8 +12,8 @@ namespace dagt::whatif {
 
 namespace {
 
-// DOCS:WHATIF_COMMANDS_BEGIN  (tools/check_docs.sh extracts the command
-// names from this table and requires each one in docs/whatif.md)
+// dagt-analyze reads the command names from this initializer (the first
+// string of each entry) and requires each one in docs/whatif.md.
 const WhatifCommand kWhatifCommands[] = {
     {"resize", "resize <cell> up|down",
      "swap the cell to the next larger/smaller drive of the same function"},
@@ -36,7 +36,6 @@ const WhatifCommand kWhatifCommands[] = {
     {"help", "help", "list the commands"},
     {"quit", "quit", "end the session"},
 };
-// DOCS:WHATIF_COMMANDS_END
 
 std::vector<std::string> tokenize(const std::string& line) {
   std::istringstream in(line);

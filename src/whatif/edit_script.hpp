@@ -10,7 +10,8 @@ namespace dagt::whatif {
 
 /// One command of the what-if language (shared by edit files and the
 /// REPL). The full table lives in edit_script.cpp; docs/whatif.md must
-/// document every command name (enforced by tools/check_docs.sh).
+/// document every command name (enforced by dagt-analyze's command-drift
+/// row).
 struct WhatifCommand {
   const char* name;
   const char* usage;

@@ -4,12 +4,22 @@
 
 class Left {
  public:
+  void bump() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++hits_;
+  }
   std::mutex mutex_;
+  int hits_ = 0;  // GUARDED_BY(mutex_)
 };
 
 class Right {
  public:
+  void bump() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++hits_;
+  }
   std::mutex mutex_;
+  int hits_ = 0;  // GUARDED_BY(mutex_)
 };
 
 void stir(Left* left) {

@@ -12,5 +12,6 @@ class Cache {
 
  private:
   std::mutex mutex_;
+  int adds_ = 0;  // GUARDED_BY(mutex_)
   std::vector<int> values_;
 };

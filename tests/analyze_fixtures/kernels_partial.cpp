@@ -5,5 +5,6 @@
 KernelTable makePartialTable() {
   KernelTable table{};
   table.axpy = nullptr;
+  table.fusedEwRows = nullptr;
   return table;
 }

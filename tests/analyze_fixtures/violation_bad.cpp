@@ -14,4 +14,6 @@ class Engine {
  private:
   std::mutex a_;
   std::mutex b_;
+  int filled_ = 0;   // GUARDED_BY(a_)
+  int drained_ = 0;  // GUARDED_BY(b_)
 };

@@ -2,18 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
 
-#include "lexer.hpp"
-
 namespace dagt::analyze {
-
-using lint::LexedFile;
-using lint::Token;
-using lint::TokenKind;
 
 namespace {
 
@@ -28,6 +21,12 @@ bool isKeyword(const std::string& t) {
       "assert",       "defined",      "alignas",
       "typeid",       "co_await",     "co_return"};
   return kw.count(t) != 0;
+}
+
+bool isKnobName(const std::string& s) {
+  return s.size() > 5 && startsWith(s, "DAGT_") &&
+         s.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_") ==
+             std::string::npos;
 }
 
 bool isLockType(const std::string& t) {
@@ -56,7 +55,6 @@ struct ScopeFrame {
   Kind kind = kBlock;
   std::string name;       // namespace/class name or function name
   std::string className;  // for kFunction: qualifying class
-  int startLine = 0;
 };
 
 struct Guard {
@@ -132,8 +130,8 @@ class Extractor {
                            const char* close) const {
     int depth = 0;
     while (i < toks_.size()) {
-      if (lint::tokenIs(toks_, i, open)) ++depth;
-      if (lint::tokenIs(toks_, i, close)) {
+      if (tokenIs(toks_, i, open)) ++depth;
+      if (tokenIs(toks_, i, close)) {
         --depth;
         if (depth == 0) return i + 1;
       }
@@ -149,12 +147,12 @@ class Extractor {
     int depth = 0;
     std::size_t k = i;
     while (k < toks_.size()) {
-      if (lint::tokenIs(toks_, k, "<")) ++depth;
-      if (lint::tokenIs(toks_, k, ">")) {
+      if (tokenIs(toks_, k, "<")) ++depth;
+      if (tokenIs(toks_, k, ">")) {
         --depth;
         if (depth == 0) return k + 1;
       }
-      if (lint::tokenIs(toks_, k, ";") || lint::tokenIs(toks_, k, "{")) break;
+      if (tokenIs(toks_, k, ";") || tokenIs(toks_, k, "{")) break;
       ++k;
     }
     return i;
@@ -166,17 +164,17 @@ class Extractor {
     std::size_t i = 0;
     while (i < toks_.size()) {
       const Token& t = toks_[i];
-      if (lint::tokenIs(toks_, i, "{")) {
+      if (tokenIs(toks_, i, "{")) {
         pushBrace();
         ++i;
         continue;
       }
-      if (lint::tokenIs(toks_, i, "}")) {
+      if (tokenIs(toks_, i, "}")) {
         popBrace();
         ++i;
         continue;
       }
-      if (lint::tokenIs(toks_, i, ";")) {
+      if (tokenIs(toks_, i, ";")) {
         // Forward declarations (`class X;`) and statements terminate any
         // pending head so a later `{` is not misclassified.
         clearPendings();
@@ -187,7 +185,7 @@ class Extractor {
         ++i;
         continue;
       }
-      if (t.text == "template" && lint::nextIs(toks_, i, "<")) {
+      if (t.text == "template" && nextIs(toks_, i, "<")) {
         i = skipAngles(i + 1);
         continue;
       }
@@ -199,7 +197,7 @@ class Extractor {
         pendingEnum_ = true;
         ++i;
         if (i < toks_.size() &&
-            (lint::tokenIs(toks_, i, "class") || lint::tokenIs(toks_, i, "struct"))) {
+            (tokenIs(toks_, i, "class") || tokenIs(toks_, i, "struct"))) {
           ++i;  // `enum class` — do not treat as a class head
         }
         continue;
@@ -230,7 +228,6 @@ class Extractor {
     } else if (!pendingClass_.empty()) {
       frame.kind = ScopeFrame::kClass;
       frame.name = pendingClass_;
-      frame.startLine = pendingLine_;
       classStack_.push_back(
           {pendingClass_, pendingLine_, pendingLine_});
     } else if (pendingNamespace_) {
@@ -279,11 +276,11 @@ class Extractor {
     std::size_t j = i + 1;
     std::string name;
     while (j < toks_.size() &&
-           (toks_[j].kind == TokenKind::kIdent || lint::tokenIs(toks_, j, "::"))) {
+           (toks_[j].kind == TokenKind::kIdent || tokenIs(toks_, j, "::"))) {
       name += toks_[j].text;
       ++j;
     }
-    if (lint::tokenIs(toks_, j, "{")) {
+    if (tokenIs(toks_, j, "{")) {
       pendingNamespace_ = true;
       pendingNamespaceName_ = name;
       return j;  // `{` handled by the main loop
@@ -298,15 +295,15 @@ class Extractor {
     const ScopeFrame* cls = innermostClass();
 
     // `std :: mutex member_ ;` at class scope.
-    if (cls != nullptr && lint::seqAt(toks_, i, {"std", "::", "mutex"}) &&
+    if (cls != nullptr && seqAt(toks_, i, {"std", "::", "mutex"}) &&
         i + 4 < toks_.size() && toks_[i + 3].kind == TokenKind::kIdent &&
-        lint::tokenIs(toks_, i + 4, ";")) {
+        tokenIs(toks_, i + 4, ";")) {
       facts_.mutexes.push_back({cls->name, toks_[i + 3].text, toks_[i + 3].line});
       return i + 5;
     }
 
     // Function head: IDENT `(` ... — possibly preceded by Class::.
-    if (lint::nextIs(toks_, i, "(") && !isKeyword(toks_[i].text) &&
+    if (nextIs(toks_, i, "(") && !isKeyword(toks_[i].text) &&
         toks_[i].text != "operator") {
       return tryFunctionHead(i);
     }
@@ -319,10 +316,10 @@ class Extractor {
   std::size_t tryFunctionHead(std::size_t i) {
     std::string name = toks_[i].text;
     std::string cls;
-    if (i >= 2 && lint::tokenIs(toks_, i - 1, "::") &&
+    if (i >= 2 && tokenIs(toks_, i - 1, "::") &&
         toks_[i - 2].kind == TokenKind::kIdent) {
       cls = toks_[i - 2].text;
-    } else if (i >= 1 && lint::tokenIs(toks_, i - 1, "~")) {
+    } else if (i >= 1 && tokenIs(toks_, i - 1, "~")) {
       name = "~" + name;
     }
     if (cls.empty()) {
@@ -335,26 +332,26 @@ class Extractor {
     bool inInitList = false;
     std::string prevText = ")";  // last token seen after the params
     while (j < toks_.size()) {
-      if (lint::tokenIs(toks_, j, ";")) return j + 1;  // declaration only
-      if (lint::tokenIs(toks_, j, "=")) {
+      if (tokenIs(toks_, j, ";")) return j + 1;  // declaration only
+      if (tokenIs(toks_, j, "=")) {
         // `= default;` / `= delete;` / `= 0;` — not a body.
-        while (j < toks_.size() && !lint::tokenIs(toks_, j, ";")) ++j;
+        while (j < toks_.size() && !tokenIs(toks_, j, ";")) ++j;
         return j + 1;
       }
-      if (lint::tokenIs(toks_, j, "(")) {
+      if (tokenIs(toks_, j, "(")) {
         j = skipBalanced(j, "(", ")");
         prevText = ")";
         continue;
       }
-      if (lint::tokenIs(toks_, j, ":") ) {
+      if (tokenIs(toks_, j, ":") ) {
         inInitList = true;
         prevText = ":";
         ++j;
         continue;
       }
-      if (lint::tokenIs(toks_, j, "{")) {
+      if (tokenIs(toks_, j, "{")) {
         if (inInitList && !prevText.empty() &&
-            lint::isIdentStart(prevText[0])) {
+            isIdentStart(prevText[0])) {
           // `: member_{...}` brace initializer inside the init list.
           j = skipBalanced(j, "{", "}");
           prevText = "}";
@@ -384,12 +381,12 @@ class Extractor {
     }
 
     // guard.unlock() / guard.lock() on a tracked guard variable.
-    if (lint::nextIs(toks_, i, ".") &&
-        (lint::seqAt(toks_, i + 2, {"unlock", "("}) ||
-         lint::seqAt(toks_, i + 2, {"lock", "("}))) {
+    if (nextIs(toks_, i, ".") &&
+        (seqAt(toks_, i + 2, {"unlock", "("}) ||
+         seqAt(toks_, i + 2, {"lock", "("}))) {
       for (auto& g : guards_) {
         if (g.var != t.text) continue;
-        const bool relock = lint::tokenIs(toks_, i + 2, "lock");
+        const bool relock = tokenIs(toks_, i + 2, "lock");
         if (relock && !g.active) {
           // Re-acquisition: held set = the other still-active guards.
           for (const auto& e : g.exprs) {
@@ -405,23 +402,23 @@ class Extractor {
     }
 
     // `new Buffer` — foreign buffer construction.
-    if (t.text == "new" && lint::nextIs(toks_, i, "Buffer")) {
+    if (t.text == "new" && nextIs(toks_, i, "Buffer")) {
       facts_.pool.push_back(
           {"buffer-new", fn->name, "new", "", toks_[i + 1].line});
       return i + 2;
     }
-    if (t.text == "make_unique" && lint::seqAt(toks_, i + 1, {"<", "Buffer"})) {
+    if (t.text == "make_unique" && seqAt(toks_, i + 1, {"<", "Buffer"})) {
       facts_.pool.push_back(
           {"buffer-new", fn->name, "make_unique", "", t.line});
       return i + 1;
     }
 
-    if (lint::nextIs(toks_, i, "(")) {
+    if (nextIs(toks_, i, "(")) {
       return handleCallLike(i, *fn);
     }
 
     // Bare this-member mutation under a held lock.
-    if (lint::endsWith(t.text, "_") && !isGuardVar(t.text) &&
+    if (endsWith(t.text, "_") && !isGuardVar(t.text) &&
         !activeHeld().empty()) {
       maybeRecordMutation(i, *fn);
     }
@@ -437,12 +434,12 @@ class Extractor {
 
   std::size_t handleGuardConstruction(std::size_t i, const ScopeFrame& fn) {
     std::size_t j = i + 1;
-    if (lint::tokenIs(toks_, j, "<")) j = skipAngles(j);
+    if (tokenIs(toks_, j, "<")) j = skipAngles(j);
     if (j >= toks_.size() || toks_[j].kind != TokenKind::kIdent) {
       return i + 1;  // a type mention, not a guard construction
     }
     const std::string var = toks_[j].text;
-    if (!lint::tokenIs(toks_, j + 1, "(")) return j + 1;
+    if (!tokenIs(toks_, j + 1, "(")) return j + 1;
     const std::size_t close = skipBalanced(j + 1, "(", ")");
 
     // Split the constructor arguments on top-level commas.
@@ -450,9 +447,9 @@ class Extractor {
     std::size_t argBegin = j + 2;
     int depth = 0;
     for (std::size_t k = j + 2; k + 1 < close; ++k) {
-      if (lint::tokenIs(toks_, k, "(") || lint::tokenIs(toks_, k, "[")) ++depth;
-      if (lint::tokenIs(toks_, k, ")") || lint::tokenIs(toks_, k, "]")) --depth;
-      if (depth == 0 && lint::tokenIs(toks_, k, ",")) {
+      if (tokenIs(toks_, k, "(") || tokenIs(toks_, k, "[")) ++depth;
+      if (tokenIs(toks_, k, ")") || tokenIs(toks_, k, "]")) --depth;
+      if (depth == 0 && tokenIs(toks_, k, ",")) {
         exprs.push_back(joinTokens(toks_, argBegin, k));
         argBegin = k + 1;
       }
@@ -493,19 +490,17 @@ class Extractor {
       return i + 2;
     }
 
-    // Env knobs: getenv("DAGT_X") / envOr("DAGT_X", ...).
-    if (t.text == "getenv" || t.text == "envOr") {
-      if (i + 2 < toks_.size() && toks_[i + 2].kind == TokenKind::kString &&
-          lint::startsWith(toks_[i + 2].text, "DAGT_")) {
-        facts_.envs.push_back({t.text, toks_[i + 2].text, t.line});
-      }
+    // Env knobs: any helper called with a "DAGT_[A-Z0-9_]+" literal first.
+    if (i + 2 < toks_.size() && toks_[i + 2].kind == TokenKind::kString &&
+        isKnobName(toks_[i + 2].text)) {
+      facts_.envs.push_back({t.text, toks_[i + 2].text, t.line});
       return i + 3;
     }
 
     const bool memberCall =
-        i >= 1 && (lint::tokenIs(toks_, i - 1, ".") ||
-                   (i >= 2 && lint::tokenIs(toks_, i - 1, ">") &&
-                    lint::tokenIs(toks_, i - 2, "-")));
+        i >= 1 && (tokenIs(toks_, i - 1, ".") ||
+                   (i >= 2 && tokenIs(toks_, i - 1, ">") &&
+                    tokenIs(toks_, i - 2, "-")));
 
     // Pool events.
     if (t.text == "acquire" || t.text == "release" || t.text == "parkGlobal") {
@@ -526,7 +521,7 @@ class Extractor {
     }
 
     std::string qualifier;
-    if (i >= 2 && lint::tokenIs(toks_, i - 1, "::") &&
+    if (i >= 2 && tokenIs(toks_, i - 1, "::") &&
         toks_[i - 2].kind == TokenKind::kIdent) {
       qualifier = toks_[i - 2].text;
     }
@@ -540,10 +535,10 @@ class Extractor {
   std::string receiverChain(std::size_t i) const {
     std::size_t begin = i;
     // Step over the . or -> that precedes the member name.
-    if (begin >= 1 && lint::tokenIs(toks_, begin - 1, ".")) {
+    if (begin >= 1 && tokenIs(toks_, begin - 1, ".")) {
       begin -= 1;
-    } else if (begin >= 2 && lint::tokenIs(toks_, begin - 1, ">") &&
-               lint::tokenIs(toks_, begin - 2, "-")) {
+    } else if (begin >= 2 && tokenIs(toks_, begin - 1, ">") &&
+               tokenIs(toks_, begin - 2, "-")) {
       begin -= 2;
     } else {
       return "";
@@ -552,12 +547,12 @@ class Extractor {
     int parens = 0;
     while (k > 0) {
       const Token& p = toks_[k - 1];
-      if (lint::tokenIs(toks_, k - 1, ")")) {
+      if (tokenIs(toks_, k - 1, ")")) {
         ++parens;
         --k;
         continue;
       }
-      if (lint::tokenIs(toks_, k - 1, "(")) {
+      if (tokenIs(toks_, k - 1, "(")) {
         if (parens == 0) break;
         --parens;
         --k;
@@ -567,9 +562,9 @@ class Extractor {
         --k;
         continue;
       }
-      if (p.kind == TokenKind::kIdent || lint::tokenIs(toks_, k - 1, "::") ||
-          lint::tokenIs(toks_, k - 1, ".") ||
-          lint::tokenIs(toks_, k - 1, ">") || lint::tokenIs(toks_, k - 1, "-")) {
+      if (p.kind == TokenKind::kIdent || tokenIs(toks_, k - 1, "::") ||
+          tokenIs(toks_, k - 1, ".") ||
+          tokenIs(toks_, k - 1, ">") || tokenIs(toks_, k - 1, "-")) {
         --k;
         continue;
       }
@@ -581,37 +576,37 @@ class Extractor {
   void maybeRecordMutation(std::size_t i, const ScopeFrame& fn) {
     // Only bare (this-)member accesses: the previous token must not be a
     // member-access or scope operator.
-    if (i >= 1 && (lint::tokenIs(toks_, i - 1, ".") ||
-                   lint::tokenIs(toks_, i - 1, ">") ||
-                   lint::tokenIs(toks_, i - 1, "::"))) {
+    if (i >= 1 && (tokenIs(toks_, i - 1, ".") ||
+                   tokenIs(toks_, i - 1, ">") ||
+                   tokenIs(toks_, i - 1, "::"))) {
       return;
     }
     const std::string& field = toks_[i].text;
     bool mutated = false;
 
     // field_ = ...   (but not ==, <=, >=, !=)
-    if (lint::tokenIs(toks_, i + 1, "=") && !lint::tokenIs(toks_, i + 2, "=") &&
-        !(i >= 1 && (lint::tokenIs(toks_, i - 1, "=") ||
-                     lint::tokenIs(toks_, i - 1, "!") ||
-                     lint::tokenIs(toks_, i - 1, "<") ||
-                     lint::tokenIs(toks_, i - 1, ">")))) {
+    if (tokenIs(toks_, i + 1, "=") && !tokenIs(toks_, i + 2, "=") &&
+        !(i >= 1 && (tokenIs(toks_, i - 1, "=") ||
+                     tokenIs(toks_, i - 1, "!") ||
+                     tokenIs(toks_, i - 1, "<") ||
+                     tokenIs(toks_, i - 1, ">")))) {
       mutated = true;
     }
     // field_ += / -= / |= / &= / ^=
     if (!mutated &&
-        (lint::tokenIs(toks_, i + 1, "+") || lint::tokenIs(toks_, i + 1, "-") ||
-         lint::tokenIs(toks_, i + 1, "|") || lint::tokenIs(toks_, i + 1, "&") ||
-         lint::tokenIs(toks_, i + 1, "^")) &&
-        lint::tokenIs(toks_, i + 2, "=") && !lint::tokenIs(toks_, i + 3, "=")) {
+        (tokenIs(toks_, i + 1, "+") || tokenIs(toks_, i + 1, "-") ||
+         tokenIs(toks_, i + 1, "|") || tokenIs(toks_, i + 1, "&") ||
+         tokenIs(toks_, i + 1, "^")) &&
+        tokenIs(toks_, i + 2, "=") && !tokenIs(toks_, i + 3, "=")) {
       mutated = true;
     }
     // field_++ / field_--
-    if (!mutated && ((lint::seqAt(toks_, i + 1, {"+", "+"})) ||
-                     (lint::seqAt(toks_, i + 1, {"-", "-"})))) {
+    if (!mutated && ((seqAt(toks_, i + 1, {"+", "+"})) ||
+                     (seqAt(toks_, i + 1, {"-", "-"})))) {
       mutated = true;
     }
     // field_.mutatingMethod(...)
-    if (!mutated && lint::tokenIs(toks_, i + 1, ".") && i + 2 < toks_.size()) {
+    if (!mutated && tokenIs(toks_, i + 1, ".") && i + 2 < toks_.size()) {
       static const std::set<std::string> mutators = {
           "push_back", "pop_back",  "push_front", "pop_front", "emplace",
           "emplace_back", "emplace_front", "erase", "clear", "insert",
@@ -619,10 +614,10 @@ class Extractor {
       if (mutators.count(toks_[i + 2].text) != 0) mutated = true;
     }
     // field_[...] = ...
-    if (!mutated && lint::tokenIs(toks_, i + 1, "[")) {
+    if (!mutated && tokenIs(toks_, i + 1, "[")) {
       const std::size_t close = skipBalanced(i + 1, "[", "]");
-      if (lint::tokenIs(toks_, close, "=") &&
-          !lint::tokenIs(toks_, close + 1, "=")) {
+      if (tokenIs(toks_, close, "=") &&
+          !tokenIs(toks_, close + 1, "=")) {
         mutated = true;
       }
     }
@@ -637,7 +632,7 @@ class Extractor {
     // Idents ending in '_' per line, for field-name association.
     std::map<int, std::vector<std::string>> fieldsByLine;
     for (const auto& t : toks_) {
-      if (t.kind == TokenKind::kIdent && lint::endsWith(t.text, "_")) {
+      if (t.kind == TokenKind::kIdent && endsWith(t.text, "_")) {
         fieldsByLine[t.line].push_back(t.text);
       }
     }
@@ -737,21 +732,21 @@ std::vector<std::string> collectKernelMembers(const LexedFile& lexed) {
   const auto& toks = lexed.tokens;
   std::size_t begin = toks.size();
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if ((lint::tokenIs(toks, i, "struct") || lint::tokenIs(toks, i, "class")) &&
-        lint::tokenIs(toks, i + 1, "KernelTable") &&
-        lint::tokenIs(toks, i + 2, "{")) {
+    if ((tokenIs(toks, i, "struct") || tokenIs(toks, i, "class")) &&
+        tokenIs(toks, i + 1, "KernelTable") &&
+        tokenIs(toks, i + 2, "{")) {
       begin = i + 3;
       break;
     }
   }
   int depth = 1;
   for (std::size_t i = begin; i < toks.size() && depth > 0; ++i) {
-    if (lint::tokenIs(toks, i, "{")) ++depth;
-    if (lint::tokenIs(toks, i, "}")) --depth;
-    if (depth > 0 && lint::tokenIs(toks, i, "(") &&
-        lint::tokenIs(toks, i + 1, "*") &&
+    if (tokenIs(toks, i, "{")) ++depth;
+    if (tokenIs(toks, i, "}")) --depth;
+    if (depth > 0 && tokenIs(toks, i, "(") &&
+        tokenIs(toks, i + 1, "*") &&
         i + 3 < toks.size() && toks[i + 2].kind == TokenKind::kIdent &&
-        lint::tokenIs(toks, i + 3, ")")) {
+        tokenIs(toks, i + 3, ")")) {
       members.push_back(toks[i + 2].text);
     }
   }
@@ -764,25 +759,25 @@ std::vector<TierTable> collectTierTables(const LexedFile& lexed) {
   std::vector<TierTable> tables;
   const auto& toks = lexed.tokens;
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (!lint::tokenIs(toks, i, "KernelTable")) continue;
+    if (!tokenIs(toks, i, "KernelTable")) continue;
     if (toks[i + 1].kind != TokenKind::kIdent) continue;
     TierTable table;
     table.var = toks[i + 1].text;
     table.line = toks[i].line;
-    if (lint::tokenIs(toks, i + 2, "{")) {
+    if (tokenIs(toks, i + 2, "{")) {
       // zero-seeded
-    } else if (lint::tokenIs(toks, i + 2, "=") && i + 3 < toks.size() &&
+    } else if (tokenIs(toks, i + 2, "=") && i + 3 < toks.size() &&
                toks[i + 3].kind == TokenKind::kIdent &&
-               lint::tokenIs(toks, i + 4, "(")) {
+               tokenIs(toks, i + 4, "(")) {
       table.seedSource = toks[i + 3].text;
     } else {
       continue;  // a parameter or reference, not a table definition
     }
     for (std::size_t k = i; k + 3 < toks.size(); ++k) {
-      if (lint::tokenIs(toks, k, table.var.c_str()) &&
-          lint::tokenIs(toks, k + 1, ".") &&
+      if (tokenIs(toks, k, table.var.c_str()) &&
+          tokenIs(toks, k + 1, ".") &&
           toks[k + 2].kind == TokenKind::kIdent &&
-          lint::tokenIs(toks, k + 3, "=") && !lint::tokenIs(toks, k + 4, "=")) {
+          tokenIs(toks, k + 3, "=") && !tokenIs(toks, k + 4, "=")) {
         table.assigned.push_back(toks[k + 2].text);
       }
     }
@@ -794,7 +789,6 @@ std::vector<TierTable> collectTierTables(const LexedFile& lexed) {
 // -- serialization ----------------------------------------------------------
 
 std::string enc(const std::string& s) { return s.empty() ? "-" : s; }
-std::string dec(const std::string& s) { return s == "-" ? "" : s; }
 
 std::string encList(const std::vector<std::string>& v) {
   if (v.empty()) return "-";
@@ -806,35 +800,18 @@ std::string encList(const std::vector<std::string>& v) {
   return out;
 }
 
-std::vector<std::string> decList(const std::string& s) {
-  std::vector<std::string> out;
-  if (s == "-") return out;
-  std::size_t begin = 0;
-  while (begin <= s.size()) {
-    const std::size_t comma = s.find(',', begin);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(begin));
-      break;
-    }
-    out.push_back(s.substr(begin, comma - begin));
-    begin = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
-TuFacts extractFacts(const std::string& path, const std::string& text) {
-  const LexedFile lexed = lint::lex(text);
+TuFacts extractFacts(const std::string& path, const LexedFile& lexed) {
   Extractor extractor(path, lexed);
   TuFacts facts = extractor.run();
-  if (lint::endsWith(path, "kernels.hpp")) {
+  if (endsWith(path, "kernels.hpp")) {
     facts.kernelMembers = collectKernelMembers(lexed);
   }
   const std::size_t slash = path.find_last_of('/');
   const std::string base =
       slash == std::string::npos ? path : path.substr(slash + 1);
-  if (lint::startsWith(base, "kernels_") && lint::endsWith(base, ".cpp")) {
+  if (startsWith(base, "kernels_") && endsWith(base, ".cpp")) {
     facts.tiers = collectTierTables(lexed);
   }
   return facts;
@@ -894,70 +871,6 @@ std::string serializeFacts(const TuFacts& f) {
        << "\n";
   }
   return os.str();
-}
-
-TuFacts parseFacts(const std::string& serialized) {
-  TuFacts f;
-  std::istringstream in(serialized);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::vector<std::string> cols;
-    std::size_t begin = 0;
-    while (begin <= line.size()) {
-      const std::size_t tab = line.find('\t', begin);
-      if (tab == std::string::npos) {
-        cols.push_back(line.substr(begin));
-        break;
-      }
-      cols.push_back(line.substr(begin, tab - begin));
-      begin = tab + 1;
-    }
-    if (cols.empty()) continue;
-    const std::string& kind = cols[0];
-    auto num = [&](std::size_t i) {
-      return i < cols.size() ? std::atoi(cols[i].c_str()) : 0;
-    };
-    auto str = [&](std::size_t i) {
-      return i < cols.size() ? dec(cols[i]) : std::string();
-    };
-    auto list = [&](std::size_t i) {
-      return i < cols.size() ? decList(cols[i]) : std::vector<std::string>();
-    };
-    if (kind == "path") {
-      f.path = str(1);
-    } else if (kind == "mutex") {
-      f.mutexes.push_back({str(1), str(2), num(3)});
-    } else if (kind == "guard") {
-      f.guarded.push_back({str(1), str(2), str(3), num(4)});
-    } else if (kind == "fn") {
-      f.functions.push_back({str(1), str(2), num(3)});
-    } else if (kind == "acq") {
-      f.acquires.push_back({str(1), str(2), str(3), list(5), num(4)});
-    } else if (kind == "call") {
-      f.calls.push_back(
-          {str(1), str(2), str(3), str(4), num(5) != 0, list(7), num(6)});
-    } else if (kind == "mut") {
-      f.mutations.push_back({str(1), str(2), str(3), list(5), num(4)});
-    } else if (kind == "pool") {
-      f.pool.push_back({str(1), str(2), str(3), str(4), num(5)});
-    } else if (kind == "span") {
-      f.spans.push_back({str(1), str(2), num(3)});
-    } else if (kind == "env") {
-      f.envs.push_back({str(1), str(2), num(3)});
-    } else if (kind == "kmember") {
-      f.kernelMembers.push_back(str(1));
-    } else if (kind == "tier") {
-      TierTable t;
-      t.var = str(1);
-      t.seedSource = str(2);
-      t.line = num(3);
-      t.assigned = list(4);
-      f.tiers.push_back(std::move(t));
-    } else if (kind == "annot") {
-      f.annotations.push_back({str(1), str(2), num(3)});
-    }
-  }
-  return f;
 }
 
 }  // namespace dagt::analyze

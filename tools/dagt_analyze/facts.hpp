@@ -2,8 +2,8 @@
 
 // dagt-analyze phase 1: per-translation-unit fact extraction.
 //
-// Built on the shared lexer-lite (tools/dagt_lint/lexer.hpp) plus a
-// lightweight declaration/scope parser — no libclang. The parser tracks
+// Built on the lexer-lite (lexer.hpp) plus a lightweight
+// declaration/scope parser — no libclang. The parser tracks
 // namespace / class / function / block nesting by brace depth, detects
 // function heads (including Class::method qualifiers, constructors with
 // init lists, and trailing modifiers), and threads a held-lock set through
@@ -14,13 +14,14 @@
 // PredictionEngine::workerLoop around serveBatch) do not fabricate edges.
 //
 // The extracted facts are deliberately flat records — phase 2
-// (passes.hpp) merges the per-TU databases and resolves mutex identities
-// across translation units. serializeFacts/parseFacts define a canonical
-// text form used by the golden tests: serialize(parse(serialize(x)))
-// must be byte-identical to serialize(x).
+// (passes.cpp) merges the per-TU databases and resolves mutex identities
+// across translation units. serializeFacts defines a canonical text form
+// that the golden test pins byte for byte.
 
 #include <string>
 #include <vector>
+
+#include "lexer.hpp"
 
 namespace dagt::analyze {
 
@@ -101,9 +102,10 @@ struct SpanUse {
   int line = 0;
 };
 
-/// getenv("DAGT_*") / envOr("DAGT_*", ...) read.
+/// A knob read: any call whose first argument is a "DAGT_[A-Z0-9_]+"
+/// literal (getenv, envOr, or a wrapper such as envFloat).
 struct EnvRead {
-  std::string via;  // "getenv" | "envOr"
+  std::string via;  // the called helper
   std::string name;
   int line = 0;
 };
@@ -144,11 +146,10 @@ struct TuFacts {
   std::vector<Annotation> annotations;
 };
 
-TuFacts extractFacts(const std::string& path, const std::string& text);
+TuFacts extractFacts(const std::string& path, const LexedFile& lexed);
 
 /// Canonical tab-separated text form (one record per line, "-" for empty
-/// fields, held sets comma-joined). Stable across re-parses.
+/// fields, held sets comma-joined).
 std::string serializeFacts(const TuFacts& facts);
-TuFacts parseFacts(const std::string& serialized);
 
 }  // namespace dagt::analyze

@@ -1,183 +1,81 @@
-// dagt-analyze CLI: cross-TU semantic analysis over the repo checkout.
-//
-// Usage:
-//   dagt_analyze [--json] [--baseline FILE] [--write-baseline FILE]
-//                [--dump spans|env|passes] [ROOT]
-//
-// ROOT defaults to the current directory. The analyzed surface is
-// src/ tools/ bench/ (build trees and test fixtures excluded) — the same
-// set verify.sh's analyze stage covers. Exit codes: 0 clean (or all
-// findings baselined), 1 non-baseline findings, 2 usage/IO error.
-//
-// --dump prints one registry per line (span names, DAGT_* env knobs, or
-// analyzer pass ids) and exits 0; tools/check_docs.sh consumes these in
-// place of its regex scraping when the binary has been built.
+// dagt_analyze [ROOT] — run every rule over a repo checkout (default: the
+// current directory). The walk reads the root CMakeLists.txt; C++ sources
+// and CMakeLists.txt under src/, tools/, bench/, examples/ and tests/
+// (build trees and tests/analyze_fixtures/ excluded); and the docs/ pages.
+// Prints one line per finding. Exit codes: 0 clean, 1 findings, 2 usage or
+// IO error.
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
-#include <string>
-#include <vector>
 
-#include "facts.hpp"
-#include "lexer.hpp"
-#include "passes.hpp"
+#include "analyze.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
-using namespace dagt::analyze;
+using dagt::analyze::SourceFile;
 
-bool readFile(const fs::path& path, std::string& out) {
+SourceFile readSource(const fs::path& root, const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
-}
-
-std::vector<TuFacts> analyzeTree(const std::string& root) {
-  std::vector<std::pair<std::string, std::string>> files;
-  for (const char* top : {"src", "tools", "bench"}) {
-    const fs::path dir = fs::path(root) / top;
-    if (!fs::exists(dir)) continue;
-    for (auto it = fs::recursive_directory_iterator(dir);
-         it != fs::recursive_directory_iterator(); ++it) {
-      if (it->is_directory()) {
-        const std::string name = it->path().filename().string();
-        if (dagt::lint::startsWith(name, "build") || name == "lint_fixtures" ||
-            name == "analyze_fixtures") {
-          it.disable_recursion_pending();
-        }
-        continue;
-      }
-      const std::string ext = it->path().extension().string();
-      if (ext != ".hpp" && ext != ".cpp") continue;
-      std::string text;
-      if (!readFile(it->path(), text)) continue;
-      files.emplace_back(fs::relative(it->path(), root).generic_string(),
-                         std::move(text));
-    }
+  if (!in) {
+    std::cerr << "dagt_analyze: cannot read " << path.string() << '\n';
+    std::exit(2);
   }
-  std::sort(files.begin(), files.end());
-  std::vector<TuFacts> tus;
-  tus.reserve(files.size());
-  for (const auto& [path, text] : files) {
-    tus.push_back(extractFacts(path, text));
-  }
-  return tus;
-}
-
-int usage() {
-  std::cerr << "usage: dagt_analyze [--json] [--baseline FILE] "
-               "[--write-baseline FILE] [--dump spans|env|passes] [ROOT]\n";
-  return 2;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return {fs::relative(path, root).generic_string(), text.str()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  std::string baselinePath;
-  std::string writeBaselinePath;
-  std::string dump;
-  std::string root = ".";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baselinePath = argv[++i];
-    } else if (arg == "--write-baseline" && i + 1 < argc) {
-      writeBaselinePath = argv[++i];
-    } else if (arg == "--dump" && i + 1 < argc) {
-      dump = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      root = arg;
-    }
-  }
-
-  if (dump == "passes") {
-    for (const auto& pass : passTable()) std::cout << pass.id << "\n";
-    return 0;
-  }
-
-  const std::vector<TuFacts> tus = analyzeTree(root);
-  if (tus.empty()) {
-    std::cerr << "dagt_analyze: nothing to analyze under '" << root << "'\n";
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::cerr << "usage: dagt_analyze [ROOT]\n";
     return 2;
   }
-
-  if (dump == "spans" || dump == "env") {
-    std::set<std::string> names;
-    for (const auto& tu : tus) {
-      if (dump == "spans") {
-        for (const auto& s : tu.spans) names.insert(s.name);
-      } else {
-        for (const auto& e : tu.envs) names.insert(e.name);
+  const fs::path root = argc == 2 ? argv[1] : ".";
+  std::vector<SourceFile> files;
+  if (fs::exists(root / "CMakeLists.txt")) {
+    files.push_back(readSource(root, root / "CMakeLists.txt"));
+  }
+  for (const std::string top : {"src", "tools", "bench", "examples", "tests",
+                                "docs"}) {
+    if (!fs::exists(root / top)) continue;
+    for (auto it = fs::recursive_directory_iterator(root / top);
+         it != fs::recursive_directory_iterator(); ++it) {
+      const fs::path& path = it->path();
+      const std::string name = path.filename().string();
+      if (it->is_directory()) {
+        if (name.rfind("build", 0) == 0 || name == "analyze_fixtures") {
+          it.disable_recursion_pending();
+        }
+        continue;
+      }
+      const std::string ext = path.extension().string();
+      if (top == "docs" ? ext == ".md"
+                        : ext == ".hpp" || ext == ".cpp" ||
+                              name == "CMakeLists.txt") {
+        files.push_back(readSource(root, path));
       }
     }
-    for (const auto& name : names) std::cout << name << "\n";
-    return 0;
   }
-  if (!dump.empty()) return usage();
-
-  Options options;
-  options.hasObsDocs =
-      readFile(fs::path(root) / "docs" / "observability.md", options.obsDocs);
-  options.hasPerfDocs =
-      readFile(fs::path(root) / "docs" / "performance.md", options.perfDocs);
-
-  const std::vector<Finding> findings = runPasses(tus, options);
-
-  std::set<std::string> baseline;
-  if (!baselinePath.empty()) {
-    std::string text;
-    if (!readFile(baselinePath, text)) {
-      std::cerr << "dagt_analyze: cannot read baseline '" << baselinePath
-                << "'\n";
-      return 2;
-    }
-    for (const auto& fp : parseBaselineFingerprints(text)) {
-      baseline.insert(fp);
-    }
+  if (files.empty()) {
+    std::cerr << "dagt_analyze: nothing to analyze under '" << root.string()
+              << "'\n";
+    return 2;
   }
-  std::vector<bool> baselined(findings.size(), false);
-  std::size_t newCount = 0;
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    baselined[i] = baseline.count(findings[i].fingerprint()) != 0;
-    if (!baselined[i]) ++newCount;
-  }
+  std::sort(files.begin(), files.end(),
+            [](const SourceFile& a, const SourceFile& b) {
+              return a.path < b.path;
+            });
 
-  if (!writeBaselinePath.empty()) {
-    std::ofstream out(writeBaselinePath, std::ios::binary);
-    if (!out) {
-      std::cerr << "dagt_analyze: cannot write baseline '" << writeBaselinePath
-                << "'\n";
-      return 2;
-    }
-    out << findingsToJson(findings, std::vector<bool>(findings.size(), true));
-    std::cout << "dagt_analyze: wrote " << findings.size()
-              << " finding(s) to " << writeBaselinePath << "\n";
-    return 0;
-  }
-
-  if (json) {
-    std::cout << findingsToJson(findings, baselined);
-  } else {
-    for (std::size_t i = 0; i < findings.size(); ++i) {
-      if (baselined[i]) continue;
-      std::cout << findings[i].render() << "\n";
-    }
-    std::cout << "dagt_analyze: " << tus.size() << " TU(s), "
-              << findings.size() << " finding(s), " << newCount
-              << " new (not baselined)\n";
-  }
-  return newCount == 0 ? 0 : 1;
+  const auto findings = dagt::analyze::analyzeFiles(files, /*checkDocs=*/true);
+  for (const auto& finding : findings) std::cout << finding.render() << '\n';
+  std::cout << "dagt_analyze: " << files.size() << " file(s), "
+            << findings.size() << " finding(s)\n";
+  return findings.empty() ? 0 : 1;
 }

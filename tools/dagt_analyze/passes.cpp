@@ -1,35 +1,15 @@
-#include "passes.hpp"
+// Cross-TU passes: phase 2 over the merged fact database (lock order,
+// pooled-buffer lifetime, GUARDED_BY discipline, kernel-table slots).
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <set>
-#include <sstream>
 
-#include "lexer.hpp"
+#include "rules.hpp"
 
 namespace dagt::analyze {
 
 namespace {
-
-using lint::endsWith;
-using lint::startsWith;
-
-// DOCS:ANALYZE_PASSES_BEGIN
-const std::vector<PassInfo> kPasses = {
-    {"lock-order-cycle", "cycle in the mutex acquisition-order graph"},
-    {"lock-order-ambiguous", "unresolvable lock expression (annotate owner)"},
-    {"lock-order-violation", "acquisition contradicts a declared lock-order"},
-    {"pool-raw-acquire", "BufferPool::acquire outside src/tensor/"},
-    {"pool-manual-release", "manual release/parkGlobal outside the pool"},
-    {"pool-foreign-buffer", "direct Buffer construction outside the pool"},
-    {"pool-double-release", "same buffer released twice in one function"},
-    {"guarded-by-gap", "field mutated under lock without GUARDED_BY"},
-    {"kernel-table-complete", "zero-seeded tier table missing a kernel slot"},
-    {"span-drift", "trace span missing from docs/observability.md"},
-    {"knob-drift", "DAGT_* env knob missing from docs/performance.md"},
-};
-// DOCS:ANALYZE_PASSES_END
 
 /// Merged cross-TU view used by every pass.
 struct Database {
@@ -40,8 +20,6 @@ struct Database {
   std::set<std::string> guardedFields;
   // function last name -> qualified names ("Class::name" or "name")
   std::map<std::string, std::set<std::string>> functionsByName;
-  // path -> line -> allowed pass ids
-  std::map<std::string, std::map<int, std::set<std::string>>> allows;
   // path -> line -> mutex owner hints ("Class::member")
   std::map<std::string, std::map<int, std::string>> mutexHints;
   // declared lock-order edges "A::m" < "B::n"
@@ -66,9 +44,7 @@ Database buildDatabase(const std::vector<TuFacts>& tus) {
       db.functionsByName[f.name].insert(qualify(f.className, f.name));
     }
     for (const auto& a : tu.annotations) {
-      if (a.kind == "allow") {
-        db.allows[tu.path][a.line].insert(a.value);
-      } else if (a.kind == "mutex") {
+      if (a.kind == "mutex") {
         db.mutexHints[tu.path][a.line] = a.value;
       } else if (a.kind == "lock-order") {
         const std::size_t lt = a.value.find('<');
@@ -150,16 +126,6 @@ Resolution resolveMutex(const Database& db, const std::string& tuPath,
   return r;
 }
 
-bool isAllowed(const Database& db, const Finding& f) {
-  const auto it = db.allows.find(f.path);
-  if (it == db.allows.end()) return false;
-  for (int probe : {f.line, f.line - 1}) {
-    const auto at = it->second.find(probe);
-    if (at != it->second.end() && at->second.count(f.pass) != 0) return true;
-  }
-  return false;
-}
-
 // -- lock-order --------------------------------------------------------------
 
 struct Edge {
@@ -168,6 +134,18 @@ struct Edge {
   std::string path;  // witness site
   int line = 0;
 };
+
+/// The qualified function a call resolves to: the explicit A::f when A::f
+/// is defined, else the only definition named f; "" when unknown.
+std::string calleeOf(const Database& db, const CallSite& c) {
+  const auto it = db.functionsByName.find(c.callee);
+  if (it == db.functionsByName.end()) return "";
+  if (!c.qualifier.empty()) {
+    const std::string qualified = c.qualifier + "::" + c.callee;
+    return it->second.count(qualified) != 0 ? qualified : "";
+  }
+  return it->second.size() == 1 ? *it->second.begin() : "";
+}
 
 void lockOrderPasses(const Database& db, std::vector<Finding>& out) {
   std::vector<Edge> edges;
@@ -198,19 +176,7 @@ void lockOrderPasses(const Database& db, std::vector<Finding>& out) {
       }
     }
     for (const auto& c : tu.calls) {
-      std::string calleeQual;
-      if (!c.qualifier.empty()) {
-        const auto it = db.functionsByName.find(c.callee);
-        if (it != db.functionsByName.end() &&
-            it->second.count(c.qualifier + "::" + c.callee) != 0) {
-          calleeQual = c.qualifier + "::" + c.callee;
-        }
-      } else {
-        const auto it = db.functionsByName.find(c.callee);
-        if (it != db.functionsByName.end() && it->second.size() == 1) {
-          calleeQual = *it->second.begin();
-        }
-      }
+      const std::string calleeQual = calleeOf(db, c);
       if (calleeQual.empty()) continue;
       callees[qualify(c.className, c.function)].insert(calleeQual);
     }
@@ -239,19 +205,7 @@ void lockOrderPasses(const Database& db, std::vector<Finding>& out) {
   for (const auto& tu : *db.tus) {
     for (const auto& c : tu.calls) {
       if (c.held.empty()) continue;
-      std::string calleeQual;
-      if (!c.qualifier.empty()) {
-        const auto it = db.functionsByName.find(c.callee);
-        if (it != db.functionsByName.end() &&
-            it->second.count(c.qualifier + "::" + c.callee) != 0) {
-          calleeQual = c.qualifier + "::" + c.callee;
-        }
-      } else {
-        const auto it = db.functionsByName.find(c.callee);
-        if (it != db.functionsByName.end() && it->second.size() == 1) {
-          calleeQual = *it->second.begin();
-        }
-      }
+      const std::string calleeQual = calleeOf(db, c);
       if (calleeQual.empty()) continue;
       const auto acquired = may.find(calleeQual);
       if (acquired == may.end()) continue;
@@ -276,92 +230,54 @@ void lockOrderPasses(const Database& db, std::vector<Finding>& out) {
     }
   }
 
-  // Cycle detection: nodes left by Kahn's algorithm sit on cycles; group
-  // them into strongly-connected components and report each once.
+  // Cycle detection: a node sits on a cycle iff it reaches itself, and its
+  // strongly-connected component is reach(node) ∩ coreach(node). Each
+  // component is reported once, at its first edge by (path, line).
   std::map<std::string, std::set<std::string>> adj;
-  std::map<std::string, int> indeg;
-  for (const auto& e : edges) {
-    indeg.emplace(e.from, 0);
-    indeg.emplace(e.to, 0);
-    if (adj[e.from].insert(e.to).second) ++indeg[e.to];
-  }
-  std::vector<std::string> queue;
-  for (const auto& [n, d] : indeg) {
-    if (d == 0) queue.push_back(n);
-  }
-  std::map<std::string, int> live = indeg;
-  while (!queue.empty()) {
-    const std::string n = queue.back();
-    queue.pop_back();
-    live.erase(n);
-    const auto it = adj.find(n);
-    if (it == adj.end()) continue;
-    for (const auto& next : it->second) {
-      const auto d = live.find(next);
-      if (d != live.end() && --d->second == 0) queue.push_back(next);
-    }
-  }
-  // `live` now holds only nodes on (or downstream of) cycles. The SCC of a
-  // node is reach(node) ∩ coreach(node); a node sits on a cycle iff it can
-  // reach itself through at least one edge.
   std::map<std::string, std::set<std::string>> radj;
-  for (const auto& [from, tos] : adj) {
-    for (const auto& to : tos) radj[to].insert(from);
+  for (const auto& e : edges) {
+    adj[e.from].insert(e.to);
+    radj[e.to].insert(e.from);
   }
-  const auto reachable = [&](const std::string& start,
-                             const std::map<std::string, std::set<std::string>>&
-                                 graph) {
+  const auto reachable = [](const std::string& start,
+                            const std::map<std::string, std::set<std::string>>&
+                                graph) {
     std::set<std::string> seen;
     std::vector<std::string> stack = {start};
     while (!stack.empty()) {
-      const std::string cur = stack.back();
+      const auto it = graph.find(stack.back());
       stack.pop_back();
-      const auto it = graph.find(cur);
       if (it == graph.end()) continue;
       for (const auto& next : it->second) {
-        if (live.count(next) != 0 && seen.insert(next).second) {
-          stack.push_back(next);
-        }
+        if (seen.insert(next).second) stack.push_back(next);
       }
     }
     return seen;
   };
   std::set<std::string> reported;
-  for (const auto& [node, d] : live) {
+  for (const auto& [node, successors] : adj) {
     if (reported.count(node) != 0) continue;
     const std::set<std::string> fwd = reachable(node, adj);
     if (fwd.count(node) == 0) continue;  // not on a cycle itself
     const std::set<std::string> back = reachable(node, radj);
-    std::vector<std::string> component;
-    for (const auto& n : fwd) {
-      if (back.count(n) != 0) {
-        component.push_back(n);
-        reported.insert(n);
-      }
-    }
-    std::sort(component.begin(), component.end());
+    std::set<std::string> component;
     std::string cycleDesc;
-    for (const auto& n : component) {
+    for (const auto& n : fwd) {
+      if (back.count(n) == 0) continue;
+      component.insert(n);
+      reported.insert(n);
       if (!cycleDesc.empty()) cycleDesc += " <-> ";
       cycleDesc += n;
     }
-    // Witness: the first edge inside the component, by (path, line).
     const Edge* witness = nullptr;
     for (const auto& e : edges) {
-      if (std::find(component.begin(), component.end(), e.from) ==
-              component.end() ||
-          std::find(component.begin(), component.end(), e.to) ==
-              component.end()) {
-        continue;
-      }
+      if (component.count(e.from) == 0 || component.count(e.to) == 0) continue;
       if (witness == nullptr || e.path < witness->path ||
           (e.path == witness->path && e.line < witness->line)) {
         witness = &e;
       }
     }
-    out.push_back({"lock-order-cycle",
-                   witness != nullptr ? witness->path : "",
-                   witness != nullptr ? witness->line : 0,
+    out.push_back({"lock-order-cycle", witness->path, witness->line,
                    "potential deadlock: acquisition-order cycle between " +
                        cycleDesc +
                        "; break the cycle or declare the intended order "
@@ -375,8 +291,14 @@ bool isPoolHome(const std::string& path) {
   return startsWith(path, "src/tensor/");
 }
 
+bool isPoolImpl(const std::string& path) {
+  return path == "src/tensor/storage.cpp" || path == "src/tensor/storage.hpp";
+}
+
 void poolPasses(const Database& db, std::vector<Finding>& out) {
   for (const auto& tu : *db.tus) {
+    // Tests call the pool directly on purpose.
+    if (startsWith(tu.path, "tests/")) continue;
     // (function, arg) -> release count, for double-release.
     std::map<std::pair<std::string, std::string>, std::pair<int, int>>
         releases;  // -> {count, last line}
@@ -389,9 +311,7 @@ void poolPasses(const Database& db, std::vector<Finding>& out) {
                            "Workspace so the release contract stays with "
                            "the pool"});
       }
-      if ((p.kind == "release" || p.kind == "park") &&
-          !(tu.path == "src/tensor/storage.cpp" ||
-            tu.path == "src/tensor/storage.hpp")) {
+      if ((p.kind == "release" || p.kind == "park") && !isPoolImpl(tu.path)) {
         out.push_back({"pool-manual-release", tu.path, p.line,
                        "manual pool " +
                            std::string(p.kind == "park" ? "parkGlobal"
@@ -400,8 +320,7 @@ void poolPasses(const Database& db, std::vector<Finding>& out) {
                            "must flow through the shared_ptr deleter "
                            "(single-release contract)"});
       }
-      if (p.kind == "buffer-new" && !(tu.path == "src/tensor/storage.cpp" ||
-                                      tu.path == "src/tensor/storage.hpp")) {
+      if (p.kind == "buffer-new" && !isPoolImpl(tu.path)) {
         out.push_back({"pool-foreign-buffer", tu.path, p.line,
                        "direct Buffer construction outside the pool; "
                            "foreign buffers trip the parked-bit contract "
@@ -420,6 +339,52 @@ void poolPasses(const Database& db, std::vector<Finding>& out) {
                          "' " + std::to_string(countLine.first) +
                          " times; the second release hits the parked-bit "
                          "double-release contract at runtime"});
+    }
+  }
+}
+
+// -- GUARDED_BY discipline ---------------------------------------------------
+
+/// Each mutex member guards at least one annotated field, each annotation
+/// names a mutex member of its class, and each annotated mutex is locked
+/// somewhere (a resolved acquisition, any TU).
+void guardedByPasses(const Database& db, std::vector<Finding>& out) {
+  std::map<std::string, Site> annotated;  // "C::m" -> first annotation
+  std::set<std::string> locked;
+  for (const auto& tu : *db.tus) {
+    for (const auto& g : tu.guarded) {
+      const auto owners = db.mutexClasses.find(g.mutexName);
+      if (owners == db.mutexClasses.end() ||
+          owners->second.count(g.className) == 0) {
+        out.push_back({"guarded-by-unknown", tu.path, g.line,
+                       "GUARDED_BY(" + g.mutexName + ") on '" +
+                           qualify(g.className, g.field) +
+                           "' names no std::mutex member of " + g.className});
+        continue;
+      }
+      annotated.emplace(qualify(g.className, g.mutexName),
+                        Site{tu.path, g.line});
+    }
+    for (const auto& a : tu.acquires) {
+      const Resolution r =
+          resolveMutex(db, tu.path, a.className, a.mutexExpr, a.line);
+      if (r.resolved) locked.insert(r.id);
+    }
+  }
+  for (const auto& tu : *db.tus) {
+    for (const auto& m : tu.mutexes) {
+      const std::string id = qualify(m.className, m.member);
+      const auto first = annotated.find(id);
+      if (first == annotated.end()) {
+        out.push_back({"guarded-by", tu.path, m.line,
+                       "mutex '" + id +
+                           "' has no field annotated // GUARDED_BY(" +
+                           m.member + ")"});
+      } else if (locked.count(id) == 0) {
+        out.push_back({"guarded-by-unlocked", first->second.path,
+                       first->second.line,
+                       "mutex '" + id + "' guards fields but is never locked"});
+      }
     }
   }
 }
@@ -485,162 +450,15 @@ void kernelTablePass(const Database& db, std::vector<Finding>& out) {
   }
 }
 
-// -- docs drift --------------------------------------------------------------
-
-bool documented(const std::string& docs, const std::string& name) {
-  return docs.find("`" + name + "`") != std::string::npos;
-}
-
-bool isDocsExempt(const std::string& path) {
-  return startsWith(path, "tests/");
-}
-
-void driftPasses(const Database& db, const Options& options,
-                 std::vector<Finding>& out) {
-  if (options.hasObsDocs) {
-    std::set<std::string> reported;
-    for (const auto& tu : *db.tus) {
-      if (isDocsExempt(tu.path)) continue;
-      for (const auto& s : tu.spans) {
-        if (documented(options.obsDocs, s.name)) continue;
-        if (!reported.insert(s.name).second) continue;
-        out.push_back({"span-drift", tu.path, s.line,
-                       "trace span '" + s.name +
-                           "' is not documented in docs/observability.md"});
-      }
-    }
-  }
-  if (options.hasPerfDocs) {
-    std::set<std::string> reported;
-    for (const auto& tu : *db.tus) {
-      if (isDocsExempt(tu.path)) continue;
-      for (const auto& e : tu.envs) {
-        if (documented(options.perfDocs, e.name)) continue;
-        if (!reported.insert(e.name).second) continue;
-        out.push_back({"knob-drift", tu.path, e.line,
-                       "env knob '" + e.name +
-                           "' is not documented in docs/performance.md"});
-      }
-    }
-  }
-}
-
-void appendJsonEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string Finding::fingerprint() const {
-  const std::uint64_t h = fnv1a64(pass + "|" + path + "|" + message);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-std::string Finding::render() const {
-  std::ostringstream os;
-  os << path << ':' << line << ": [" << pass << "] " << message;
-  return os.str();
-}
-
-const std::vector<PassInfo>& passTable() { return kPasses; }
-
-std::vector<Finding> runPasses(const std::vector<TuFacts>& tus,
-                               const Options& options) {
+void crossTuPasses(const std::vector<TuFacts>& tus, std::vector<Finding>& out) {
   const Database db = buildDatabase(tus);
-  std::vector<Finding> findings;
-  lockOrderPasses(db, findings);
-  poolPasses(db, findings);
-  guardedByGapPass(db, findings);
-  kernelTablePass(db, findings);
-  driftPasses(db, options, findings);
-
-  findings.erase(std::remove_if(findings.begin(), findings.end(),
-                                [&](const Finding& f) {
-                                  return isAllowed(db, f);
-                                }),
-                 findings.end());
-  std::sort(findings.begin(), findings.end(),
-            [](const Finding& a, const Finding& b) {
-              if (a.path != b.path) return a.path < b.path;
-              if (a.line != b.line) return a.line < b.line;
-              if (a.pass != b.pass) return a.pass < b.pass;
-              return a.message < b.message;
-            });
-  return findings;
-}
-
-std::string findingsToJson(const std::vector<Finding>& findings,
-                           const std::vector<bool>& baselined) {
-  std::string out = "{\n  \"findings\": [";
-  std::size_t newCount = 0;
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    const bool isBase = i < baselined.size() && baselined[i];
-    if (!isBase) ++newCount;
-    out += i ? ",\n    {" : "\n    {";
-    out += "\"pass\": \"";
-    appendJsonEscaped(out, f.pass);
-    out += "\", \"path\": \"";
-    appendJsonEscaped(out, f.path);
-    out += "\", \"line\": " + std::to_string(f.line);
-    out += ", \"fingerprint\": \"" + f.fingerprint();
-    out += "\", \"baselined\": ";
-    out += isBase ? "true" : "false";
-    out += ", \"message\": \"";
-    appendJsonEscaped(out, f.message);
-    out += "\"}";
-  }
-  out += findings.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"summary\": {\"total\": " + std::to_string(findings.size()) +
-         ", \"new\": " + std::to_string(newCount) +
-         ", \"baselined\": " + std::to_string(findings.size() - newCount) +
-         "}\n}\n";
-  return out;
-}
-
-std::vector<std::string> parseBaselineFingerprints(const std::string& json) {
-  std::vector<std::string> out;
-  const std::string key = "\"fingerprint\"";
-  std::size_t at = json.find(key);
-  while (at != std::string::npos) {
-    std::size_t colon = json.find(':', at + key.size());
-    if (colon == std::string::npos) break;
-    std::size_t open = json.find('"', colon);
-    if (open == std::string::npos) break;
-    std::size_t close = json.find('"', open + 1);
-    if (close == std::string::npos) break;
-    out.push_back(json.substr(open + 1, close - open - 1));
-    at = json.find(key, close);
-  }
-  return out;
+  lockOrderPasses(db, out);
+  poolPasses(db, out);
+  guardedByPasses(db, out);
+  guardedByGapPass(db, out);
+  kernelTablePass(db, out);
 }
 
 }  // namespace dagt::analyze

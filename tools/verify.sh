@@ -2,13 +2,11 @@
 # Full correctness matrix for the repo, one line of output per stage:
 #
 #   default   RelWithDebInfo build + complete ctest suite (DAGT_CHECKS on)
-#   lint      dagt-lint over the checkout (ctest -L lint)
-#   analyze   dagt-analyze cross-TU passes (lock-order, pooled lifetime,
-#             contract drift) over the checkout against the committed
-#             baseline, plus the per-pass fixture self-tests (ctest -L
-#             analyze)
-#   docs      tools/check_docs.sh (+ --selftest) — docs/ in sync with
-#             metrics keys, span names, kernel tiers, DAGT_* knobs, benches
+#   analyze   dagt-analyze over the checkout — token rules, cross-TU passes
+#             (lock order, pooled lifetime, GUARDED_BY) and docs-drift rows
+#             (metric keys, spans, knobs, tiers, options, benches, what-if
+#             commands, rule ids) — plus its fixture self-tests
+#             (ctest -L analyze)
 #   bench     bench_micro_ops smoke run + BENCH JSON validation (tier table)
 #   fusion    bench_fusion smoke run — fused-vs-unfused bitwise parity,
 #             >= 1.2x interactive-forward speedup, <= 3 allocs/predict;
@@ -26,8 +24,8 @@
 #             in-budget hit accuracy, JSON schema validated)
 #
 # Usage: tools/verify.sh [--fast]
-#   --fast skips the sanitizer stages (default + lint + analyze + docs +
-#   bench only).
+#   --fast skips the sanitizer stages (default + analyze + bench + fusion
+#   only).
 #
 # Each sanitizer preset gets its own build tree (build-asan/, build-tsan/) —
 # the runtimes are mutually exclusive, and CMake enforces that (see
@@ -63,14 +61,10 @@ run_default() {
     ctest --test-dir build --output-on-failure -j 2
 }
 
-run_lint() {
-  ctest --test-dir build -L lint --output-on-failure
-}
-
 # The analyze label covers both halves of dagt-analyze: analyze.repo (the
-# binary over the checkout, gated on tools/dagt_analyze/baseline.json) and
-# dagt_analyze_tests (seeded-violation/clean-twin fixtures per pass plus
-# the golden fact-extraction dump).
+# binary over the checkout; any finding fails) and dagt_analyze_tests
+# (seeded-violation/clean-twin fixtures per rule, the drift rows on a mini
+# checkout, and the golden fact-extraction dump).
 run_analyze() {
   ctest --test-dir build -L analyze --output-on-failure
 }
@@ -163,14 +157,6 @@ print(f"retrieval-smoke: ok ({doc['speedup']:.2f}x, "
 EOF
 }
 
-# Positive pass first (docs in sync), then the negative selftest: phantom
-# names injected into every extracted list must each be flagged, proving
-# the drift checkers still fire.
-run_docs() {
-  tools/check_docs.sh &&
-    tools/check_docs.sh --selftest
-}
-
 # Smoke-run the perf dashboard at tiny shapes, then validate the JSON it
 # writes: the kernel tier table must be present, every profiled tier must
 # have a real timing, and on SIMD-capable hosts the dispatch layer must
@@ -239,9 +225,7 @@ EOF
 
 mkdir -p build
 stage default build/verify-default.log run_default
-stage lint build/verify-lint.log run_lint
 stage analyze build/verify-analyze.log run_analyze
-stage docs build/verify-docs.log run_docs
 stage bench build/verify-bench.log run_bench
 stage fusion build/verify-fusion.log run_fusion
 if [[ "$FAST" == 0 ]]; then
