@@ -1,8 +1,10 @@
 // Hyper-parameter ablations of the proposed method's design choices —
 // the knobs DESIGN.md calls out: the CMD maximum moment order (Eq. 5),
-// the contrastive temperature tau (Eq. 3), the Monte-Carlo sample count K
-// (Eq. 11) and the alignment-loss weights gamma1/gamma2. Each row trains
-// the full model at a reduced scale and reports the average test R^2.
+// the contrastive temperature tau (Eq. 3), the training Monte-Carlo sample
+// count K of the ELBO (Eq. 11, TrainConfig::mcSamples; inference reads the
+// head in closed form and draws no samples) and the alignment-loss weights
+// gamma1/gamma2. Each row trains the full model at a reduced scale and
+// reports the average test R^2.
 //
 // Not a paper table; it backs the "why these defaults" discussion.
 
@@ -47,8 +49,10 @@ int main() {
        [](core::TrainConfig& c) { c.cmdMaxOrder = 1; }},
       {"CMD max order", "3",
        [](core::TrainConfig& c) { c.cmdMaxOrder = 3; }},
-      {"mcSamples K", "1", [](core::TrainConfig& c) { c.mcSamples = 1; }},
-      {"mcSamples K", "8", [](core::TrainConfig& c) { c.mcSamples = 8; }},
+      {"train mcSamples K", "1",
+       [](core::TrainConfig& c) { c.mcSamples = 1; }},
+      {"train mcSamples K", "8",
+       [](core::TrainConfig& c) { c.mcSamples = 8; }},
       {"gamma1", "0", [](core::TrainConfig& c) { c.gamma1 = 0.0f; }},
       {"gamma2", "0", [](core::TrainConfig& c) { c.gamma2 = 0.0f; }},
       {"gamma1/gamma2", "x10",

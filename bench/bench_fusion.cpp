@@ -6,11 +6,10 @@
 // with a per-iteration Workspace, exactly like one served batch):
 //
 //   * head — the readout pipeline the compiler fully fuses (disentangler
-//     -> Bayesian head distribution -> MC predict), with the
-//     reparameterization noise pre-drawn (both modes consume the same
-//     Box-Muller stream; its cost is metered separately). Measured at TWO
-//     shapes: batch=1, the interactive what-if shape, where eager per-op
-//     launches and pool roundtrips dominate and fusion removes them — the
+//     -> Bayesian head distribution -> closed-form predictive mean and
+//     variance, the inference readout). Measured at TWO shapes: batch=1,
+//     the interactive what-if shape, where eager per-op launches and pool
+//     roundtrips dominate and fusion removes them — the
 //     gated latency ratio; and the serve batch, where the pipeline is
 //     GEMM/transcendental-bound (identical kernel work in both modes) —
 //     context, plus the allocs-per-predict gate.
@@ -83,41 +82,33 @@ double microsSince(const std::chrono::steady_clock::time_point& start) {
       .count();
 }
 
-/// One full-model inference forward, deterministic across calls (fresh Rng
-/// per call: the MC draws are part of the prediction, so both modes must
-/// consume the identical stream for the parity check to be meaningful).
+/// One full-model inference forward (the served readout): every mean,
+/// then every stddev, so the parity gates cover both.
 std::vector<float> runForward(const core::OursModel& model,
-                              const core::DesignBatch& batch,
-                              std::int32_t mcSamples) {
-  tensor::NoGradGuard guard;
+                              const core::DesignBatch& batch) {
   tensor::Workspace workspace;
-  Rng rng(0xf05edULL);
-  const auto out = model.forward(batch, mcSamples, rng);
-  return std::vector<float>(out.prediction.data(),
-                            out.prediction.data() + out.prediction.numel());
+  core::TimingModel::Prediction out = model.predictBatch(batch);
+  out.mean.insert(out.mean.end(), out.stddev.begin(), out.stddev.end());
+  return out.mean;
 }
 
 /// One steady-state head forward: the exact post-extractor pipeline of
-/// OursModel::forward (disentangle -> joint -> distribution -> MC
-/// predict), on a fixed feature batch u. The reparameterization noise is
-/// pre-drawn by the caller: the draw is a Box-Muller stream identical in
-/// both modes (fusion never touches it), so timing it inside the loop
-/// would only dilute the measured fusion ratio with a large common
-/// constant. Its cost is reported separately as eps_draw_us_per_forward.
+/// OursModel::predictBatch (disentangle -> joint -> distribution ->
+/// predictive), on a fixed feature batch u. Returns the means, then the
+/// variances.
 std::vector<float> runHead(const core::Disentangler& disentangler,
                            const core::BayesianHead& head,
-                           const tensor::Tensor& u,
-                           const std::vector<tensor::Tensor>& eps) {
+                           const tensor::Tensor& u) {
   tensor::NoGradGuard guard;
   tensor::Workspace workspace;
   const auto split = disentangler.forward(u);
   const tensor::Tensor joint =
       tensor::concat1({split.nodeDependent, split.designDependent});
-  const auto q = head.distribution(joint);
-  const auto prediction = head.predict(joint, q, eps);
-  return std::vector<float>(
-      prediction.mean.data(),
-      prediction.mean.data() + prediction.mean.numel());
+  const auto p = head.predictive(joint);
+  std::vector<float> out = p.mean.toVector();
+  const std::vector<float> variance = p.variance.toVector();
+  out.insert(out.end(), variance.begin(), variance.end());
+  return out;
 }
 
 struct ModeResult {
@@ -277,7 +268,6 @@ int run() {
   const int iters = static_cast<int>(envOr("DAGT_FUSION_ITERS", 40.0));
   const double minSpeedup = envOr("DAGT_FUSION_MIN_SPEEDUP", 1.3);
   const double maxAllocs = envOr("DAGT_FUSION_MAX_ALLOCS", 3.0);
-  const std::int32_t mcSamples = core::OursModel::kEvalMcSamples;
   // DAGT_FUSION_TRACE=1 prints span aggregates of the fused run (where the
   // forward spends its time). Off for gating runs.
   const bool trace = envOr("DAGT_FUSION_TRACE", 0.0) != 0.0;
@@ -304,9 +294,9 @@ int run() {
 
   const tensor::kernels::Tier detected = tensor::kernels::activeTier();
   std::fprintf(stderr,
-               "fusion bench: smallboom @ scale %.2f, batch %lld, %d MC "
-               "samples, tier %s, %d iters/mode\n",
-               scale, static_cast<long long>(batchSize), mcSamples,
+               "fusion bench: smallboom @ scale %.2f, batch %lld, tier %s, "
+               "%d iters/mode\n",
+               scale, static_cast<long long>(batchSize),
                tensor::kernels::tierName(detected), iters);
 
   // The head pipeline under measurement, built exactly like OursModel's
@@ -317,38 +307,12 @@ int run() {
                                         headRng);
   const core::BayesianHead head(featureDim, modelConfig.headHidden, headRng);
 
-  // Head measurement at a given batch shape. The MC noise is pre-drawn
-  // once, shared by both modes (same tensors, so the head parity check
-  // stays exact), and its draw cost is metered on its own.
-  struct HeadMeasurement {
-    ModeResult unfused;
-    ModeResult fused;
-    double epsDrawUs = 0.0;
-  };
+  // Head measurement at a given batch shape: (eager, fused).
   const auto measureHead = [&](std::int64_t b, int headIters) {
     Rng shapeRng(0xfea7ULL);
     const tensor::Tensor ub = tensor::Tensor::randn({b, featureDim}, shapeRng);
-    std::vector<tensor::Tensor> eps;
-    {
-      Rng epsRng(0xf05edULL);
-      for (std::int32_t k = 0; k < mcSamples; ++k) {
-        eps.push_back(tensor::Tensor::randn({b, featureDim}, epsRng));
-      }
-    }
-    HeadMeasurement out;
-    const auto epsStart = std::chrono::steady_clock::now();
-    for (int i = 0; i < headIters; ++i) {
-      Rng epsRng(0xf05edULL);
-      for (std::int32_t k = 0; k < mcSamples; ++k) {
-        (void)tensor::Tensor::randn({b, featureDim}, epsRng);
-      }
-    }
-    out.epsDrawUs = microsSince(epsStart) / headIters;
-    auto [un, fu] = runInterleaved(
-        headIters, [&] { return runHead(disentangler, head, ub, eps); });
-    out.unfused = std::move(un);
-    out.fused = std::move(fu);
-    return out;
+    return runInterleaved(headIters,
+                          [&] { return runHead(disentangler, head, ub); });
   };
 
   tensor::expr::resetStats();
@@ -360,12 +324,11 @@ int run() {
   // serve-side gate is the allocs-per-predict drop instead.
   // The batch=1 forward is ~20us, so it gets 8x the iterations for the
   // same wall-clock — chunks long enough for a stable gated ratio.
-  const HeadMeasurement interactive = measureHead(1, iters * 8);
-  const HeadMeasurement serveHead = measureHead(batchSize, iters);
-  const ModeResult& headUnfused = interactive.unfused;
-  const ModeResult& headFused = interactive.fused;
-  const auto [unfused, fusedRun] = runInterleaved(
-      iters, [&] { return runForward(model, batch, mcSamples); });
+  const auto [headUnfused, headFused] = measureHead(1, iters * 8);
+  const auto [serveHeadUnfused, serveHeadFused] =
+      measureHead(batchSize, iters);
+  const auto [unfused, fusedRun] =
+      runInterleaved(iters, [&] { return runForward(model, batch); });
 
   // Cone fill: the GNN the model serves (paper-default width) on the same
   // design. The first fused fill compiles the level programs; the rest of
@@ -399,9 +362,7 @@ int run() {
   if (trace) {
     obs::TraceRegistry::global().setEnabled(true);
     tensor::expr::setFusionEnabled(true);
-    for (int i = 0; i < iters; ++i) {
-      (void)runForward(model, batch, mcSamples);
-    }
+    for (int i = 0; i < iters; ++i) (void)runForward(model, batch);
   }
   if (trace) {
     for (const auto& s : obs::TraceRegistry::global().aggregate()) {
@@ -417,17 +378,16 @@ int run() {
   const bool parityActive =
       bitwiseEqual(unfused.prediction, fusedRun.prediction) &&
       bitwiseEqual(headUnfused.prediction, headFused.prediction) &&
-      bitwiseEqual(serveHead.unfused.prediction,
-                   serveHead.fused.prediction);
+      bitwiseEqual(serveHeadUnfused.prediction, serveHeadFused.prediction);
 
   // Scalar-tier parity: pin the tier and rerun both modes once. The fused
   // programs themselves are tier-independent (the replay dispatches through
   // the active table), so the cached programs are reused as-is.
   tensor::kernels::forceTier(tensor::kernels::Tier::kScalar);
   tensor::expr::setFusionEnabled(false);
-  const std::vector<float> scalarUnfused = runForward(model, batch, mcSamples);
+  const std::vector<float> scalarUnfused = runForward(model, batch);
   tensor::expr::setFusionEnabled(true);
-  const std::vector<float> scalarFused = runForward(model, batch, mcSamples);
+  const std::vector<float> scalarFused = runForward(model, batch);
   const ConeChecks coneScalar = checkCone(cone);
   tensor::kernels::resetTier();
   const bool parityScalar = bitwiseEqual(scalarUnfused, scalarFused);
@@ -440,30 +400,27 @@ int run() {
           ? unfused.usPerForward / fusedRun.usPerForward
           : 0.0;
   const double serveHeadSpeedup =
-      serveHead.fused.usPerForward > 0.0
-          ? serveHead.unfused.usPerForward / serveHead.fused.usPerForward
+      serveHeadFused.usPerForward > 0.0
+          ? serveHeadUnfused.usPerForward / serveHeadFused.usPerForward
           : 0.0;
   const double perPredict = static_cast<double>(batchSize);
   const double fusedAllocsPerPredict =
-      serveHead.fused.acquisitionsPerForward / perPredict;
+      serveHeadFused.acquisitionsPerForward / perPredict;
   const double unfusedAllocsPerPredict =
-      serveHead.unfused.acquisitionsPerForward / perPredict;
+      serveHeadUnfused.acquisitionsPerForward / perPredict;
 
   JsonValue doc = JsonValue::object();
   doc.set("design", "smallboom")
       .set("scale", static_cast<double>(scale))
       .set("batch", batchSize)
-      .set("mc_samples", static_cast<std::int64_t>(mcSamples))
       .set("iters", static_cast<std::int64_t>(iters))
       .set("tier", tensor::kernels::tierName(detected))
       .set("unfused_head_us_per_forward", headUnfused.usPerForward)
       .set("fused_head_us_per_forward", headFused.usPerForward)
-      .set("eps_draw_us_per_forward", interactive.epsDrawUs)
       .set("speedup", speedup)
       .set("unfused_serve_head_us_per_forward",
-           serveHead.unfused.usPerForward)
-      .set("fused_serve_head_us_per_forward", serveHead.fused.usPerForward)
-      .set("serve_eps_draw_us_per_forward", serveHead.epsDrawUs)
+           serveHeadUnfused.usPerForward)
+      .set("fused_serve_head_us_per_forward", serveHeadFused.usPerForward)
       .set("serve_head_speedup", serveHeadSpeedup)
       .set("unfused_model_us_per_forward", unfused.usPerForward)
       .set("fused_model_us_per_forward", fusedRun.usPerForward)
@@ -507,7 +464,7 @@ int run() {
                "fill\n",
                path.c_str(), headUnfused.usPerForward, headFused.usPerForward,
                speedup, static_cast<long long>(batchSize),
-               serveHead.unfused.usPerForward, serveHead.fused.usPerForward,
+               serveHeadUnfused.usPerForward, serveHeadFused.usPerForward,
                serveHeadSpeedup, unfused.usPerForward, fusedRun.usPerForward,
                modelSpeedup, unfusedAllocsPerPredict, fusedAllocsPerPredict,
                parityScalar ? "ok" : "BROKEN",

@@ -12,16 +12,6 @@ using tensor::Tensor;
 
 namespace {
 
-/// Deterministic per-design RNG for Monte-Carlo evaluation: predictions
-/// must not depend on call order.
-Rng evalRng(const features::DesignData& design) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : design.name) {
-    h = (h ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ULL;
-  }
-  return Rng(h);
-}
-
 /// y + w0 * preRoute: the learnable pre-routing bypass shared by every
 /// readout. w0 is initialized at 1 so the optimistic STA estimate is the
 /// zeroth-order prediction and the network learns the correction.
@@ -35,13 +25,30 @@ Tensor applyBypass(const Tensor& y, const Tensor& preRouteNs,
   return tensor::add(y, scaled);
 }
 
-std::vector<float> unscale(const Tensor& predictionNs) {
-  std::vector<float> out = predictionNs.toVector();
-  for (auto& v : out) v /= kLabelScale;
-  return out;
+/// ns (label scale) -> ps.
+std::vector<float> unscale(std::vector<float> predictionNs) {
+  for (auto& v : predictionNs) v /= kLabelScale;
+  return predictionNs;
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// TimingModel
+// ---------------------------------------------------------------------------
+
+std::vector<float> TimingModel::predictDesign(
+    const TimingDataset& dataset, const features::DesignData& design,
+    GraphMemo* graphMemo) const {
+  DesignBatch batch = dataset.fullBatch(design);
+  batch.graphMemo = graphMemo;
+  return predictBatch(batch).mean;
+}
+
+TimingModel::Prediction TimingModel::predictDesignWithUncertainty(
+    const TimingDataset& dataset, const features::DesignData& design) const {
+  return predictBatch(dataset.fullBatch(design));
+}
 
 // ---------------------------------------------------------------------------
 // Dac23Model
@@ -79,13 +86,13 @@ Tensor Dac23Model::forwardBatch(const DesignBatch& batch) const {
   return applyBypass(raw, batch.preRouteNs, *w0);
 }
 
-std::vector<float> Dac23Model::predictDesign(
-    const TimingDataset& dataset, const features::DesignData& design,
-    GraphMemo* graphMemo) {
+TimingModel::Prediction Dac23Model::predictBatch(
+    const DesignBatch& batch) const {
   tensor::NoGradGuard guard;
-  DesignBatch batch = dataset.fullBatch(design);
-  batch.graphMemo = graphMemo;
-  return unscale(forwardBatch(batch));
+  Prediction out;
+  out.mean = unscale(forwardBatch(batch).toVector());
+  out.stddev.assign(out.mean.size(), 0.0f);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -116,21 +123,33 @@ OursModel::OursModel(std::int64_t pinFeatureDim, const ModelConfig& config,
   }
 }
 
-OursModel::BatchForward OursModel::forward(const DesignBatch& batch,
-                                           std::int32_t mcSamples,
-                                           Rng& rng) const {
-  DAGT_TRACE_SCOPE("model/forward");
+OursModel::BatchForward OursModel::encode(const DesignBatch& batch) const {
   BatchForward out;
   {
     DAGT_TRACE_SCOPE("model/extract");
     out.u = extractor_.extract(batch);
   }
-  const auto split = [&] {
-    DAGT_TRACE_SCOPE("model/disentangle");
-    return disentangler_.forward(out.u);
-  }();
+  DAGT_TRACE_SCOPE("model/disentangle");
+  const auto split = disentangler_.forward(out.u);
   out.un = split.nodeDependent;
   out.ud = split.designDependent;
+  return out;
+}
+
+Tensor OursModel::deterministicReadout(const Tensor& joint,
+                                       const DesignBatch& batch) const {
+  const bool target = batch.design->node == netlist::TechNode::k7nm;
+  const nn::Linear& head = target ? *detReadoutTarget_ : *detReadout_;
+  const Tensor& w0 = target ? bypassTarget_ : bypass_;
+  const Tensor raw = tensor::reshape(head.forward(joint), {joint.dim(0)});
+  return applyBypass(raw, batch.preRouteNs, w0);
+}
+
+OursModel::BatchForward OursModel::forward(const DesignBatch& batch,
+                                           std::int32_t mcSamples,
+                                           Rng& rng) const {
+  DAGT_TRACE_SCOPE("model/forward");
+  BatchForward out = encode(batch);
   const Tensor joint = tensor::concat1({out.un, out.ud});
   DAGT_TRACE_SCOPE("model/head");
   if (usesBayesianHead()) {
@@ -144,59 +163,27 @@ OursModel::BatchForward OursModel::forward(const DesignBatch& batch,
           applyBypass(sample, batch.preRouteNs, bypass_));
     }
   } else {
-    const bool target = batch.design->node == netlist::TechNode::k7nm;
-    const nn::Linear& head = target ? *detReadoutTarget_ : *detReadout_;
-    const Tensor& w0 = target ? bypassTarget_ : bypass_;
-    const Tensor raw =
-        tensor::reshape(head.forward(joint), {joint.dim(0)});
-    out.prediction = applyBypass(raw, batch.preRouteNs, w0);
+    out.prediction = deterministicReadout(joint, batch);
   }
   return out;
 }
 
 Tensor OursModel::embed(const DesignBatch& batch) const {
   DAGT_CHECK_MSG(usesBayesianHead(), "embed() needs the Bayesian head");
-  Tensor u;
-  {
-    DAGT_TRACE_SCOPE("model/extract");
-    u = extractor_.extract(batch);
-  }
-  const auto split = [&] {
-    DAGT_TRACE_SCOPE("model/disentangle");
-    return disentangler_.forward(u);
-  }();
-  return tensor::concat1({split.nodeDependent, split.designDependent});
+  const BatchForward split = encode(batch);
+  return tensor::concat1({split.un, split.ud});
 }
 
-OursModel::HeadPrediction OursModel::headPredict(const Tensor& joint,
-                                                 const Tensor& preRouteNs,
-                                                 std::int32_t mcSamples,
-                                                 Rng& rng) const {
+OursModel::HeadPrediction OursModel::headPredict(
+    const Tensor& joint, const Tensor& preRouteNs) const {
   DAGT_CHECK_MSG(usesBayesianHead(), "headPredict() needs the Bayesian head");
   DAGT_TRACE_SCOPE("model/head");
-  const BayesianHead::WeightDistribution q = bayesHead_->distribution(joint);
-  const auto prediction = bayesHead_->predict(joint, q, mcSamples, rng);
+  const BayesianHead::Predictive p = bayesHead_->predictive(joint);
   HeadPrediction out;
-  out.predictionNs =
-      applyBypass(prediction.mean, preRouteNs, bypass_).toVector();
-  out.rawMeanNs = prediction.mean.toVector();
-  const std::size_t n = out.rawMeanNs.size();
-  out.sigmaPs.assign(n, 0.0f);
-  // Population stddev over the raw samples (the bypass term cancels in
-  // every deviation, so this matches the spread of the bypassed samples).
-  for (const Tensor& sample : prediction.samples) {
-    const std::vector<float> values = sample.toVector();
-    for (std::size_t i = 0; i < n; ++i) {
-      const float dev = values[i] - out.rawMeanNs[i];
-      out.sigmaPs[i] += dev * dev;
-    }
-  }
-  if (!prediction.samples.empty()) {
-    for (auto& s : out.sigmaPs) {
-      s = std::sqrt(s / static_cast<float>(prediction.samples.size())) /
-          kLabelScale;  // ns -> ps
-    }
-  }
+  out.predictionNs = applyBypass(p.mean, preRouteNs, bypass_).toVector();
+  out.rawMeanNs = p.mean.toVector();
+  out.sigmaPs = p.variance.toVector();
+  for (float& s : out.sigmaPs) s = std::sqrt(s) / kLabelScale;  // ns -> ps
   return out;
 }
 
@@ -211,39 +198,21 @@ BayesianHead::WeightDistribution OursModel::prior(
   return bayesHead_->distribution(tensor::concat1({meanUn, meanUd}));
 }
 
-std::vector<float> OursModel::predictDesign(
-    const TimingDataset& dataset, const features::DesignData& design,
-    GraphMemo* graphMemo) {
+TimingModel::Prediction OursModel::predictBatch(
+    const DesignBatch& batch) const {
   tensor::NoGradGuard guard;
-  Rng rng = evalRng(design);
-  DesignBatch batch = dataset.fullBatch(design);
-  batch.graphMemo = graphMemo;
-  return unscale(forward(batch, kEvalMcSamples, rng).prediction);
-}
-
-OursModel::Uncertainty OursModel::predictDesignWithUncertainty(
-    const TimingDataset& dataset, const features::DesignData& design,
-    std::int32_t mcSamples) {
-  DAGT_CHECK(mcSamples >= 2);
-  tensor::NoGradGuard guard;
-  Rng rng = evalRng(design);
-  const auto forwardResult =
-      forward(dataset.fullBatch(design), mcSamples, rng);
-
-  Uncertainty out;
-  out.mean = unscale(forwardResult.prediction);
-  const std::size_t n = out.mean.size();
-  out.stddev.assign(n, 0.0f);
-  if (forwardResult.samples.empty()) return out;  // deterministic variant
-  for (const auto& sample : forwardResult.samples) {
-    const std::vector<float> values = unscale(sample);
-    for (std::size_t i = 0; i < n; ++i) {
-      const float dev = values[i] - out.mean[i];
-      out.stddev[i] += dev * dev;
-    }
-  }
-  for (auto& s : out.stddev) {
-    s = std::sqrt(s / static_cast<float>(forwardResult.samples.size()));
+  DAGT_TRACE_SCOPE("model/forward");
+  const BatchForward split = encode(batch);
+  const Tensor joint = tensor::concat1({split.un, split.ud});
+  Prediction out;
+  if (usesBayesianHead()) {
+    HeadPrediction head = headPredict(joint, batch.preRouteNs);
+    out.mean = unscale(std::move(head.predictionNs));
+    out.stddev = std::move(head.sigmaPs);
+  } else {
+    DAGT_TRACE_SCOPE("model/head");
+    out.mean = unscale(deterministicReadout(joint, batch).toVector());
+    out.stddev.assign(out.mean.size(), 0.0f);
   }
   return out;
 }

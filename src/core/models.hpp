@@ -18,12 +18,33 @@ class TimingModel {
   virtual ~TimingModel() = default;
   /// The underlying parameter container (for optimizers / serialization).
   virtual nn::Module& module() = 0;
-  /// Arrival predictions (ps) for all endpoints of a design, in endpoint
-  /// order. Deterministic across calls. `graphMemo` (the serving engine's
-  /// per-snapshot memo) replaces the GNN sweep once it is filled.
-  virtual std::vector<float> predictDesign(
-      const TimingDataset& dataset, const features::DesignData& design,
-      GraphMemo* graphMemo = nullptr) = 0;
+
+  /// Per-endpoint predictive distribution (ps): mean and standard
+  /// deviation of the sign-off arrival.
+  struct Prediction {
+    std::vector<float> mean;
+    std::vector<float> stddev;
+  };
+  /// The inference readout, shared by every read path (serve batches,
+  /// full-design predicts, eval): one (mean, stddev) per batch row, in row
+  /// order. Runs without autograd. A row's answer depends only on that
+  /// row's inputs, never on the other rows of the batch. stddev is the
+  /// Bayesian head's exact predictive spread, 0 for deterministic readouts.
+  virtual Prediction predictBatch(const DesignBatch& batch) const = 0;
+
+  /// Mean arrival predictions (ps) for all endpoints of a design, in
+  /// endpoint order: predictBatch over the full-design batch. `graphMemo`
+  /// (the serving engine's per-snapshot memo) replaces the GNN sweep once
+  /// it is filled.
+  std::vector<float> predictDesign(const TimingDataset& dataset,
+                                   const features::DesignData& design,
+                                   GraphMemo* graphMemo = nullptr) const;
+  /// The full predictive distribution for all endpoints of a design. The
+  /// spread is the Bayesian head's epistemic uncertainty: endpoints whose
+  /// path feature is far from the training distribution get a wider
+  /// weight posterior.
+  Prediction predictDesignWithUncertainty(
+      const TimingDataset& dataset, const features::DesignData& design) const;
 };
 
 /// The DAC'23 [4] baseline predictor: the multimodal path feature extractor
@@ -42,9 +63,7 @@ class Dac23Model : public TimingModel, public nn::Module {
   bool perNodeReadout() const { return readoutTarget_ != nullptr; }
 
   nn::Module& module() override { return *this; }
-  std::vector<float> predictDesign(const TimingDataset& dataset,
-                                   const features::DesignData& design,
-                                   GraphMemo* graphMemo = nullptr) override;
+  Prediction predictBatch(const DesignBatch& batch) const override;
 
  private:
   PathFeatureExtractor extractor_;
@@ -84,33 +103,33 @@ class OursModel : public TimingModel, public nn::Module {
     std::vector<tensor::Tensor> samples;   // K x [B]; empty for kDaOnly
     BayesianHead::WeightDistribution q;    // undefined for kDaOnly
   };
+  /// The training forward: the Bayesian head's prediction is the
+  /// Monte-Carlo average of mcSamples reparameterized readouts (Eq. 11).
+  /// Inference uses predictBatch() instead.
   BatchForward forward(const DesignBatch& batch, std::int32_t mcSamples,
                        Rng& rng) const;
 
   /// The joint disentangled embedding [B, m] of a batch: extractor ->
-  /// disentangler -> concat, exactly the prefix of forward() before the
-  /// head. A later headPredict() on these rows reproduces forward()'s
-  /// prediction bit-for-bit — the split exists so the serving retrieval
-  /// cache can embed once, probe its index, and run the head only on
-  /// misses. Bayesian-head variants only.
+  /// disentangler -> concat, exactly the prefix of predictBatch() before
+  /// the head. A later headPredict() on these rows reproduces
+  /// predictBatch()'s answer bit-for-bit — the split exists so the serving
+  /// retrieval cache can embed once, probe its index, and run the head only
+  /// on misses. Bayesian-head variants only.
   tensor::Tensor embed(const DesignBatch& batch) const;
 
-  /// Head-only forward over precomputed joint embeddings (Bayesian-head
-  /// variants only). With the same joint rows, preRouteNs and RNG state as
-  /// a full forward(), predictionNs is bitwise identical to
-  /// forward().prediction. rawMeanNs is the PRE-bypass head mean (what the
-  /// retrieval cache stores, so a hit can re-apply the bypass against a
-  /// newer revision's pre-route arrival); sigmaPs is the Monte-Carlo
-  /// predictive stddev in ps (bypass-invariant: the bypass shifts every
-  /// sample equally).
+  /// The closed-form head over precomputed joint embeddings (Bayesian-head
+  /// variants only): predictionNs is bitwise predictBatch()'s mean, in ns.
+  /// rawMeanNs is the PRE-bypass head mean (what the retrieval cache
+  /// stores, so a hit can re-apply the bypass against a newer revision's
+  /// pre-route arrival); sigmaPs is the exact predictive stddev in ps
+  /// (bypass-invariant: the bypass only shifts the mean).
   struct HeadPrediction {
     std::vector<float> predictionNs;  // [B], bypass applied
     std::vector<float> rawMeanNs;     // [B], pre-bypass head mean
     std::vector<float> sigmaPs;       // [B], predictive stddev (ps)
   };
   HeadPrediction headPredict(const tensor::Tensor& joint,
-                             const tensor::Tensor& preRouteNs,
-                             std::int32_t mcSamples, Rng& rng) const;
+                             const tensor::Tensor& preRouteNs) const;
 
   /// w0 of the shared pre-route bypass, for re-applying the bypass to a
   /// cached rawMeanNs: y = raw + w0 * preRouteNs (same two float roundings
@@ -125,27 +144,15 @@ class OursModel : public TimingModel, public nn::Module {
       const tensor::Tensor& udAllNodes) const;
 
   nn::Module& module() override { return *this; }
-  std::vector<float> predictDesign(const TimingDataset& dataset,
-                                   const features::DesignData& design,
-                                   GraphMemo* graphMemo = nullptr) override;
-
-  /// Monte-Carlo predictive distribution per endpoint: mean and standard
-  /// deviation (ps) of \hat y over the sampled readout weights. The spread
-  /// is the Bayesian head's epistemic uncertainty — endpoints whose path
-  /// feature is far from the training distribution sample more dispersed
-  /// weights. Deterministic across calls. Only meaningful for variants
-  /// with the Bayesian head (kDaOnly yields zero spread).
-  struct Uncertainty {
-    std::vector<float> mean;    // ps
-    std::vector<float> stddev;  // ps
-  };
-  Uncertainty predictDesignWithUncertainty(
-      const TimingDataset& dataset, const features::DesignData& design,
-      std::int32_t mcSamples = 32);
-
-  static constexpr std::int32_t kEvalMcSamples = 8;
+  Prediction predictBatch(const DesignBatch& batch) const override;
 
  private:
+  /// extractor -> disentangler: fills u, un and ud.
+  BatchForward encode(const DesignBatch& batch) const;
+  /// The kDaOnly per-node readout of joint rows (ns, bypass applied).
+  tensor::Tensor deterministicReadout(const tensor::Tensor& joint,
+                                      const DesignBatch& batch) const;
+
   ModelConfig config_;
   OursVariant variant_;
   PathFeatureExtractor extractor_;

@@ -29,12 +29,14 @@ void normalizeInto(const float* src, std::int64_t dim, float* dst) {
   }
 }
 
-/// Per-thread probe scratch (normalized query + top-k arrays): a query on
-/// the serving hot path performs no heap allocation in steady state.
+/// Per-thread probe scratch (normalized query, top-k arrays, the scored
+/// buckets' rows): the probe on the serving hot path performs no heap
+/// allocation in steady state; only the returned neighbors are allocated.
 struct ProbeScratch {
   std::vector<float> query;
   std::vector<float> topScores;
   std::vector<std::int64_t> topIds;
+  std::vector<const float*> bucketRows;
 };
 
 thread_local ProbeScratch tlProbe;
@@ -66,27 +68,25 @@ std::int64_t EmbeddingIndex::insert(const float* embedding,
   DAGT_CHECK_MSG(payloadDim_ == 0 || payload != nullptr,
                  "insert: payload required (payloadDim > 0)");
   std::lock_guard<std::mutex> lock(writeMutex_);
+  const std::int64_t id = size_.load(std::memory_order_relaxed);
+  const std::int64_t slot = id % bucketRows_;
   if (tail_ == nullptr) {
     Bucket* fresh = new Bucket(bucketRows_ * rowStride());
     tail_ = fresh;
     head_.store(fresh, std::memory_order_release);
-  } else if (tail_->committed.load(std::memory_order_relaxed) ==
-             bucketRows_) {
+  } else if (slot == 0) {
     Bucket* fresh = new Bucket(bucketRows_ * rowStride());
     tail_->next.store(fresh, std::memory_order_release);
     tail_ = fresh;
   }
-  const std::int64_t slot = tail_->committed.load(std::memory_order_relaxed);
   float* row = tail_->rows.get() + slot * rowStride();
   normalizeInto(embedding, dim_, row);
   if (payloadDim_ > 0) {
     std::memcpy(row + dim_, payload,
                 static_cast<std::size_t>(payloadDim_) * sizeof(float));
   }
-  // Publish: the row bytes (copied above) happen-before any reader that
-  // acquire-loads this committed count.
-  tail_->committed.store(slot + 1, std::memory_order_release);
-  const std::int64_t id = size_.load(std::memory_order_relaxed);
+  // Publish: the row bytes and any bucket link above happen-before every
+  // reader that acquire-loads a size past this row.
   size_.store(id + 1, std::memory_order_release);
   return id;
 }
@@ -95,8 +95,9 @@ std::vector<EmbeddingIndex::Neighbor> EmbeddingIndex::query(
     const float* embedding, std::int32_t k) const {
   DAGT_CHECK_MSG(k > 0, "query: k must be positive");
   std::vector<Neighbor> out;
-  Bucket* head = head_.load(std::memory_order_acquire);
-  if (head == nullptr) return out;
+  // The epoch: exactly the rows [0, epoch) are scored.
+  const std::int64_t epoch = size_.load(std::memory_order_acquire);
+  if (epoch == 0) return out;
 
   ProbeScratch& scratch = tlProbe;
   scratch.query.resize(static_cast<std::size_t>(dim_));
@@ -105,21 +106,19 @@ std::vector<EmbeddingIndex::Neighbor> EmbeddingIndex::query(
                            -std::numeric_limits<float>::infinity());
   scratch.topIds.assign(static_cast<std::size_t>(k), -1);
 
+  // Buckets fill in insertion order, so row id lives in bucket
+  // id / bucketRows_ at slot id % bucketRows_.
   const kernels::KernelTable& table = kernels::active();
-  // Epoch snapshot: each bucket's committed count is acquire-loaded once;
-  // rows published after that are simply outside this query's epoch.
+  scratch.bucketRows.clear();
   std::int64_t idBase = 0;
-  std::vector<std::pair<Bucket*, std::int64_t>> epoch;
-  for (Bucket* b = head; b != nullptr;
+  for (const Bucket* b = head_.load(std::memory_order_acquire); idBase < epoch;
        b = b->next.load(std::memory_order_acquire)) {
-    const std::int64_t committed = b->committed.load(std::memory_order_acquire);
-    if (committed > 0) epoch.emplace_back(b, committed);
-  }
-  for (const auto& [bucket, committed] : epoch) {
-    table.dotTopkRows(scratch.query.data(), bucket->rows.get(), committed,
-                      dim_, rowStride(), idBase, k, scratch.topScores.data(),
+    const std::int64_t rows = std::min(bucketRows_, epoch - idBase);
+    table.dotTopkRows(scratch.query.data(), b->rows.get(), rows, dim_,
+                      rowStride(), idBase, k, scratch.topScores.data(),
                       scratch.topIds.data());
-    idBase += committed;
+    scratch.bucketRows.push_back(b->rows.get());
+    idBase += rows;
   }
 
   for (std::int32_t i = 0; i < k; ++i) {
@@ -131,17 +130,10 @@ std::vector<EmbeddingIndex::Neighbor> EmbeddingIndex::query(
     n.distance = metric_ == Metric::kCosine
                      ? 1.0f - dot
                      : std::sqrt(std::max(0.0f, 2.0f - 2.0f * dot));
-    // Resolve the row's payload pointer from its id (buckets fill in
-    // insertion order, so the id maps straight to bucket / slot).
-    std::int64_t base = 0;
-    for (const auto& [bucket, committed] : epoch) {
-      if (id < base + committed) {
-        n.payload = payloadDim_ > 0
-                        ? bucket->rows.get() + (id - base) * rowStride() + dim_
-                        : nullptr;
-        break;
-      }
-      base += committed;
+    if (payloadDim_ > 0) {
+      n.payload =
+          scratch.bucketRows[static_cast<std::size_t>(id / bucketRows_)] +
+          (id % bucketRows_) * rowStride() + dim_;
     }
     out.push_back(n);
   }

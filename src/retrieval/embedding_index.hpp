@@ -15,15 +15,16 @@ namespace dagt::retrieval {
 ///
 /// Concurrency model (thread-safe insert/query):
 ///   * Writers serialize on writeMutex_ (the index epoch mutex). An insert
-///     copies the row into the tail bucket, then publishes it by bumping
-///     the bucket's committed counter with release ordering; a full tail
-///     links a fresh bucket with a release store of the next pointer.
-///   * Readers never lock. A query snapshots its epoch on entry — the
-///     acquire-loaded bucket chain and each bucket's acquire-loaded
-///     committed count — and scores exactly that prefix. Rows are immutable
-///     once published and buckets are never freed before the index, so a
-///     query races with inserts only in the benign "misses rows committed
-///     after its epoch" sense.
+///     links a fresh tail bucket when the tail is full, copies the row and
+///     its payload into the tail, then publishes it with a release store of
+///     size_, the one counter every row is published through.
+///   * Readers never lock. A query acquire-loads size_ once as its epoch
+///     and scores exactly that prefix of the bucket chain: every row and
+///     bucket link below the epoch happens-before the load. Rows are
+///     immutable once published and buckets are never freed before the
+///     index, so a query races with inserts only in the benign "misses rows
+///     committed after its epoch" sense, and every id it returns is below
+///     the epoch, hence below any later size().
 ///
 /// Each row carries `payloadDim` extra floats after the scored `dim`
 /// (the cached posterior for the prediction cache); payload pointers
@@ -60,7 +61,8 @@ class EmbeddingIndex {
   /// and an empty vector on an empty index.
   std::vector<Neighbor> query(const float* embedding, std::int32_t k) const;
 
-  /// Committed row count (monotone; an epoch lower bound).
+  /// Committed row count (monotone): the epoch a query started now would
+  /// score.
   std::int64_t size() const {
     return size_.load(std::memory_order_acquire);
   }
@@ -74,7 +76,6 @@ class EmbeddingIndex {
     explicit Bucket(std::int64_t floats)
         : rows(new float[static_cast<std::size_t>(floats)]) {}
     std::unique_ptr<float[]> rows;  // [bucketRows, dim + payloadDim]
-    std::atomic<std::int64_t> committed{0};
     std::atomic<Bucket*> next{nullptr};
   };
 
@@ -91,6 +92,7 @@ class EmbeddingIndex {
   Bucket* tail_ = nullptr;  // GUARDED_BY(writeMutex_)
 
   std::atomic<Bucket*> head_{nullptr};
+  /// Rows published; written only under writeMutex_.
   std::atomic<std::int64_t> size_{0};
 };
 

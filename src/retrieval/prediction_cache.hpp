@@ -51,8 +51,7 @@ class PredictionCache {
   /// a hit valid across revisions — the caller re-applies w0 * preRoute
   /// with the CURRENT snapshot's pre-route arrival, so the STA-tracked part
   /// of the prediction is always fresh and only the learned correction is
-  /// reused. Sigma is bypass-invariant (the bypass shifts every Monte-Carlo
-  /// sample equally).
+  /// reused. Sigma is bypass-invariant (the bypass only shifts the mean).
   struct Posterior {
     float rawMeanNs = 0.0f;
     float sigmaPs = 0.0f;

@@ -20,21 +20,6 @@ double microsSince(const std::chrono::steady_clock::time_point& start,
   return std::chrono::duration<double, std::micro>(end - start).count();
 }
 
-/// Deterministic seed for the Bayesian head's Monte-Carlo draws on the
-/// coalesced path: a function of the design and the exact batch
-/// composition, so identical batches reproduce identical predictions.
-std::uint64_t batchSeed(const std::string& designName,
-                        const std::vector<std::int64_t>& endpoints) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : designName) {
-    h = (h ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ULL;
-  }
-  for (const std::int64_t e : endpoints) {
-    h = (h ^ static_cast<std::uint64_t>(e + 1)) * 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 PredictionEngine::PredictionEngine(EngineConfig config)
@@ -177,16 +162,8 @@ core::DesignBatch PredictionEngine::DesignRef::batch(
 void PredictionEngine::warmUp(const DesignRef& ref) {
   if (ref.design->numEndpoints() <= 0) return;
   DAGT_TRACE_SCOPE("serve/warm_fusion");
-  tensor::NoGradGuard guard;
   tensor::Workspace workspace;
-  const core::DesignBatch batch = ref.batch({0});
-  core::TimingModel& model = ref.node->bundle.model();
-  if (auto* dac23 = dynamic_cast<core::Dac23Model*>(&model)) {
-    (void)dac23->forwardBatch(batch);
-  } else if (auto* ours = dynamic_cast<core::OursModel*>(&model)) {
-    Rng rng(batchSeed(ref.design->data.name, {0}));
-    (void)ours->forward(batch, config_.mcSamples, rng);
-  }
+  (void)ref.node->bundle.model().predictBatch(ref.batch({0}));
 }
 
 FeatureService::ConeUpdateResult PredictionEngine::applyConeUpdate(
@@ -348,40 +325,26 @@ void PredictionEngine::serveBatch(std::vector<RequestGroup> groups) {
         tensor::Shape({static_cast<std::int64_t>(combined.size()), 3, res,
                        res}));
 
-    core::TimingModel& model = ref.node->bundle.model();
-    tensor::Tensor predictionNs;
-    {
+    const core::TimingModel::Prediction prediction = [&] {
       DAGT_TRACE_SCOPE("serve/forward");
-      if (auto* dac23 = dynamic_cast<core::Dac23Model*>(&model)) {
-        predictionNs = dac23->forwardBatch(batch);
-      } else if (auto* ours = dynamic_cast<core::OursModel*>(&model)) {
-        Rng rng(batchSeed(design.data.name, combined));
-        predictionNs =
-            ours->forward(batch, config_.mcSamples, rng).prediction;
-      } else {
-        DAGT_CHECK_MSG(false, "unservable TimingModel subclass");
-      }
-    }
+      return ref.node->bundle.model().predictBatch(batch);
+    }();
 
-    DAGT_DCHECK_MSG(predictionNs.numel() ==
-                        static_cast<std::int64_t>(combined.size()),
-                    "model returned " << predictionNs.numel()
+    DAGT_DCHECK_MSG(prediction.mean.size() == combined.size(),
+                    "model returned " << prediction.mean.size()
                                       << " predictions for "
                                       << combined.size() << " endpoints");
     DAGT_TRACE_SCOPE("serve/readout");
-    const float* values = predictionNs.data();
     const auto now = std::chrono::steady_clock::now();
     // Batch before requests: snapshots must never observe requests from a
     // batch whose batch counter is still 0 (recordRequests publishes with
     // release ordering, so this increment is visible with it).
     metrics_.recordBatch(combined.size());
-    std::size_t offset = 0;
+    auto next = prediction.mean.begin();
     for (auto& group : groups) {
-      std::vector<float> reply(group.endpoints.size());
-      for (std::size_t i = 0; i < reply.size(); ++i) {
-        reply[i] = values[offset + i] / core::kLabelScale;  // ns -> ps
-      }
-      offset += reply.size();
+      std::vector<float> reply(next, next + static_cast<std::ptrdiff_t>(
+                                                group.endpoints.size()));
+      next += static_cast<std::ptrdiff_t>(reply.size());
       metrics_.recordRequests(group.endpoints.size());
       metrics_.recordLatencyUs(microsSince(group.enqueued, now));
       group.reply.set_value(std::move(reply));
@@ -475,16 +438,14 @@ void PredictionEngine::serveBatchRetrieval(
       const std::int64_t e = misses[static_cast<std::size_t>(i)];
       std::memcpy(joint.data() + i * m, era->lookup(e),
                   static_cast<std::size_t>(m) * sizeof(float));
-      // Same ps -> ns scaling as makeBatch, so a first-touch solo miss
-      // reproduces the cache-off forward bit-for-bit (same batch, same
-      // seed, same rounding order).
+      // Same ps -> ns scaling as makeBatch, so a miss reproduces the
+      // cache-off forward bit-for-bit.
       preRouteNs.data()[i] =
           design.data.preRouteArrivals[static_cast<std::size_t>(e)] *
           core::kLabelScale;
     }
-    Rng rng(batchSeed(design.data.name, misses));
     const core::OursModel::HeadPrediction head =
-        ours.headPredict(joint, preRouteNs, config_.mcSamples, rng);
+        ours.headPredict(joint, preRouteNs);
     {
       DAGT_TRACE_SCOPE("retrieval/insert");
       for (std::int64_t i = 0; i < numMisses; ++i) {

@@ -37,7 +37,10 @@ struct EngineConfig {
   /// forward in the caller's thread (the single-request baseline of
   /// bench_serve_throughput).
   bool batching = true;
-  /// Monte-Carlo samples for Bayesian-head bundles on the batched path.
+  /// Not read by the engine, which serves the Bayesian head in closed form.
+  /// Kept only because perfbench's batch_mix check still reads it to size
+  /// its 6σ·√(2/K) tolerance band; it goes once that check compares
+  /// replies bitwise.
   std::int32_t mcSamples = 8;
   /// Learned prediction cache (uncertainty-gated ANN retrieval over the
   /// model's disentangled embeddings). Off by default; every knob comes
@@ -64,12 +67,14 @@ struct EngineConfig {
 /// of the changed pin-feature rows alone, or by a full sweep when the pin
 /// graph changed (buffer insertion).
 ///
-/// Determinism contract: predictDesign() reproduces the trainer's
-/// predictDesign() bit-for-bit (same full-design batch, same per-design
-/// eval RNG). The coalesced path is deterministic in the exact batch
-/// composition; for Bayesian-head bundles two differently-coalesced runs
-/// of the same query may differ by Monte-Carlo jitter (K samples), which
-/// is the head's epistemic spread, not an error.
+/// Determinism contract: every read path runs the model's one inference
+/// readout (TimingModel::predictBatch), whose rows are independent. So an
+/// endpoint's answer depends only on (bundle, snapshot, endpoint) and
+/// agrees bitwise across read paths: served alone, inside any coalesced
+/// batch, on the retrieval miss path, through predictDesign(), and with
+/// the trainer's own predictDesign(). Only a retrieval-cache hit (the
+/// cache is off by default) answers differently: with a stored neighbor's
+/// mean.
 class PredictionEngine {
  public:
   explicit PredictionEngine(EngineConfig config = EngineConfig{});

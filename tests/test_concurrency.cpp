@@ -11,7 +11,8 @@
 // recycling handoff, and parallelFor itself. Most assertions are coarse
 // (totals, finiteness) — the point is the interleaving; TSan and the
 // DAGT_CHECKS contracts do the fine-grained judging. Served answers are
-// pinned bitwise where the bundle makes them batch-independent (dac23).
+// pinned bitwise: every bundle kind answers an endpoint independently of
+// what shares its batch.
 
 #include <gtest/gtest.h>
 
@@ -62,8 +63,9 @@ class ThreadCountGuard {
 // -- Tiny untrained bundle fixture -------------------------------------------
 //
 // The stress tests don't care about prediction quality, so the bundle wraps
-// an untrained (randomly initialized) deterministic dac23 model: cheap to
-// build, cheap to forward, and every output must still be finite.
+// an untrained (randomly initialized) model: a dac23 one by default, cheap
+// to build and forward, or an "ours" one with the Bayesian head for the
+// tests that pin served answers across both model families.
 
 const features::DataConfig& dataConfig() {
   static features::DataConfig config = [] {
@@ -84,10 +86,10 @@ const features::DesignData& target7() {
   return d;
 }
 
-BundleManifest tinyManifest() {
+BundleManifest tinyManifest(const std::string& kind) {
   BundleManifest manifest;
-  manifest.modelKind = "dac23";
-  manifest.variant = "shared";
+  manifest.modelKind = kind;
+  manifest.variant = kind == "ours" ? "full" : "shared";
   manifest.strategy = "stress";
   manifest.targetNode = netlist::TechNode::k7nm;
   manifest.vocabularyNodes = dataConfig().nodes;
@@ -101,45 +103,57 @@ BundleManifest tinyManifest() {
   return manifest;
 }
 
-const std::string& bundleDir() {
-  static std::string dir = [] {
-    const BundleManifest manifest = tinyManifest();
-    const auto model = ModelBundle::instantiate(manifest);
-    // Per-process directory: ctest runs each gtest case as its own process,
-    // and concurrent cases must not rewrite a bundle another one is loading.
-    const std::string d =
-        (std::filesystem::temp_directory_path() /
-         ("dagt_stress_bundle_" + std::to_string(::getpid())))
-            .string();
-    ModelBundle::save(*model, manifest, d);
-    return d;
-  }();
+std::string saveBundle(const std::string& kind) {
+  const BundleManifest manifest = tinyManifest(kind);
+  const auto model = ModelBundle::instantiate(manifest);
+  // Per-process directory: ctest runs each gtest case as its own process,
+  // and concurrent cases must not rewrite a bundle another one is loading.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("dagt_stress_bundle_" + kind + "_" + std::to_string(::getpid())))
+          .string();
+  ModelBundle::save(*model, manifest, dir);
   return dir;
 }
 
-std::unique_ptr<PredictionEngine> makeEngine(std::int32_t workers,
-                                             std::int64_t maxBatch,
-                                             bool batching = true) {
+/// The bundle directory of model kind "dac23" or "ours", saved once.
+const std::string& bundleDir(const std::string& kind = "dac23") {
+  if (kind == "ours") {
+    static const std::string ours = saveBundle(kind);
+    return ours;
+  }
+  static const std::string dac23 = saveBundle(kind);
+  return dac23;
+}
+
+/// The two model families whose served answers the stress tests pin.
+const std::vector<std::string> kBundleKinds = {"dac23", "ours"};
+
+std::unique_ptr<PredictionEngine> makeEngine(
+    std::int32_t workers, std::int64_t maxBatch, bool batching = true,
+    const std::string& kind = "dac23") {
   EngineConfig config;
   config.batching = batching;
   config.workerThreads = workers;
   config.maxBatch = maxBatch;
   config.maxWaitUs = 100;
   auto engine = std::make_unique<PredictionEngine>(config);
-  engine->addBundleFromDir(bundleDir());
+  engine->addBundleFromDir(bundleDir(kind));
   return engine;
 }
 
 // -- Engine-level stress -----------------------------------------------------
 
-TEST(ConcurrencyStress, CoalescedClientsMetricsPollerAndPoolChurn) {
-  // Two design keys on two snapshots, served by two batchers at once: the
-  // second key is the same design as a new revision with moved cells.
-  // Clients alternate keys, so batches on both snapshots are in flight
-  // together. dac23 has no Monte-Carlo head, so every reply must equal its
-  // key's full-design row bitwise, whichever requests shared its batch.
+/// Two design keys on two snapshots, served by two batchers at once: the
+/// second key is the same design as a new revision with moved cells.
+/// Clients alternate keys, so batches on both snapshots are in flight
+/// together. Every reply must equal its key's full-design row bitwise,
+/// whichever requests shared its batch.
+void coalescedClientsStress(const std::string& kind) {
+  SCOPED_TRACE(kind);
   ThreadCountGuard guard(4);
-  auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/16);
+  auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/16, /*batching=*/true,
+                           kind);
   const features::DesignData& reference = target7();
   const std::int64_t endpointCount = engine->loadDesign(
       "smallboom", reference.netlist, reference.node, reference.placement,
@@ -222,6 +236,10 @@ TEST(ConcurrencyStress, CoalescedClientsMetricsPollerAndPoolChurn) {
   EXPECT_GT(final.batches, 0u);
 }
 
+TEST(ConcurrencyStress, CoalescedClientsMetricsPollerAndPoolChurn) {
+  for (const std::string& kind : kBundleKinds) coalescedClientsStress(kind);
+}
+
 TEST(ConcurrencyStress, RegistryMutationDuringQueries) {
   ThreadCountGuard guard(4);
   auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/8);
@@ -277,19 +295,21 @@ TEST(ConcurrencyStress, RegistryMutationDuringQueries) {
   EXPECT_GT(snap.cacheHits, 0u);  // the revision "r1" re-loads must hit
 }
 
-TEST(ConcurrencyStress, NewlyRoutedSnapshotSweepsOnceUnderConcurrentReaders) {
-  // installSnapshot routes the key with an empty GNN memo (no warm-up), so
-  // the first readers race to fill it: caller-thread full-design predicts
-  // plus endpoint queries, served by the batcher or (batching off) by the
-  // callers' own solo batches, all at once. Exactly one fill may run (from
-  // the previous memo of the same snapshot, so it recomputes no row), and
-  // every reader must see its complete result.
+/// installSnapshot routes the key with an empty GNN memo (no warm-up), so
+/// the first readers race to fill it: caller-thread full-design predicts
+/// plus endpoint queries, served by the batcher or (batching off) by the
+/// callers' own solo batches, all at once. Exactly one fill may run (from
+/// the previous memo of the same snapshot, so it recomputes no row), and
+/// every reader must see its complete result.
+void newlyRoutedSnapshotStress(const std::string& kind) {
+  SCOPED_TRACE(kind);
   ThreadCountGuard guard(4);
   const features::DesignData& reference = target7();
   constexpr int kFull = 3;
   constexpr int kEndpoint = 3;
   for (const bool batching : {true, false}) {
-    auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/8, batching);
+    auto engine =
+        makeEngine(/*workers=*/2, /*maxBatch=*/8, batching, kind);
     const std::int64_t endpointCount = engine->loadDesign(
         "smallboom", reference.netlist, reference.node, reference.placement,
         "r1");
@@ -321,8 +341,7 @@ TEST(ConcurrencyStress, NewlyRoutedSnapshotSweepsOnceUnderConcurrentReaders) {
           waitForAll();
           const std::int64_t e = (c * 11 + round) % endpointCount;
           const float v = engine->predictEndpoint("smallboom", e);
-          // dac23 has no Monte-Carlo head: any batch reproduces the
-          // full-design answer bitwise.
+          // Any batch reproduces the full-design answer bitwise.
           if (std::memcmp(&v, &expected[static_cast<std::size_t>(e)],
                           sizeof(float)) != 0) {
             failed = true;
@@ -336,6 +355,10 @@ TEST(ConcurrencyStress, NewlyRoutedSnapshotSweepsOnceUnderConcurrentReaders) {
           << "batching=" << batching << " round " << round;
     }
   }
+}
+
+TEST(ConcurrencyStress, NewlyRoutedSnapshotSweepsOnceUnderConcurrentReaders) {
+  for (const std::string& kind : kBundleKinds) newlyRoutedSnapshotStress(kind);
 }
 
 TEST(ConcurrencyStress, ConeUpdatedSnapshotFillsOnceUnderConcurrentReaders) {

@@ -285,78 +285,131 @@ TEST(BayesianHead, LogVarianceStaysBounded) {
   }
 }
 
-TEST(BayesianHead, PreDrawnEpsMatchesRngOverloadBitwise) {
+/// Give the head a nonzero output bias (it initializes at zero, which
+/// would hide a dropped bias add).
+void setOutputBias(const BayesianHead& head) {
+  std::vector<Tensor> params = head.parameters();
+  ASSERT_EQ(params.size(), 1u);  // the MLPs are frozen; the bias trains
+  params.front().data()[0] = 0.37f;
+}
+
+TEST(BayesianHead, PredictiveMatchesDoublePrecisionSums) {
+  // Independent reference: both sums of the closed form, evaluated in
+  // double from the distribution's parameters.
   Rng rng(15);
   BayesianHead head(12, 12, rng);
+  setOutputBias(head);
   const Tensor u = Tensor::randn({5, 12}, rng);
-  const auto q = head.distribution(u);
-  constexpr std::int32_t kSamples = 7;
-
-  // The rng overload draws all K eps tensors upfront, so replaying the
-  // same seed by hand must reproduce the prediction bit for bit.
-  Rng viaOverload(2024);
-  const auto fromRng = head.predict(u, q, kSamples, viaOverload);
-
-  Rng byHand(2024);
-  std::vector<Tensor> eps;
-  for (std::int32_t k = 0; k < kSamples; ++k) {
-    eps.push_back(Tensor::randn(u.shape(), byHand));
-  }
-  const auto fromEps = head.predict(u, q, eps);
-
-  ASSERT_EQ(fromRng.samples.size(), fromEps.samples.size());
-  const auto bitwise = [](const Tensor& a, const Tensor& b) {
-    ASSERT_EQ(a.shape(), b.shape());
-    EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                          static_cast<std::size_t>(a.numel()) * sizeof(float)),
-              0);
-  };
-  bitwise(fromRng.mean, fromEps.mean);
-  for (std::size_t k = 0; k < fromRng.samples.size(); ++k) {
-    bitwise(fromRng.samples[k], fromEps.samples[k]);
+  for (const bool fused : {false, true}) {
+    const bool savedFusion = tensor::expr::fusionEnabled();
+    tensor::expr::setFusionEnabled(fused);
+    tensor::NoGradGuard noGrad;
+    const auto q = head.distribution(u);
+    const auto p = head.predictive(u);
+    tensor::expr::setFusionEnabled(savedFusion);
+    ASSERT_EQ(p.mean.shape(), (tensor::Shape{5}));
+    ASSERT_EQ(p.variance.shape(), (tensor::Shape{5}));
+    for (std::int64_t i = 0; i < 5; ++i) {
+      double mean = 0.37;
+      double variance = 0.0;
+      for (std::int64_t j = 0; j < 12; ++j) {
+        const double x = u.data()[i * 12 + j];
+        mean += static_cast<double>(q.mu.data()[i * 12 + j]) * x;
+        const double logvar = q.logvar.data()[i * 12 + j];
+        variance += std::exp(logvar) * x * x;
+      }
+      EXPECT_NEAR(p.mean.data()[i], mean, 1e-5 * (1.0 + std::fabs(mean)))
+          << "fused=" << fused << " row " << i;
+      EXPECT_NEAR(p.variance.data()[i], variance, 1e-5 * variance)
+          << "fused=" << fused << " row " << i;
+      EXPECT_GT(p.variance.data()[i], 0.0f);
+    }
   }
 }
 
-TEST(BayesianHead, FusedForwardBitwiseMatchesEagerAtScalarTier) {
-  // Module-level half of the fusion parity contract: the whole
-  // distribution -> predict readout, compiled vs eager, at the pinned
-  // scalar tier — and across two batch shapes through the same program
-  // caches (the shape signature must keep them apart).
+TEST(BayesianHead, PredictiveMatchesLargeKMonteCarlo) {
+  // Independent reference: the training readout's Monte-Carlo estimate at
+  // K = 4096. Its mean must land within 5 standard errors of the exact
+  // mean, and the samples' spread within 5% of the exact sigma (the
+  // estimate's relative standard error is 1/sqrt(2K) ~ 1.1%).
+  Rng rng(17);
+  BayesianHead head(16, 16, rng);
+  setOutputBias(head);
+  const Tensor u = Tensor::randn({6, 16}, rng);
+  tensor::NoGradGuard noGrad;
+  const auto q = head.distribution(u);
+  const auto exact = head.predictive(u);
+  constexpr std::int32_t kSamples = 4096;
+  Rng draws(2024);
+  const auto mc = head.predict(u, q, kSamples, draws);
+  ASSERT_EQ(mc.samples.size(), static_cast<std::size_t>(kSamples));
+  for (std::int64_t i = 0; i < 6; ++i) {
+    const double sigma =
+        std::sqrt(static_cast<double>(exact.variance.data()[i]));
+    ASSERT_GT(sigma, 0.0);
+    EXPECT_NEAR(mc.mean.data()[i], exact.mean.data()[i],
+                5.0 * sigma / std::sqrt(static_cast<double>(kSamples)))
+        << "row " << i;
+    double sum = 0.0;
+    for (const Tensor& s : mc.samples) sum += s.data()[i];
+    const double sampleMean = sum / kSamples;
+    double squares = 0.0;
+    for (const Tensor& s : mc.samples) {
+      squares += (s.data()[i] - sampleMean) * (s.data()[i] - sampleMean);
+    }
+    const double sampleSigma = std::sqrt(squares / (kSamples - 1));
+    EXPECT_NEAR(sampleSigma / sigma, 1.0, 0.05) << "row " << i;
+  }
+}
+
+/// Module-level half of the fusion parity contract at one kernel tier: the
+/// inference readout predictive(u), compiled vs eager, across three batch
+/// widths through the same program cache. The program is row-polymorphic,
+/// so only the first width compiles.
+void expectPredictiveFusedMatchesEager(tensor::kernels::Tier tier) {
   Rng rng(16);
   BayesianHead head(10, 10, rng);
-  tensor::kernels::forceTier(tensor::kernels::Tier::kScalar);
+  setOutputBias(head);
+  tensor::kernels::forceTier(tier);
   const bool savedFusion = tensor::expr::fusionEnabled();
-  for (const std::int64_t batch : {3, 6, 3}) {
+  std::uint64_t compiledAfterFirst = 0;
+  for (const std::int64_t batch : {3, 6, 1}) {
     const Tensor u = Tensor::randn({batch, 10}, rng);
-    std::vector<Tensor> eps;
-    Rng noise(777 + batch);
-    for (int k = 0; k < 4; ++k) eps.push_back(Tensor::randn(u.shape(), noise));
-
     tensor::NoGradGuard noGrad;
     tensor::expr::setFusionEnabled(true);
-    const auto qFused = head.distribution(u);
-    const auto fused = head.predict(u, qFused, eps);
+    const auto fused = head.predictive(u);
+    if (batch == 3) compiledAfterFirst = tensor::expr::stats().programsCompiled;
     tensor::expr::setFusionEnabled(false);
-    const auto qEager = head.distribution(u);
-    const auto eager = head.predict(u, qEager, eps);
+    const auto eager = head.predictive(u);
 
-    const auto bitwise = [](const Tensor& a, const Tensor& b) {
+    const auto bitwise = [&](const Tensor& a, const Tensor& b) {
       ASSERT_EQ(a.shape(), b.shape());
       EXPECT_EQ(
           std::memcmp(a.data(), b.data(),
                       static_cast<std::size_t>(a.numel()) * sizeof(float)),
-          0);
+          0)
+          << tensor::kernels::tierName(tier) << " batch " << batch;
     };
-    bitwise(qEager.mu, qFused.mu);
-    bitwise(qEager.logvar, qFused.logvar);
     bitwise(eager.mean, fused.mean);
-    ASSERT_EQ(eager.samples.size(), fused.samples.size());
-    for (std::size_t k = 0; k < eager.samples.size(); ++k) {
-      bitwise(eager.samples[k], fused.samples[k]);
-    }
+    bitwise(eager.variance, fused.variance);
   }
+  EXPECT_EQ(tensor::expr::stats().programsCompiled, compiledAfterFirst)
+      << tensor::kernels::tierName(tier);
   tensor::expr::setFusionEnabled(savedFusion);
   tensor::kernels::resetTier();
+}
+
+TEST(BayesianHead, FusedForwardBitwiseMatchesEagerAtScalarTier) {
+  expectPredictiveFusedMatchesEager(tensor::kernels::Tier::kScalar);
+}
+
+TEST(BayesianHead, FusedPredictiveBitwiseMatchesEagerAtSimdTiers) {
+  for (int t = 1; t < tensor::kernels::kTierCount; ++t) {
+    const auto tier = static_cast<tensor::kernels::Tier>(t);
+    if (tensor::kernels::tierSupported(tier)) {
+      expectPredictiveFusedMatchesEager(tier);
+    }
+  }
 }
 
 TEST(Models, PredictDesignIsDeterministic) {
@@ -385,8 +438,8 @@ TEST(Models, UncertaintyIsPositiveAndDeterministic) {
   mc.cnnDim = 8;
   mc.headHidden = 16;
   OursModel model(pipeline().featureDim(), mc, OursVariant::kFull, rng);
-  const auto u1 = model.predictDesignWithUncertainty(ds, d, 16);
-  const auto u2 = model.predictDesignWithUncertainty(ds, d, 16);
+  const auto u1 = model.predictDesignWithUncertainty(ds, d);
+  const auto u2 = model.predictDesignWithUncertainty(ds, d);
   ASSERT_EQ(u1.mean.size(), static_cast<std::size_t>(d.numEndpoints()));
   ASSERT_EQ(u1.stddev.size(), u1.mean.size());
   EXPECT_EQ(u1.mean, u2.mean);
@@ -409,7 +462,7 @@ TEST(Models, DaOnlyVariantHasZeroUncertainty) {
   mc.cnnDim = 8;
   mc.headHidden = 16;
   OursModel model(pipeline().featureDim(), mc, OursVariant::kDaOnly, rng);
-  const auto u = model.predictDesignWithUncertainty(ds, d, 8);
+  const auto u = model.predictDesignWithUncertainty(ds, d);
   for (const float s : u.stddev) EXPECT_EQ(s, 0.0f);
 }
 

@@ -252,10 +252,12 @@ TEST(PredictionEngine, FullDesignMatchesTrainerBitExact) {
   }
 }
 
-TEST(PredictionEngine, EndpointQueriesMatchFullDesignForDac23) {
-  // The DAC23 baseline has no Monte-Carlo head, so a sub-batch query must
-  // agree with the full-design forward exactly.
-  const auto& trained = trainedBundle(core::Strategy::kSimpleMerge);
+/// A served answer depends only on (bundle, snapshot, endpoint): every
+/// endpoint served alone, and every endpoint of a reversed all-endpoint
+/// request, equals the engine's full-design row bitwise, which in turn
+/// equals the trainer-side predictDesign.
+void expectEndpointQueriesMatchFullDesign(core::Strategy strategy) {
+  const auto& trained = trainedBundle(strategy);
   PredictionEngine engine;
   engine.addBundleFromDir(trained.dir);
   const auto& d = target7();
@@ -263,11 +265,34 @@ TEST(PredictionEngine, EndpointQueriesMatchFullDesignForDac23) {
                                    d.placement);
   ASSERT_GT(n, 3);
   const auto full = engine.predictDesign("smallboom");
-  const auto some = engine.predictEndpoints("smallboom", {0, 2, n - 1});
-  EXPECT_TRUE(bitwiseEqual(some[0], full[0]));
-  EXPECT_TRUE(bitwiseEqual(some[1], full[2]));
-  EXPECT_TRUE(bitwiseEqual(some[2], full[static_cast<std::size_t>(n - 1)]));
-  EXPECT_TRUE(bitwiseEqual(engine.predictEndpoint("smallboom", 1), full[1]));
+  const auto trainer =
+      trained.model->predictDesign(*trained.dataset, target7());
+  ASSERT_EQ(full.size(), static_cast<std::size_t>(n));
+  ASSERT_EQ(trainer.size(), full.size());
+  std::vector<std::int64_t> reversed(static_cast<std::size_t>(n));
+  for (std::int64_t e = 0; e < n; ++e) {
+    reversed[static_cast<std::size_t>(e)] = n - 1 - e;
+  }
+  const auto together = engine.predictEndpoints("smallboom", reversed);
+  ASSERT_EQ(together.size(), full.size());
+  int mismatches = 0;
+  for (std::int64_t e = 0; e < n; ++e) {
+    const auto i = static_cast<std::size_t>(e);
+    const float alone = engine.predictEndpoint("smallboom", e);
+    const float inBatch = together[static_cast<std::size_t>(n - 1 - e)];
+    mismatches += !bitwiseEqual(alone, full[i]);
+    mismatches += !bitwiseEqual(inBatch, full[i]);
+    mismatches += !bitwiseEqual(full[i], trainer[i]);
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << 3 * n << " comparisons";
+}
+
+TEST(PredictionEngine, EndpointQueriesMatchFullDesignForDac23) {
+  expectEndpointQueriesMatchFullDesign(core::Strategy::kSimpleMerge);
+}
+
+TEST(PredictionEngine, EndpointQueriesMatchFullDesignForOurs) {
+  expectEndpointQueriesMatchFullDesign(core::Strategy::kOurs);
 }
 
 TEST(PredictionEngine, RequestsOnOneSnapshotRunOneGnnSweep) {

@@ -51,7 +51,8 @@ namespace {
 //
 // Prediction quality is irrelevant here — the contracts under test are
 // bitwise determinism and cache bookkeeping — so the bundle wraps an
-// untrained deterministic dac23 model: cheap to build, cheap to forward.
+// untrained model: dac23 by default, cheap to build and forward, or "ours"
+// with the Bayesian head where a test pins the exact head's answers.
 
 const features::DataConfig& dataConfig() {
   static features::DataConfig config = [] {
@@ -62,38 +63,43 @@ const features::DataConfig& dataConfig() {
   return config;
 }
 
-const std::string& bundleDir() {
-  static std::string dir = [] {
-    const features::DataPipeline pipeline(dataConfig());
-    serve::BundleManifest manifest;
-    manifest.modelKind = "dac23";
-    manifest.variant = "shared";
-    manifest.strategy = "whatif_tests";
-    manifest.targetNode = netlist::TechNode::k7nm;
-    manifest.vocabularyNodes = dataConfig().nodes;
-    manifest.pinFeatureDim = pipeline.featureDim();
-    manifest.model.gnnHidden = 16;
-    manifest.model.cnnBaseChannels = 4;
-    manifest.model.cnnDim = 8;
-    manifest.model.headHidden = 16;
-    manifest.model.imageResolution = dataConfig().imageResolution;
-    manifest.features = dataConfig().features;
-    const auto model = serve::ModelBundle::instantiate(manifest);
-    // Per-process directory: ctest runs each case as its own process.
-    const std::string d =
-        (std::filesystem::temp_directory_path() /
-         ("dagt_whatif_bundle_" + std::to_string(::getpid())))
-            .string();
-    serve::ModelBundle::save(*model, manifest, d);
-    return d;
-  }();
-  return dir;
+std::string saveBundle(const std::string& kind) {
+  const features::DataPipeline pipeline(dataConfig());
+  serve::BundleManifest manifest;
+  manifest.modelKind = kind;
+  manifest.variant = kind == "ours" ? "full" : "shared";
+  manifest.strategy = "whatif_tests";
+  manifest.targetNode = netlist::TechNode::k7nm;
+  manifest.vocabularyNodes = dataConfig().nodes;
+  manifest.pinFeatureDim = pipeline.featureDim();
+  manifest.model.gnnHidden = 16;
+  manifest.model.cnnBaseChannels = 4;
+  manifest.model.cnnDim = 8;
+  manifest.model.headHidden = 16;
+  manifest.model.imageResolution = dataConfig().imageResolution;
+  manifest.features = dataConfig().features;
+  const auto model = serve::ModelBundle::instantiate(manifest);
+  // Per-process directory: ctest runs each case as its own process.
+  const std::string d =
+      (std::filesystem::temp_directory_path() /
+       ("dagt_whatif_bundle_" + kind + "_" + std::to_string(::getpid())))
+          .string();
+  serve::ModelBundle::save(*model, manifest, d);
+  return d;
+}
+
+/// The bundle directory of model kind "dac23" or "ours", saved once.
+const std::string& bundleDir(const std::string& kind = "dac23") {
+  if (kind == "ours") {
+    static const std::string ours = saveBundle(kind);
+    return ours;
+  }
+  static const std::string dac23 = saveBundle(kind);
+  return dac23;
 }
 
 /// A placed suite design plus an engine with the bundle registered.
-/// batching=false by default: caller-thread forwards with the design-keyed
-/// batch seed make repeated identical queries bitwise reproducible, which
-/// is what the parity assertions lean on.
+/// batching=false by default: caller-thread forwards.
 struct SessionFixture {
   designgen::DesignSuite suite{0.2f};
   netlist::TechNode node = netlist::TechNode::k7nm;
@@ -102,7 +108,8 @@ struct SessionFixture {
   place::PlacementResult placement;
   serve::PredictionEngine engine;
 
-  explicit SessionFixture(const char* name = "or1200", bool batching = false)
+  explicit SessionFixture(const char* name = "or1200", bool batching = false,
+                          const std::string& kind = "dac23")
       : nl([&] {
           const auto& entry = suite.entry(name);
           return suite.buildNetlist(entry, lib);
@@ -116,7 +123,7 @@ struct SessionFixture {
     place::PlacerConfig placerConfig;
     placerConfig.seed ^= suite.entry(name).spec.seed;
     placement = place::Placer::place(nl, placerConfig);
-    engine.addBundleFromDir(bundleDir());
+    engine.addBundleFromDir(bundleDir(kind));
   }
 };
 
@@ -185,6 +192,29 @@ TEST(WhatIfSession, EditStreamMatchesColdRebuildBitwise) {
   ASSERT_TRUE(session.insertBuffer(toBuffer).inserted);
   checkParity("after buffer insertion");
   EXPECT_TRUE(session.lastSync().structuralRebuild);
+}
+
+TEST(WhatIfSession, PredictAllMatchesPredictDesignForOurs) {
+  // The Bayesian head answers an endpoint in closed form, whatever shares
+  // its batch: a what-if report through the endpoint path equals the
+  // full-design forward bitwise, batched or not, after a resize and after
+  // a move.
+  for (const bool batching : {false, true}) {
+    SessionFixture f("or1200", batching, "ours");
+    WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+    const Rect die = f.placement.dieArea;
+    ASSERT_TRUE(session.resizeCell(findResizable(session.netlist()), true));
+    const std::vector<float> resized = session.predictAll();
+    expectBitwiseEqual(resized, f.engine.predictDesign("wi"), "after resize");
+    session.moveCell(findResizable(session.netlist(), 3),
+                     Point{die.hi.x, die.hi.y});
+    const std::vector<float> moved = session.predictAll();
+    expectBitwiseEqual(moved, f.engine.predictDesign("wi"), "after move");
+    EXPECT_NE(std::memcmp(resized.data(), moved.data(),
+                          moved.size() * sizeof(float)),
+              0)
+        << "the move must change some answer";
+  }
 }
 
 // -- Cone-based invalidation exactness ---------------------------------------
