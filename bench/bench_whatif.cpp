@@ -1,18 +1,26 @@
-// What-if service bench: replay a randomized ECO edit stream (cell resizes,
-// cell moves, fanout buffering) against one design and compare the
-// incremental refresh path (WhatIfSession::sync -> cone update) with a
-// cold full refresh (reload the edited netlist from scratch and re-extract
-// everything). Writes BENCH_whatif.json.
+// What-if service bench: replay a randomized ECO edit stream against one
+// design and compare the incremental refresh path (WhatIfSession::sync ->
+// cone update) with a cold full refresh (reload the edited netlist from
+// scratch and re-extract everything). The stream is drawn in blocks of ten
+// edits with perfbench whatif_eco's fixed mix (7 resizes, 2 moves, 1 buffer
+// insertion) in a seeded order; with the bench's seed the first block's
+// buffer insertion is among its first eight edits, so the smoke stream
+// covers every edit kind (the bench fails a stream of eight or more edits
+// without one of each). Writes BENCH_whatif.json.
 //
 // Per edit the bench times two things on each path:
 //   * refresh — incremental: sync() (cone update against the prior
-//     snapshot); cold: loadDesign() (full STA + extraction + image
-//     prewarm). Their ratio is the incremental-vs-full-refresh speedup.
+//     snapshot); cold: loadDesign() (full STA + extraction; masked images
+//     are built when a query first reads them). Their ratio is the
+//     incremental-vs-full-refresh speedup.
 //   * query — an 8-endpoint prediction against the fresh snapshot, same
 //     engine and bundle on both paths. The cold load's warm-up sweeps the
 //     whole design; the incremental query fills its GNN memo from the
 //     previous snapshot's, re-running only the changed fanout cone. It is
 //     reported (e2e fields) but not gated.
+//
+// Medians are reported over the whole stream and per edit kind (stdout
+// and the JSON's "per_kind" object).
 //
 // Two gates (nonzero exit on failure):
 //   * parity — after every edit the incremental predictions must be
@@ -99,8 +107,21 @@ std::string makeBundleDir() {
   return dir;
 }
 
+enum class EditKind { kResize, kMove, kBuffer };
+constexpr const char* kKindNames[] = {"resize", "move", "buffer"};
+
+/// One block of ten edits in perfbench whatif_eco's mix, in a seeded
+/// order; the stream takes its edits from the back.
+std::vector<EditKind> drawBlock(Rng& rng) {
+  std::vector<EditKind> block(7, EditKind::kResize);
+  block.insert(block.end(), 2, EditKind::kMove);
+  block.push_back(EditKind::kBuffer);
+  rng.shuffle(block);
+  return block;
+}
+
 struct EditRecord {
-  const char* kind = "";
+  EditKind kind = EditKind::kResize;
   double incrementalUs = 0.0;  // sync() — the incremental refresh
   double coldUs = 0.0;         // loadDesign() — the full refresh
   double speedup = 0.0;        // coldUs / incrementalUs
@@ -109,6 +130,7 @@ struct EditRecord {
   double e2eSpeedup = 0.0;          // refresh + query, both sides
   std::int64_t dirtyEndpoints = 0;
   std::int64_t imagesRebuilt = 0;
+  std::int64_t conesWalked = 0;
   std::int64_t staVisited = 0;
   bool parity = false;
 };
@@ -153,24 +175,24 @@ int run() {
   std::vector<EditRecord> records;
   bool parityOk = true;
   int coldSerial = 0;
+  std::vector<EditKind> block;
   while (static_cast<int>(records.size()) < edits) {
+    if (block.empty()) block = drawBlock(rng);
     EditRecord record;
-    // ~70% resizes, ~20% moves, ~10% buffer insertions: the resize is the
-    // bread-and-butter ECO, so the median speedup is a resize's.
-    const double kind = rng.uniform();
-    if (kind < 0.7) {
+    // An impossible edit (no drive variant, no bufferable net) changes
+    // nothing and keeps its kind at the back of the block for a redraw.
+    record.kind = block.back();
+    if (record.kind == EditKind::kResize) {
       const auto cell = static_cast<netlist::CellId>(
           rng.uniformInt(static_cast<std::uint64_t>(session.netlist().numCells())));
       if (!session.resizeCell(cell, rng.uniform() < 0.5)) continue;
-      record.kind = "resize";
-    } else if (kind < 0.9) {
+    } else if (record.kind == EditKind::kMove) {
       const auto cell = static_cast<netlist::CellId>(
           rng.uniformInt(static_cast<std::uint64_t>(session.netlist().numCells())));
       const Point to{
           static_cast<float>(rng.uniform(die.lo.x, die.hi.x)),
           static_cast<float>(rng.uniform(die.lo.y, die.hi.y))};
       session.moveCell(cell, to);
-      record.kind = "move";
     } else {
       // First net with enough fanout, scanning from a random start.
       const std::int64_t numNets = session.netlist().numNets();
@@ -183,8 +205,8 @@ int run() {
         inserted = session.insertBuffer(net).inserted;
       }
       if (!inserted) continue;
-      record.kind = "buffer";
     }
+    block.pop_back();
 
     // A post-edit query: a handful of endpoints the ECO author cares
     // about.
@@ -205,6 +227,7 @@ int run() {
     record.dirtyEndpoints =
         static_cast<std::int64_t>(session.lastSync().dirtyEndpoints.size());
     record.imagesRebuilt = session.lastSync().imagesRebuilt;
+    record.conesWalked = session.lastSync().conesWalked;
     record.staVisited = session.staStats().lastVisited;
 
     // Cold reference: full rebuild of the *edited* netlist under another
@@ -257,10 +280,40 @@ int run() {
           ? static_cast<double>(records.size()) * 1e6 / totalIncrementalUs
           : 0.0;
 
+  // Per edit kind: absolute incremental and cold times next to the ratios,
+  // since a kind's ratio moves with the cold side as much as with its own.
+  JsonValue perKind = JsonValue::object();
+  bool everyKind = true;
+  std::printf("%-7s %5s %12s %10s %10s %8s %8s\n", "kind", "edits",
+              "incremental", "cold", "query", "refresh", "e2e");
+  for (int k = 0; k < 3; ++k) {
+    std::vector<double> kIncr, kCold, kQuery, kSpeedup, kE2e;
+    for (const EditRecord& r : records) {
+      if (static_cast<int>(r.kind) != k) continue;
+      kIncr.push_back(r.incrementalUs);
+      kCold.push_back(r.coldUs);
+      kQuery.push_back(r.incrementalQueryUs);
+      kSpeedup.push_back(r.speedup);
+      kE2e.push_back(r.e2eSpeedup);
+    }
+    everyKind = everyKind && !kIncr.empty();
+    perKind.set(kKindNames[k],
+                JsonValue::object()
+                    .set("edits", static_cast<std::int64_t>(kIncr.size()))
+                    .set("median_incremental_us", median(kIncr))
+                    .set("median_cold_us", median(kCold))
+                    .set("median_incremental_query_us", median(kQuery))
+                    .set("median_speedup", median(kSpeedup))
+                    .set("median_e2e_speedup", median(kE2e)));
+    std::printf("%-7s %5zu %10.0fus %8.0fus %8.0fus %7.1fx %7.1fx\n",
+                kKindNames[k], kIncr.size(), median(kIncr), median(kCold),
+                median(kQuery), median(kSpeedup), median(kE2e));
+  }
+
   JsonValue perEdit = JsonValue::array();
   for (const EditRecord& r : records) {
     perEdit.push(JsonValue::object()
-                     .set("kind", r.kind)
+                     .set("kind", kKindNames[static_cast<int>(r.kind)])
                      .set("incremental_us", r.incrementalUs)
                      .set("cold_us", r.coldUs)
                      .set("speedup", r.speedup)
@@ -269,6 +322,7 @@ int run() {
                      .set("e2e_speedup", r.e2eSpeedup)
                      .set("dirty_endpoints", r.dirtyEndpoints)
                      .set("images_rebuilt", r.imagesRebuilt)
+                     .set("cones_walked", r.conesWalked)
                      .set("sta_visited", r.staVisited)
                      .set("parity", r.parity));
   }
@@ -289,6 +343,7 @@ int run() {
       .set("median_sta_visited", median(staVisits))
       .set("parity_ok", parityOk)
       .set("min_speedup_gate", minSpeedup)
+      .set("per_kind", std::move(perKind))
       .set("per_edit", std::move(perEdit))
       .set("metrics", session.metrics().toJson());
   const auto path = bench::writeBenchJson("whatif", doc);
@@ -311,6 +366,11 @@ int run() {
   if (!parityOk) {
     std::fprintf(stderr, "FAIL: incremental predictions diverged from the "
                          "cold rebuild\n");
+    return 1;
+  }
+  if (records.size() >= 8 && !everyKind) {
+    std::fprintf(stderr, "FAIL: a stream of %zu edits lacks an edit kind\n",
+                 records.size());
     return 1;
   }
   if (medianSpeedup < minSpeedup) {

@@ -36,10 +36,9 @@ const TimingGnn::Output& GraphMemo::getOrFill(
     std::int64_t rows = design.graph->numPins();
     {
       DAGT_TRACE_SCOPE("model/gnn");
-      // The base is immutable since it published its fill (acquire below),
-      // so its fields are read without taking its mutex.
-      if (base_ != nullptr && base_->filled_.load(std::memory_order_acquire) &&
-          base_->graph_ == design.graph) {
+      // The base is immutable since it published its fill (checked at
+      // construction), so its fields are read without taking its mutex.
+      if (base_ != nullptr) {
         output_ = gnn.forwardFrom(base_->output_, base_->pinFeatures_,
                                   *design.graph, design.pinFeatures, &rows);
       } else {

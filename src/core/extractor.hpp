@@ -20,14 +20,16 @@ namespace dagt::core {
 /// change between forwards.
 ///
 /// A memo may start from a *base*: the filled memo of the snapshot routed
-/// before it. When both share a pin graph (any what-if edit but a buffer
-/// insertion), the fill re-runs the GNN only on the fanout cone of the pin
-/// rows whose features changed and shares every other level with the base
+/// before it. The fill then re-runs the GNN only on the fanout cone of the
+/// pins whose rows may differ from the base's (changed feature rows and,
+/// when a buffer insertion or a revert changed the pin graph, new or
+/// rewired pins) and carries every other row from the base
 /// (TimingGnn::forwardFrom), bitwise equal to a full sweep. The changed
-/// rows are found by diffing only the pin-feature blocks the two snapshots
-/// do not share. The fill then drops the base, so a chain of memos never
-/// grows past one link. A filled memo holds its own pin-feature and
-/// pin-graph handles, so it can serve as a base after its snapshot is gone.
+/// feature rows are found by diffing only the pin-feature blocks the two
+/// snapshots do not share. The fill then drops the base, so a chain of
+/// memos never grows past one link. A filled memo holds its own pin-feature
+/// and pin-graph handles, so it can serve as a base after its snapshot is
+/// gone.
 ///
 /// Thread-safe: concurrent first callers wait for the one fill.
 class GraphMemo {
@@ -49,8 +51,8 @@ class GraphMemo {
   GraphMemo& operator=(const GraphMemo&) = delete;
 
   /// The embeddings of `design` under `gnn`, filling the memo first if it
-  /// is empty: a cone fill from the base when the base swept the same pin
-  /// graph, else a full sweep. A memo belongs to the snapshot it was
+  /// is empty: a cone fill from the base when there is one, else a full
+  /// sweep. A memo belongs to the snapshot it was
   /// filled for: asking it for another design, or filling it with
   /// gradients enabled, is a contract error. The reference stays valid for
   /// the memo's lifetime.

@@ -155,6 +155,18 @@ TimingGnn::Output TimingGnn::forward(
   return out;
 }
 
+namespace {
+
+/// Which edge kinds enter `level`: bit 0 net, bit 1 cell. The level body
+/// applies a kind's projections, biases included, to every row of a level
+/// that has the kind, so a row depends on this as well as on its own edges.
+int edgeKinds(const features::PinGraph& graph, std::int32_t level) {
+  return (graph.netEdgesInto(level).size() > 0 ? 1 : 0) |
+         (graph.cellEdgesInto(level).size() > 0 ? 2 : 0);
+}
+
+}  // namespace
+
 TimingGnn::Output TimingGnn::forwardFrom(
     const Output& base, const features::PinFeatures& basePinFeatures,
     const features::PinGraph& graph, const features::PinFeatures& pinFeatures,
@@ -163,11 +175,12 @@ TimingGnn::Output TimingGnn::forwardFrom(
   // Rows are patched into cloned tensors behind the tape's back.
   DAGT_CHECK_MSG(!tensor::NoGradGuard::gradEnabled(),
                  "forwardFrom is inference only");
-  DAGT_CHECK_MSG(base.graph == &graph,
-                 "forwardFrom: the base was swept over another pin graph");
-  const std::int32_t numLevels = graph.numLevels();
+  DAGT_CHECK(base.graph != nullptr);
+  const features::PinGraph& baseGraph = *base.graph;
   DAGT_CHECK(static_cast<std::int32_t>(base.levelEmbeddings.size()) ==
-             numLevels);
+             baseGraph.numLevels());
+  const bool sameGraph = &baseGraph == &graph;
+  const std::int32_t numLevels = graph.numLevels();
 
   // Cone membership per pin, laid out level by level: row r of level L is
   // entry levelStart[L] + r.
@@ -193,10 +206,28 @@ TimingGnn::Output TimingGnn::forwardFrom(
         levelStart[static_cast<std::size_t>(at.first)] + at.second)];
   };
 
-  // Seeds: the pins whose feature rows differ bitwise from the base's; the
-  // blocks the two share are skipped unread.
+  // Seeds: the pins whose feature rows differ bitwise from the base's, new
+  // pins included; the blocks the two share are skipped unread.
   for (const netlist::PinId pin : pinFeatures.changedRows(basePinFeatures)) {
     member(graph.locate(pin)) = 1;
+  }
+  // Over another graph, a row is a pure function of the pin's feature row,
+  // its in-edge sources in order and its level's edge kinds, so it carries
+  // by pin id only when the pin had all three in the base.
+  if (!sameGraph) {
+    for (std::int32_t level = 0; level < numLevels; ++level) {
+      const auto& levelPins = graph.pinsAtLevel(level);
+      const int kinds = edgeKinds(graph, level);
+      for (std::size_t row = 0; row < levelPins.size(); ++row) {
+        const netlist::PinId pin = levelPins[row];
+        const auto fanin = graph.fanin(pin);
+        if (pin >= baseGraph.numPins() ||
+            edgeKinds(baseGraph, baseGraph.locate(pin).first) != kinds ||
+            !std::ranges::equal(fanin, baseGraph.fanin(pin))) {
+          member({level, static_cast<std::int64_t>(row)}) = 1;
+        }
+      }
+    }
   }
 
   Output out;
@@ -217,6 +248,8 @@ TimingGnn::Output TimingGnn::forwardFrom(
   // Position of a cone row among its level's cone rows; valid for cone
   // rows of the current level only.
   std::vector<std::int64_t> position(widest, 0);
+  const std::size_t rowBytes =
+      static_cast<std::size_t>(hidden_) * sizeof(float);
   for (std::int32_t level = 0; level < numLevels; ++level) {
     std::uint8_t* cone =
         inCone.data() + levelStart[static_cast<std::size_t>(level)];
@@ -242,43 +275,62 @@ TimingGnn::Output TimingGnn::forwardFrom(
       position[row] = static_cast<std::int64_t>(pins.size());
       pins.push_back(levelPins[row]);
     }
-    const Tensor& baseLevel =
-        base.levelEmbeddings[static_cast<std::size_t>(level)];
-    if (pins.empty()) {
-      out.levelEmbeddings.push_back(baseLevel);
+    // The base level tensor this level patches, when the base holds the
+    // same pins at this level in the same rows.
+    const Tensor* sameRows = nullptr;
+    if (sameGraph || (level < baseGraph.numLevels() &&
+                      baseGraph.pinsAtLevel(level) == levelPins)) {
+      sameRows = &base.levelEmbeddings[static_cast<std::size_t>(level)];
+    }
+    if (pins.empty() && sameRows != nullptr) {
+      out.levelEmbeddings.push_back(*sameRows);
       continue;
     }
-    // In-edges of the cone rows, in the level's edge order, so each
-    // destination reduces its sources in the order the full sweep does.
-    const auto restrict = [&](const features::LevelEdges& edges,
-                              features::LevelEdges& sub) {
-      sub.src.clear();
-      sub.dstLocal.clear();
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        const auto dst = static_cast<std::size_t>(edges.dstLocal[e]);
-        if (cone[dst] == 0) continue;
-        sub.src.push_back(edges.src[e]);
-        sub.dstLocal.push_back(position[dst]);
+    Tensor rows;
+    if (!pins.empty()) {
+      // In-edges of the cone rows, in the level's edge order, so each
+      // destination reduces its sources in the order the full sweep does.
+      const auto restrict = [&](const features::LevelEdges& edges,
+                                features::LevelEdges& sub) {
+        sub.src.clear();
+        sub.dstLocal.clear();
+        for (std::size_t e = 0; e < edges.size(); ++e) {
+          const auto dst = static_cast<std::size_t>(edges.dstLocal[e]);
+          if (cone[dst] == 0) continue;
+          sub.src.push_back(edges.src[e]);
+          sub.dstLocal.push_back(position[dst]);
+        }
+      };
+      restrict(net, coneNet);
+      restrict(cell, coneCell);
+      rows = levelBody(pinFeatures, pins, out.levelEmbeddings,
+                       net.size() > 0 ? &coneNet : nullptr,
+                       cell.size() > 0 ? &coneCell : nullptr, keyBase);
+      computed += static_cast<std::int64_t>(pins.size());
+      if (pins.size() == levelPins.size()) {
+        out.levelEmbeddings.push_back(std::move(rows));
+        continue;
       }
-    };
-    restrict(net, coneNet);
-    restrict(cell, coneCell);
-    const Tensor rows = levelBody(pinFeatures, pins, out.levelEmbeddings,
-                                  net.size() > 0 ? &coneNet : nullptr,
-                                  cell.size() > 0 ? &coneCell : nullptr,
-                                  keyBase);
-    computed += static_cast<std::int64_t>(pins.size());
-    if (pins.size() == levelPins.size()) {
-      out.levelEmbeddings.push_back(rows);
-      continue;
     }
-    Tensor patched = baseLevel.clone();
-    const std::size_t rowBytes =
-        static_cast<std::size_t>(hidden_) * sizeof(float);
+    // Cone rows from `rows`, the rest from the base: in place of a clone
+    // of the same-rows level, else found by pin id.
+    Tensor patched =
+        sameRows != nullptr
+            ? sameRows->clone()
+            : Tensor::zeros({static_cast<std::int64_t>(levelPins.size()),
+                             hidden_});
     for (std::size_t row = 0; row < levelPins.size(); ++row) {
-      if (cone[row] == 0) continue;
-      std::memcpy(patched.data() + static_cast<std::int64_t>(row) * hidden_,
-                  rows.data() + position[row] * hidden_, rowBytes);
+      float* dst = patched.data() + static_cast<std::int64_t>(row) * hidden_;
+      if (cone[row] != 0) {
+        std::memcpy(dst, rows.data() + position[row] * hidden_, rowBytes);
+      } else if (sameRows == nullptr) {
+        const auto [baseLevel, baseRow] = baseGraph.locate(levelPins[row]);
+        std::memcpy(dst,
+                    base.levelEmbeddings[static_cast<std::size_t>(baseLevel)]
+                            .data() +
+                        baseRow * hidden_,
+                    rowBytes);
+      }
     }
     out.levelEmbeddings.push_back(std::move(patched));
   }

@@ -41,14 +41,19 @@ class TimingGnn : public nn::Module {
                  const features::PinFeatures& pinFeatures) const;
 
   /// forward(graph, pinFeatures) rebuilt from `base`, the forward() of
-  /// `basePinFeatures` over the same graph. Only the fanout cone of the
-  /// pin rows whose features differ bitwise from `basePinFeatures` is
-  /// recomputed (PinFeatures::changedRows, which skips the blocks the two
-  /// share); every level without a cone row is `base`'s tensor. Each op of
-  /// the level body is row-local (a GEMM row, a destination's segment in
-  /// edge order, a LayerNorm row), so the result is bitwise equal to the
-  /// full sweep. `rowsComputed`, when non-null, receives the cone's size in
-  /// pins. Inference only: the output shares tensors with `base`.
+  /// `basePinFeatures` over `base.graph`, which may be another graph (a
+  /// buffer insertion grows it, a revert shrinks it back). A row is a pure
+  /// function of its pin's feature row, the pin's in-edge sources in order
+  /// and which edge kinds enter its level, so a pin's row carries from the
+  /// base by pin id unless the pin is new, one of those three differs, or a
+  /// fanin is recomputed. Only that fanout cone is recomputed, level by
+  /// level (the changed feature rows come from PinFeatures::changedRows,
+  /// which skips the blocks the two share). A level without a cone row and
+  /// with the base's pin list is `base`'s tensor. Each op of the level body
+  /// is row-local (a GEMM row, a destination's segment in edge order, a
+  /// LayerNorm row), so the result is bitwise equal to the full sweep.
+  /// `rowsComputed`, when non-null, receives the cone's size in pins.
+  /// Inference only: the output shares tensors with `base`.
   Output forwardFrom(const Output& base,
                      const features::PinFeatures& basePinFeatures,
                      const features::PinGraph& graph,

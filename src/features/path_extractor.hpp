@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -28,10 +29,12 @@ class PathExtractor {
   static std::vector<TimingPath> extract(const netlist::Netlist& netlist,
                                          const place::LayoutMaps* maps);
 
-  /// Cone of a single endpoint.
-  static TimingPath extractOne(const netlist::Netlist& netlist,
-                               const place::LayoutMaps* maps,
-                               netlist::PinId endpoint);
+  /// Cones of the given endpoints, in that order. Each cone costs its own
+  /// size: the walk marks its pins and bins in bitsets, which read them
+  /// back in order (no sort) and are left clear for the next endpoint.
+  static std::vector<TimingPath> extract(
+      const netlist::Netlist& netlist, const place::LayoutMaps* maps,
+      std::span<const netlist::PinId> endpoints);
 
   /// The mask half of a cone's extraction: the sorted unique bins of
   /// `conePins`' locations. A what-if move changes no cone membership,

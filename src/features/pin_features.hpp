@@ -45,10 +45,14 @@ class PinFeatures {
   /// node is recorded.
   tensor::Tensor gather(const std::vector<std::int64_t>& pins) const;
 
-  /// Pins, ascending, whose rows differ bitwise from `base`'s (same shape).
-  /// A block whose data pointer is `base`'s is skipped; the others are
-  /// compared row by row, so a row rewritten to the same bytes is not
-  /// reported.
+  /// Appends zero rows up to `numPins` rows in all. Every full block stays
+  /// shared; a partial last block is replaced by a longer copy.
+  void grow(std::int64_t numPins);
+
+  /// Pins, ascending, whose rows differ bitwise from `base`'s (same dim),
+  /// and every pin past `base`'s last row. A block whose data pointer and
+  /// row count are `base`'s is skipped; the others are compared row by
+  /// row, so a row rewritten to the same bytes is not reported.
   std::vector<netlist::PinId> changedRows(const PinFeatures& base) const;
 
   /// True when `other` has this shape and holds every one of these blocks

@@ -39,11 +39,16 @@ PinGraph::PinGraph(const Netlist& nl) {
 
   netEdges_.resize(levels_.size());
   cellEdges_.resize(levels_.size());
+  faninOffsets_.reserve(static_cast<std::size_t>(numPins_) + 1);
+  faninOffsets_.push_back(0);
   for (PinId p = 0; p < numPins_; ++p) {
     const auto [dstLevel, dstRow] = pinRef_[static_cast<std::size_t>(p)];
     const auto& pin = nl.pin(p);
     const bool isCellOutput = pin.kind == PinKind::kCellOutput;
-    for (const PinId f : nl.timingFanin(p)) {
+    const auto fanin = nl.timingFanin(p);
+    faninPins_.insert(faninPins_.end(), fanin.begin(), fanin.end());
+    faninOffsets_.push_back(static_cast<std::int32_t>(faninPins_.size()));
+    for (const PinId f : fanin) {
       LevelEdges& edges = isCellOutput
                               ? cellEdges_[static_cast<std::size_t>(dstLevel)]
                               : netEdges_[static_cast<std::size_t>(dstLevel)];
@@ -76,6 +81,13 @@ const LevelEdges& PinGraph::cellEdgesInto(std::int32_t level) const {
 std::pair<std::int32_t, std::int64_t> PinGraph::locate(PinId pin) const {
   DAGT_CHECK_MSG(pin >= 0 && pin < numPins_, "pin " << pin);
   return pinRef_[static_cast<std::size_t>(pin)];
+}
+
+std::span<const PinId> PinGraph::fanin(PinId pin) const {
+  DAGT_CHECK_MSG(pin >= 0 && pin < numPins_, "pin " << pin);
+  const auto first = faninOffsets_[static_cast<std::size_t>(pin)];
+  const auto last = faninOffsets_[static_cast<std::size_t>(pin) + 1];
+  return {faninPins_.data() + first, static_cast<std::size_t>(last - first)};
 }
 
 }  // namespace dagt::features

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,9 @@ class PinGraph {
   const LevelEdges& cellEdgesInto(std::int32_t level) const;
   /// Coordinates of a pin: (level ordinal, row within level).
   std::pair<std::int32_t, std::int64_t> locate(netlist::PinId pin) const;
+  /// Source pins of `pin`'s in-edges, in the order its level's edge list
+  /// holds them (Netlist::timingFanin's order).
+  std::span<const netlist::PinId> fanin(netlist::PinId pin) const;
 
   std::int64_t numPins() const { return numPins_; }
   std::int64_t totalNetEdges() const { return totalNetEdges_; }
@@ -53,6 +57,10 @@ class PinGraph {
   std::vector<LevelEdges> netEdges_;   // indexed by destination level
   std::vector<LevelEdges> cellEdges_;  // indexed by destination level
   std::vector<std::pair<std::int32_t, std::int64_t>> pinRef_;  // by pin id
+  // In-edge sources by pin id: fanin(p) is faninPins_[faninOffsets_[p],
+  // faninOffsets_[p + 1]).
+  std::vector<std::int32_t> faninOffsets_;
+  std::vector<netlist::PinId> faninPins_;
 };
 
 }  // namespace dagt::features

@@ -149,39 +149,56 @@ std::vector<PinId> Netlist::startpoints() const {
   return result;
 }
 
-std::vector<PinId> Netlist::timingFanin(PinId pinId) const {
+std::span<const PinId> Netlist::timingFanin(PinId pinId) const {
   const Pin& p = pin(pinId);
-  std::vector<PinId> fanin;
   switch (p.kind) {
     case PinKind::kPrimaryInput:
-      break;  // startpoint
+      return {};  // startpoint
     case PinKind::kPrimaryOutput:
     case PinKind::kCellInput:
-      if (p.net != kInvalidId) {
-        fanin.push_back(nets_[static_cast<std::size_t>(p.net)].driver);
-      }
-      break;
+      if (p.net == kInvalidId) return {};
+      return {&nets_[static_cast<std::size_t>(p.net)].driver, 1};
     case PinKind::kCellOutput: {
       const Cell& c = cells_[static_cast<std::size_t>(p.cell)];
-      if (!library_->cell(c.type).isSequential) {
-        fanin = c.inputPins;  // combinational arcs only
-      }
-      break;
+      if (library_->cell(c.type).isSequential) return {};
+      return c.inputPins;  // combinational arcs only
     }
   }
-  return fanin;
+  return {};
+}
+
+TimingFanout Netlist::timingFanout() const {
+  const std::size_t n = pins_.size();
+  TimingFanout fanout;
+  fanout.offsets.assign(n + 1, 0);
+  for (PinId p = 0; p < static_cast<PinId>(n); ++p) {
+    for (const PinId f : timingFanin(p)) {
+      ++fanout.offsets[static_cast<std::size_t>(f) + 1];
+    }
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    fanout.offsets[p + 1] += fanout.offsets[p];
+  }
+  // Filling in pin order keeps each pin's fanout ascending.
+  fanout.pins.resize(static_cast<std::size_t>(fanout.offsets[n]));
+  std::vector<std::int32_t> next(fanout.offsets.begin(),
+                                 fanout.offsets.end() - 1);
+  for (PinId p = 0; p < static_cast<PinId>(n); ++p) {
+    for (const PinId f : timingFanin(p)) {
+      fanout.pins[static_cast<std::size_t>(
+          next[static_cast<std::size_t>(f)]++)] = p;
+    }
+  }
+  return fanout;
 }
 
 std::vector<PinId> Netlist::topologicalPinOrder() const {
   const std::int64_t n = numPins();
+  // Kahn's algorithm over the timing graph.
+  const TimingFanout fanout = timingFanout();
   std::vector<std::int32_t> pendingFanin(static_cast<std::size_t>(n), 0);
-  // Build fanout adjacency once; Kahn's algorithm over the timing graph.
-  std::vector<std::vector<PinId>> fanout(static_cast<std::size_t>(n));
-  for (PinId p = 0; p < n; ++p) {
-    const auto fanin = timingFanin(p);
-    pendingFanin[static_cast<std::size_t>(p)] =
-        static_cast<std::int32_t>(fanin.size());
-    for (const PinId f : fanin) fanout[static_cast<std::size_t>(f)].push_back(p);
+  for (const PinId out : fanout.pins) {
+    ++pendingFanin[static_cast<std::size_t>(out)];
   }
   std::vector<PinId> order;
   order.reserve(static_cast<std::size_t>(n));
@@ -193,7 +210,7 @@ std::vector<PinId> Netlist::topologicalPinOrder() const {
     const PinId p = ready.back();
     ready.pop_back();
     order.push_back(p);
-    for (const PinId out : fanout[static_cast<std::size_t>(p)]) {
+    for (const PinId out : fanout.of(p)) {
       if (--pendingFanin[static_cast<std::size_t>(out)] == 0) {
         ready.push_back(out);
       }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,19 @@ struct Cell {
 struct Net {
   PinId driver = kInvalidId;
   std::vector<PinId> sinks;
+};
+
+/// Timing-graph fanout in flat arrays: the fanout pins of pin p are
+/// pins[offsets[p], offsets[p + 1]), ascending.
+struct TimingFanout {
+  std::vector<std::int32_t> offsets;  // numPins + 1 entries
+  std::vector<PinId> pins;
+
+  std::span<const PinId> of(PinId pin) const {
+    const auto first = offsets[static_cast<std::size_t>(pin)];
+    const auto last = offsets[static_cast<std::size_t>(pin) + 1];
+    return {pins.data() + first, static_cast<std::size_t>(last - first)};
+  }
 };
 
 /// Gate-level netlist bound to one technology node's CellLibrary.
@@ -98,8 +112,12 @@ class Netlist {
   std::vector<PinId> topologicalPinOrder() const;
 
   /// Fanin pins of `pin` in the timing graph (net driver for inputs/POs,
-  /// the cell's combinational inputs for cell outputs).
-  std::vector<PinId> timingFanin(PinId pin) const;
+  /// the cell's combinational inputs for cell outputs): a view of the
+  /// net's driver field or the cell's inputPins, valid until the next edit.
+  std::span<const PinId> timingFanin(PinId pin) const;
+
+  /// Fanout of every pin in the timing graph (the reverse of timingFanin).
+  TimingFanout timingFanout() const;
 
   /// Table-1 statistics.
   struct Stats {

@@ -179,13 +179,10 @@ std::shared_ptr<const ServableDesign> FeatureService::build(
   data.setPaths(features::PathExtractor::extract(netlist, data.maps.get()));
   data.labels.assign(data.paths().size(), 0.0f);  // unknown at serve time
 
+  // Masked images are built on first use (the dataset's cache is
+  // thread-safe), so a load pays only for the images its queries read.
   servable->dataset = std::make_unique<core::TimingDataset>(
       std::vector<const features::DesignData*>{&data});
-  // Prewarm the per-endpoint masked-image cache: afterwards every batch
-  // assembly only reads it, so worker threads may share the snapshot.
-  if (data.numEndpoints() > 0) {
-    (void)servable->dataset->fullBatch(data);
-  }
   return servable;
 }
 
@@ -272,9 +269,8 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
   const netlist::Netlist& nl = update.netlist;
 
   std::shared_ptr<const ServableDesign> prior = cached(key);
-  if (update.structural || prior == nullptr) {
-    // Pins/nets were added (or there is nothing to diff against): every
-    // cone and every mask footprint is suspect, so take the cold path.
+  if (prior == nullptr) {
+    // Nothing to diff against: the key's first load is a cold build.
     auto servable = build(nl, update.node, update.placement);
     coneStructuralRebuilds_.fetch_add(1, std::memory_order_relaxed);
     coneEndpointsEvicted_.fetch_add(
@@ -292,15 +288,25 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
     return result;
   }
 
-  // Non-structural edit: the pin/net id spaces match the prior snapshot,
-  // so its per-endpoint artifacts can be diffed against the new state.
+  // Pin and net ids only grow (a buffer insertion appends its pins and its
+  // net), so the prior snapshot's per-pin and per-endpoint artifacts can be
+  // diffed against the new state by id.
   auto servable = emptySnapshot(nl, update.node, update.placement);
   features::DesignData& data = servable->data;
-  DAGT_CHECK_MSG(
-      nl.numPins() == prior->data.graph->numPins(),
-      "non-structural cone update changed the pin count of " << data.name);
+  const netlist::PinId priorPins =
+      static_cast<netlist::PinId>(prior->data.graph->numPins());
+  const bool rewired = !update.rewiredPins.empty();
+  DAGT_CHECK_MSG(rewired ? nl.numPins() > priorPins
+                         : nl.numPins() == priorPins,
+                 "cone update of " << data.name << " went from " << priorPins
+                                   << " to " << nl.numPins() << " pins with "
+                                   << update.rewiredPins.size()
+                                   << " rewired");
   DAGT_CHECK_MSG(sameFloorplan(update.placement, prior->data.placement),
                  "cone update moved the die or a macro of " << data.name);
+  std::vector<netlist::PinId> newPins(
+      static_cast<std::size_t>(nl.numPins() - priorPins));
+  std::iota(newPins.begin(), newPins.end(), priorPins);
 
   // Per-pin and global artifacts. Anything whose inputs did not change is
   // shared with the prior snapshot (graph, paths, pin-feature blocks
@@ -310,11 +316,11 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
   {
     DAGT_TRACE_SCOPE("serve/cone_features");
     {
-      // A resize changes at most cell density. A move rebuilds all three
-      // channels: RUDY is normalized by its global mean, so one moved cell
-      // perturbs nearly every nonzero bin.
+      // A resize changes at most cell density. A move or a buffer rebuilds
+      // all three channels: RUDY is normalized by its global mean, so one
+      // moved cell or rewired net perturbs nearly every nonzero bin.
       DAGT_TRACE_SCOPE("serve/cone_maps");
-      data.maps = update.movedPins.empty()
+      data.maps = update.movedPins.empty() && !rewired
                       ? std::make_unique<place::LayoutMaps>(
                             *prior->data.maps, nl)
                       : std::make_unique<place::LayoutMaps>(
@@ -322,19 +328,25 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
                             static_cast<std::int32_t>(
                                 manifest_.model.imageResolution));
     }
-    // Connectivity is untouched, so the pin graph carries over as-is.
-    data.graph = prior->data.graph;
+    // Unless a buffer rewired it, connectivity is untouched and the pin
+    // graph carries over as-is.
+    data.graph = rewired ? std::make_shared<const features::PinGraph>(nl)
+                         : prior->data.graph;
     data.preRouteArrivals = update.preTiming.endpointArrivals(nl);
     {
       // A pin-feature row is a pure function of its own pin, so patching
-      // the dirty rows equals a full rebuild bit for bit
-      // (FeatureBuilder::rebuildRows shares build()'s row code). The copy
-      // shares every block; the writes clone only the blocks they touch.
+      // the dirty rows and appending the new pins' rows equals a full
+      // rebuild bit for bit (FeatureBuilder::rebuildRows shares build()'s
+      // row code). The copy shares every block; the writes and the growth
+      // clone only the blocks they touch.
       DAGT_TRACE_SCOPE("serve/cone_pinfeats");
       data.pinFeatures = prior->data.pinFeatures;
+      data.pinFeatures.grow(nl.numPins());
       featureBuilder_->rebuildRows(nl, &update.preTiming, update.dirtyPins,
                                    data.pinFeatures);
       featureBuilder_->rebuildRows(nl, &update.preTiming, update.movedPins,
+                                   data.pinFeatures);
+      featureBuilder_->rebuildRows(nl, &update.preTiming, newPins,
                                    data.pinFeatures);
     }
   }
@@ -342,6 +354,7 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
   const std::size_t numPins = static_cast<std::size_t>(nl.numPins());
   std::vector<std::uint8_t> dirtyPin(numPins, 0);
   std::vector<std::uint8_t> movedPin(numPins, 0);
+  std::vector<std::uint8_t> rewiredPin(numPins, 0);
   for (const netlist::PinId p : update.dirtyPins) {
     dirtyPin[static_cast<std::size_t>(p)] = 1;
   }
@@ -349,32 +362,61 @@ FeatureService::ConeUpdateResult FeatureService::applyConeUpdate(
     movedPin[static_cast<std::size_t>(p)] = 1;
     dirtyPin[static_cast<std::size_t>(p)] = 1;
   }
+  for (const netlist::PinId p : update.rewiredPins) {
+    rewiredPin[static_cast<std::size_t>(p)] = 1;
+  }
+  for (const netlist::PinId p : newPins) {
+    dirtyPin[static_cast<std::size_t>(p)] = 1;
+  }
 
-  // Cones: connectivity is unchanged, so cone membership carries over.
-  // Only a moved pin invalidates a path (its mask footprint shifted) —
-  // those get their mask bins recomputed from the cone they already have,
-  // with the extractor's own mask code. When nothing moved (resizes only
-  // — the common ECO), the whole paths vector is shared.
+  // Cones. An edit keeps the endpoints, and a cone changes membership only
+  // if it holds a rewired pin (the walk from the endpoint follows the same
+  // fanin otherwise): those cones are walked afresh. A cone holding a moved
+  // pin keeps its pins and gets its mask bins recomputed with the
+  // extractor's own mask code. When nothing moved or was rewired (resizes
+  // only — the common ECO), the whole paths vector is shared.
   const auto& oldPaths = prior->data.paths();
   std::vector<std::uint8_t> maskStale(oldPaths.size(), 0);
   {
     DAGT_TRACE_SCOPE("serve/cone_paths");
-    if (update.movedPins.empty()) {
+    if (update.movedPins.empty() && !rewired) {
       data.pathsPtr = prior->data.pathsPtr;
     } else {
       std::vector<features::TimingPath> paths;
       paths.reserve(oldPaths.size());
+      std::vector<netlist::PinId> walkEndpoints;
+      std::vector<std::size_t> walkAt;
       for (std::size_t i = 0; i < oldPaths.size(); ++i) {
         const features::TimingPath& old = oldPaths[i];
-        paths.push_back(old);
+        bool moved = false;
+        bool rewalk = false;
         for (const netlist::PinId p : old.conePins) {
-          if (movedPin[static_cast<std::size_t>(p)]) {
-            maskStale[i] = 1;
-            paths.back().maskBins = features::PathExtractor::maskBins(
-                nl, *data.maps, old.conePins);
-            break;
-          }
+          moved = moved || movedPin[static_cast<std::size_t>(p)] != 0;
+          rewalk = rewiredPin[static_cast<std::size_t>(p)] != 0;
+          if (rewalk) break;
         }
+        if (rewalk) {
+          walkEndpoints.push_back(old.endpoint);
+          walkAt.push_back(i);
+          paths.emplace_back();
+          continue;
+        }
+        paths.push_back(old);
+        if (moved) {
+          paths.back().maskBins = features::PathExtractor::maskBins(
+              nl, *data.maps, old.conePins);
+        }
+      }
+      std::vector<features::TimingPath> walked =
+          features::PathExtractor::extract(nl, data.maps.get(),
+                                           walkEndpoints);
+      for (std::size_t k = 0; k < walked.size(); ++k) {
+        paths[walkAt[k]] = std::move(walked[k]);
+      }
+      result.conesWalked = static_cast<std::int64_t>(walked.size());
+      // An image reads only its mask bins and the channels near them.
+      for (std::size_t i = 0; i < paths.size(); ++i) {
+        maskStale[i] = paths[i].maskBins != oldPaths[i].maskBins ? 1 : 0;
       }
       data.setPaths(std::move(paths));
     }

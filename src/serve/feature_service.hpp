@@ -30,9 +30,9 @@ place::PlacementResult readPlacementFile(const std::string& path);
 
 /// A design prepared for serving: the pre-routing snapshot (no sign-off
 /// labels — predicting those is the whole point) plus a single-design
-/// TimingDataset whose per-endpoint masked-image cache has been prewarmed,
-/// making subsequent batch assembly read-only and therefore safe to share
-/// across engine worker threads.
+/// TimingDataset whose per-endpoint masked images are built on first use
+/// (its cache is thread-safe, so engine worker threads share the
+/// snapshot).
 ///
 /// A served snapshot holds no netlist: nothing reads it after the build,
 /// so `data.netlist` is an empty Netlist(&library, name), cold-built and
@@ -98,9 +98,11 @@ class FeatureService {
     /// Sorted pins whose location changed (cell moves) — their cones need
     /// fresh mask footprints.
     std::vector<netlist::PinId> movedPins;
-    /// True when pins/nets were added (buffer insertion): endpoint cones
-    /// are stale wholesale, so the update falls back to a full rebuild.
-    bool structural = false;
+    /// Sorted pins whose timing fanin changed: the sinks a buffer insertion
+    /// moved onto its new net. Non-empty exactly when the netlist grew
+    /// (pins and nets are only ever appended); the cones holding one are
+    /// walked afresh and the pin graph is rebuilt.
+    std::vector<netlist::PinId> rewiredPins;
   };
 
   struct ConeUpdateResult {
@@ -111,17 +113,24 @@ class FeatureService {
     std::vector<std::int64_t> dirtyEndpoints;
     std::int64_t imagesReused = 0;
     std::int64_t imagesRebuilt = 0;
+    /// Endpoint cones walked afresh: those holding a rewired pin. Every
+    /// other cone was carried from the prior snapshot.
+    std::int64_t conesWalked = 0;
+    /// True when `key` had no prior snapshot, so the update was a cold
+    /// build.
     bool structuralRebuild = false;
   };
 
   /// Rebuild the snapshot under `key` incrementally from the previous one
-  /// and store it under `revision`. Shares with the previous snapshot the
-  /// pin graph, every pin-feature block without a dirty row, the paths
-  /// (when no pin moved) and the RUDY and macro channels (likewise), and
-  /// reuses masked images whose inputs are untouched by the edit; the
-  /// result is bitwise identical to a cold build() of the same netlist.
-  /// Falls back to a full rebuild for structural edits or when `key` has
-  /// no prior snapshot.
+  /// and store it under `revision`, for every edit kind. Shares with the
+  /// previous snapshot every pin-feature block without a dirty row (a
+  /// buffer insertion appends its pins' rows), the cones without a rewired
+  /// pin, the pin graph and paths when nothing was rewired (and, for the
+  /// paths, moved) and the RUDY and macro channels when nothing moved or
+  /// was rewired, and reuses masked images whose inputs are untouched by
+  /// the edit; the result is bitwise identical to a cold build() of the
+  /// same netlist. Only a key without a prior snapshot takes the cold
+  /// build.
   ConeUpdateResult applyConeUpdate(const std::string& key,
                                    const std::string& revision,
                                    const ConeUpdate& update);
@@ -132,8 +141,8 @@ class FeatureService {
                        std::shared_ptr<const ServableDesign> design);
 
   /// Incremental-update counters (relaxed, like the hit/miss pair):
-  /// cone updates applied, of which full structural rebuilds, and how many
-  /// per-endpoint cache entries the updates reused vs evicted.
+  /// cone updates applied, of which cold builds (no prior snapshot), and
+  /// how many per-endpoint cache entries the updates reused vs evicted.
   std::uint64_t coneUpdates() const {
     return coneUpdates_.load(std::memory_order_relaxed);
   }

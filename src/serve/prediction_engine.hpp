@@ -64,8 +64,8 @@ struct EngineConfig {
 /// fills its memo with a whole-design sweep in the warm-up. A what-if
 /// update or revert routes an empty memo whose base is the key's previous
 /// one; the first query fills it by re-running the GNN on the fanout cone
-/// of the changed pin-feature rows alone, or by a full sweep when the pin
-/// graph changed (buffer insertion).
+/// of the changed pin-feature rows alone, plus, when a buffer insertion or
+/// a revert changed the pin graph, the cone of the new and rewired pins.
 ///
 /// Determinism contract: every read path runs the model's one inference
 /// readout (TimingModel::predictBatch), whose rows are independent. So an

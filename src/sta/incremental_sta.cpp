@@ -29,12 +29,7 @@ void IncrementalSta::rebuildTopology() {
     topoPosition_[static_cast<std::size_t>(topoOrder_[i])] =
         static_cast<std::int32_t>(i);
   }
-  fanout_.assign(static_cast<std::size_t>(nl.numPins()), {});
-  for (PinId p = 0; p < nl.numPins(); ++p) {
-    for (const PinId f : nl.timingFanin(p)) {
-      fanout_[static_cast<std::size_t>(f)].push_back(p);
-    }
-  }
+  fanout_ = nl.timingFanout();
 }
 
 void IncrementalSta::markAllChanged() {
@@ -143,9 +138,12 @@ void IncrementalSta::onStructureChanged(const std::vector<NetId>& touchedNets,
   }
   for (PinId p = oldPins; p < nl.numPins(); ++p) seeds.push_back(p);
   propagateFrom(std::move(seeds));
-  // Downstream consumers key feature reuse on lastChangedPins; with the
-  // pin-id space itself grown, the only safe answer is "everything".
-  markAllChanged();
+  // The new pins count as changed whatever values they settled on: they
+  // are the highest ids, so they replace the tail of the sorted list.
+  lastChanged_.erase(std::lower_bound(lastChanged_.begin(),
+                                      lastChanged_.end(), oldPins),
+                     lastChanged_.end());
+  for (PinId p = oldPins; p < nl.numPins(); ++p) lastChanged_.push_back(p);
 }
 
 void IncrementalSta::propagateFrom(std::vector<PinId> seeds) {
@@ -182,7 +180,7 @@ void IncrementalSta::propagateFrom(std::vector<PinId> seeds) {
       continue;
     }
     lastChanged_.push_back(pin);
-    for (const PinId out : fanout_[pi]) {
+    for (const PinId out : fanout_.of(pin)) {
       if (!enqueued[static_cast<std::size_t>(out)]) {
         enqueued[static_cast<std::size_t>(out)] = 1;
         queue.emplace(topoPosition_[static_cast<std::size_t>(out)], out);

@@ -71,23 +71,22 @@ class IncrementalSta {
   /// Notify that the netlist grew (e.g. a buffer was inserted): new pins
   /// and nets were appended and `touchedNets` existing nets were rewired.
   /// Rebuilds the topological order and the evaluator (O(pins + edges)),
-  /// re-estimates touched + new nets, and propagates from their pins —
-  /// still far cheaper than the feature-extraction work above it.
+  /// re-estimates touched + new nets, and propagates from their pins.
   void onStructureChanged(const std::vector<netlist::NetId>& touchedNets,
                           const RouteEstimator& estimator);
 
   /// Pins re-evaluated by the most recent update (diagnostics / tests).
   std::int64_t lastUpdateVisited() const { return stats_.lastVisited; }
   /// Pins whose arrival or slew actually changed in the most recent
-  /// update (ascending pin id). After fullRefresh / onStructureChanged
-  /// this is every pin — callers must treat the whole design as dirty.
+  /// update (ascending pin id); after onStructureChanged the new pins too.
+  /// After fullRefresh this is every pin.
   const std::vector<netlist::PinId>& lastChangedPins() const {
     return lastChanged_;
   }
   const IncrementalStaStats& stats() const { return stats_; }
 
   /// Recompute everything from scratch (reference path; also used at
-  /// construction and after structural edits).
+  /// construction).
   void fullRefresh();
 
  private:
@@ -102,7 +101,7 @@ class IncrementalSta {
   TimingResult result_;
   std::vector<std::int32_t> topoPosition_;           // pin -> order index
   std::vector<netlist::PinId> topoOrder_;            // order index -> pin
-  std::vector<std::vector<netlist::PinId>> fanout_;  // timing-graph fanout
+  netlist::TimingFanout fanout_;                     // timing-graph fanout
   std::vector<netlist::PinId> lastChanged_;
   IncrementalStaStats stats_;
 };

@@ -145,7 +145,7 @@ CommandOutcome dispatch(WhatIfSession& session,
     std::ostringstream msg;
     msg << "synced: " << r.dirtyEndpoints.size() << " dirty endpoints, "
         << r.imagesReused << " images reused, " << r.imagesRebuilt
-        << " rebuilt" << (r.structuralRebuild ? " (structural rebuild)" : "");
+        << " rebuilt";
     outcome.message = msg.str();
   } else if (cmd == "commit") {
     if (tokens.size() != 1) return usageOf("commit");

@@ -134,7 +134,10 @@ sta::BufferInsertion WhatIfSession::insertBuffer(const NetId net) {
   if (!result.inserted) return result;
   const sta::RouteEstimator est = estimator();
   sta_->onStructureChanged({net}, est);
-  structural_ = true;
+  markCellDirty(result.buffer);
+  markPinsDirty(sta_->lastChangedPins());
+  const std::vector<PinId>& moved = netlist_.net(result.bufNet).sinks;
+  rewiredPins_.insert(rewiredPins_.end(), moved.begin(), moved.end());
   noteEdit();
   return result;
 }
@@ -144,6 +147,7 @@ void WhatIfSession::sync() {
   DAGT_TRACE_SCOPE("whatif/sync");
   sortUnique(dirtyPins_);
   sortUnique(movedPins_);
+  sortUnique(rewiredPins_);
   // The update reads the session's own netlist, placement and timing in
   // place: the snapshot it builds keeps none of them.
   const serve::FeatureService::ConeUpdate update{netlist_,
@@ -152,12 +156,12 @@ void WhatIfSession::sync() {
                                                  sta_->timing(),
                                                  std::move(dirtyPins_),
                                                  std::move(movedPins_),
-                                                 structural_};
+                                                 std::move(rewiredPins_)};
   lastSync_ = engine_.applyConeUpdate(key_, revision(), update);
   numEndpoints_ = lastSync_.design->numEndpoints();
   dirtyPins_.clear();
   movedPins_.clear();
-  structural_ = false;
+  rewiredPins_.clear();
   pendingSync_ = false;
 }
 
@@ -190,7 +194,7 @@ void WhatIfSession::revert() {
   rebuildSta();
   dirtyPins_.clear();
   movedPins_.clear();
-  structural_ = false;
+  rewiredPins_.clear();
   pendingSync_ = false;
   ++editSerial_;
   engine_.installSnapshot(key_, baselineRevision_, baselineSnapshot_);

@@ -57,8 +57,9 @@ class WhatIfSession {
   void moveCell(netlist::CellId cell, Point to);
 
   /// Split a high-fanout net behind a new buffer (see
-  /// sta::insertFanoutBuffer). A structural edit: the next sync falls back
-  /// to a full feature rebuild.
+  /// sta::insertFanoutBuffer). The next sync appends the buffer's pins,
+  /// rebuilds the pin graph and the layout maps, and re-walks only the
+  /// cones that hold a moved sink.
   sta::BufferInsertion insertBuffer(netlist::NetId net);
 
   // -- Queries ---------------------------------------------------------------
@@ -127,7 +128,7 @@ class WhatIfSession {
   // Pending-edit state, cleared by sync().
   std::vector<netlist::PinId> dirtyPins_;
   std::vector<netlist::PinId> movedPins_;
-  bool structural_ = false;
+  std::vector<netlist::PinId> rewiredPins_;  // sinks a buffer moved
   bool pendingSync_ = false;
 
   // Baseline for revert().

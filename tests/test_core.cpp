@@ -13,6 +13,8 @@
 #include "core/timing_gnn.hpp"
 #include "core/trainer.hpp"
 #include "features/design_data.hpp"
+#include "sta/netlist_edits.hpp"
+#include "sta/sta_engine.hpp"
 #include "tensor/expr.hpp"
 #include "tensor/kernels/kernels.hpp"
 
@@ -170,6 +172,138 @@ TEST(TimingGnn, SelectReturnsEndpointRows) {
   for (std::int64_t c = 0; c < 16; ++c) {
     EXPECT_EQ(sel.at(0, c),
               out.levelEmbeddings[static_cast<std::size_t>(lv)].at(row, c));
+  }
+}
+
+/// Pin the kernel tier for one scope; back to env/CPUID resolution after.
+class TierGuard {
+ public:
+  explicit TierGuard(tensor::kernels::Tier tier) {
+    tensor::kernels::forceTier(tier);
+  }
+  ~TierGuard() { tensor::kernels::resetTier(); }
+};
+
+void expectSameEmbeddings(const TimingGnn::Output& got,
+                          const TimingGnn::Output& want, const char* what) {
+  ASSERT_EQ(got.levelEmbeddings.size(), want.levelEmbeddings.size()) << what;
+  for (std::size_t level = 0; level < want.levelEmbeddings.size(); ++level) {
+    const Tensor& a = got.levelEmbeddings[level];
+    const Tensor& b = want.levelEmbeddings[level];
+    ASSERT_EQ(a.shape(), b.shape()) << what << " level " << level;
+    ASSERT_EQ(std::memcmp(a.data(), b.data(),
+                          static_cast<std::size_t>(a.numel()) * sizeof(float)),
+              0)
+        << what << " level " << level;
+  }
+}
+
+TEST(TimingGnn, ForwardFromAcrossChangedGraphMatchesFullSweep) {
+  // A buffer insertion grows the pin graph and rewires sinks; a revert
+  // shrinks it back. A fill from the other graph's embeddings must equal a
+  // full sweep bitwise at every tier, recomputing only part of the design.
+  const auto& d = target7();
+  const features::FeatureBuilder builder(&pipeline().vocabulary(),
+                                         pipeline().config().features);
+  const sta::RouteConfig preRouting{sta::WireModel::kPreRouting, 0.0f, 0.0f};
+  const auto featuresOf = [&](const netlist::Netlist& nl) {
+    const sta::TimingResult timing =
+        sta::StaEngine::run(nl, nullptr, preRouting);
+    return features::PinFeatures(builder.build(nl, &timing));
+  };
+  const features::PinGraph baseGraph(d.netlist);
+  const features::PinFeatures baseFeatures = featuresOf(d.netlist);
+
+  netlist::Netlist grown = d.netlist;
+  Rng rng(0xb0f);
+  int buffers = 0;
+  for (int attempt = 0; attempt < 400 && buffers < 3; ++attempt) {
+    const auto net = static_cast<netlist::NetId>(
+        rng.uniformInt(static_cast<std::uint64_t>(grown.numNets())));
+    buffers += sta::insertFanoutBuffer(grown, net).inserted ? 1 : 0;
+  }
+  ASSERT_EQ(buffers, 3);
+  const features::PinGraph grownGraph(grown);
+  const features::PinFeatures grownFeatures = featuresOf(grown);
+
+  // Rewires that leave every feature row alone, so that only the
+  // structural rules can seed the cone (the graphs share one feature
+  // matrix): closing an input left open takes the only cell edge out of
+  // level 1, whose carried rows then skip the cell projections and their
+  // biases; moving a sink to another driver changes its in-edge source.
+  const netlist::CellLibrary lib =
+      netlist::CellLibrary::makeNode(netlist::TechNode::k7nm);
+  netlist::Netlist open(&lib, "rewire");
+  const netlist::PinId a = open.addPrimaryInput();
+  const netlist::PinId b = open.addPrimaryInput();
+  const netlist::CellId inv =
+      open.addCell(lib.findCell(netlist::CellFunction::kInv, 1));
+  const netlist::NetId fromA = open.addNet(a);
+  const netlist::NetId fromB = open.addNet(b);
+  const netlist::NetId fromInv = open.addNet(open.cell(inv).outputPin);
+  const netlist::PinId sink = open.addPrimaryOutput();
+  open.connectSink(fromA, open.addPrimaryOutput());
+  open.connectSink(fromA, sink);
+  open.connectSink(fromInv, open.addPrimaryOutput());
+  netlist::Netlist closed = open;
+  closed.connectSink(fromA, closed.cell(inv).inputPins[0]);
+  netlist::Netlist moved = closed;
+  moved.moveSink(sink, fromB);
+  const features::PinGraph openGraph(open);
+  const features::PinGraph closedGraph(closed);
+  const features::PinGraph movedGraph(moved);
+  Rng featureRng(12);
+  const features::PinFeatures shared(
+      Tensor::randn({open.numPins(), 8}, featureRng));
+
+  tensor::NoGradGuard noGrad;
+  for (const auto tier : {tensor::kernels::Tier::kScalar,
+                          tensor::kernels::Tier::kAvx2,
+                          tensor::kernels::Tier::kAvx2Fma}) {
+    if (!tensor::kernels::tierSupported(tier)) continue;
+    TierGuard guard(tier);
+    Rng tinyInit(13);
+    TimingGnn tiny(8, 16, tinyInit);
+    // Biases start at zero, and a zero bias adds nothing.
+    for (Tensor param : tiny.parameters()) {
+      for (std::int64_t i = 0; i < param.numel(); ++i) {
+        param.data()[i] += static_cast<float>(tinyInit.uniform(-0.5, 0.5));
+      }
+    }
+    const auto openOut = tiny.forward(openGraph, shared);
+    const auto closedOut = tiny.forward(closedGraph, shared);
+    const auto movedOut = tiny.forward(movedGraph, shared);
+    expectSameEmbeddings(
+        tiny.forwardFrom(openOut, shared, closedGraph, shared), closedOut,
+        "closed");
+    expectSameEmbeddings(
+        tiny.forwardFrom(closedOut, shared, openGraph, shared), openOut,
+        "reopened");
+    expectSameEmbeddings(
+        tiny.forwardFrom(closedOut, shared, movedGraph, shared), movedOut,
+        "moved");
+    expectSameEmbeddings(
+        tiny.forwardFrom(movedOut, shared, closedGraph, shared), closedOut,
+        "moved back");
+
+    Rng init(11);
+    TimingGnn gnn(baseFeatures.dim(), 16, init);
+    const auto baseOut = gnn.forward(baseGraph, baseFeatures);
+    const auto grownOut = gnn.forward(grownGraph, grownFeatures);
+
+    std::int64_t rows = 0;
+    expectSameEmbeddings(gnn.forwardFrom(baseOut, baseFeatures, grownGraph,
+                                         grownFeatures, &rows),
+                         grownOut, "grown");
+    EXPECT_GT(rows, 0);
+    EXPECT_LT(rows, grownGraph.numPins());
+
+    rows = 0;
+    expectSameEmbeddings(gnn.forwardFrom(grownOut, grownFeatures, baseGraph,
+                                         baseFeatures, &rows),
+                         baseOut, "reverted");
+    EXPECT_GT(rows, 0);
+    EXPECT_LT(rows, baseGraph.numPins());
   }
 }
 

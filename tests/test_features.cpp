@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -12,6 +13,8 @@
 #include "features/path_extractor.hpp"
 #include "features/pin_features.hpp"
 #include "features/pin_graph.hpp"
+#include "place/placer.hpp"
+#include "sta/netlist_edits.hpp"
 #include "tensor/ops.hpp"
 
 namespace dagt::features {
@@ -146,6 +149,100 @@ TEST(PathExtractor, ConesContainEndpointAndReachStartpoints) {
             << "fanin " << f << " of " << p << " escapes the cone";
       }
     }
+  }
+}
+
+/// The cone extraction the bitset walk replaced: a reverse DFS, then a
+/// sort of the cone and a sort-unique of its bins.
+TimingPath referenceCone(const netlist::Netlist& nl,
+                         const place::LayoutMaps* maps,
+                         netlist::PinId endpoint) {
+  TimingPath path;
+  path.endpoint = endpoint;
+  std::vector<std::uint8_t> visited(static_cast<std::size_t>(nl.numPins()),
+                                    0);
+  std::vector<netlist::PinId> stack{endpoint};
+  visited[static_cast<std::size_t>(endpoint)] = 1;
+  while (!stack.empty()) {
+    const netlist::PinId p = stack.back();
+    stack.pop_back();
+    path.conePins.push_back(p);
+    for (const netlist::PinId f : nl.timingFanin(p)) {
+      if (visited[static_cast<std::size_t>(f)] == 0) {
+        visited[static_cast<std::size_t>(f)] = 1;
+        stack.push_back(f);
+      }
+    }
+  }
+  std::sort(path.conePins.begin(), path.conePins.end());
+  if (maps != nullptr) {
+    const std::int32_t res = maps->resolution();
+    for (const netlist::PinId p : path.conePins) {
+      const auto [gx, gy] = maps->binOf(nl.pinLocation(p));
+      path.maskBins.push_back(gy * res + gx);
+    }
+    std::sort(path.maskBins.begin(), path.maskBins.end());
+    path.maskBins.erase(
+        std::unique(path.maskBins.begin(), path.maskBins.end()),
+        path.maskBins.end());
+  }
+  return path;
+}
+
+void expectExtractMatchesReference(const netlist::Netlist& nl,
+                                   const place::PlacementResult& placement,
+                                   const std::string& what) {
+  const place::LayoutMaps maps(nl, placement, 32);
+  const auto endpoints = nl.endpoints();
+  for (const place::LayoutMaps* m :
+       {static_cast<const place::LayoutMaps*>(&maps),
+        static_cast<const place::LayoutMaps*>(nullptr)}) {
+    const std::vector<TimingPath> got = PathExtractor::extract(nl, m);
+    ASSERT_EQ(got.size(), endpoints.size()) << what;
+    for (std::size_t i = 0; i < endpoints.size(); ++i) {
+      const TimingPath want = referenceCone(nl, m, endpoints[i]);
+      ASSERT_EQ(got[i].endpoint, want.endpoint) << what << " path " << i;
+      ASSERT_EQ(got[i].conePins, want.conePins) << what << " path " << i;
+      ASSERT_EQ(got[i].maskBins, want.maskBins) << what << " path " << i;
+    }
+    // A subset, in its own order, walks each cone alike.
+    const std::vector<netlist::PinId> some(endpoints.rbegin(),
+                                           endpoints.rend());
+    const std::vector<TimingPath> reversed =
+        PathExtractor::extract(nl, m, some);
+    ASSERT_EQ(reversed.size(), some.size());
+    for (std::size_t i = 0; i < some.size(); ++i) {
+      const TimingPath& same = got[some.size() - 1 - i];
+      ASSERT_EQ(reversed[i].conePins, same.conePins) << what;
+      ASSERT_EQ(reversed[i].maskBins, same.maskBins) << what;
+    }
+  }
+}
+
+TEST(PathExtractor, ExtractMatchesReferenceWalk) {
+  // Every suite design, with and without layout maps, before and after
+  // seeded buffer insertions (new pins past the old id range, rewired
+  // sinks, a new cell on the grid).
+  const designgen::DesignSuite suite(0.15f);
+  for (const designgen::DesignEntry& entry : suite.entries()) {
+    const auto lib = netlist::CellLibrary::makeNode(entry.node);
+    netlist::Netlist nl = suite.buildNetlist(entry, lib);
+    place::PlacerConfig placerConfig;
+    placerConfig.seed ^= entry.spec.seed;
+    const place::PlacementResult placement =
+        place::Placer::place(nl, placerConfig);
+    expectExtractMatchesReference(nl, placement, entry.spec.name);
+
+    Rng rng(entry.spec.seed);
+    int buffers = 0;
+    for (int attempt = 0; attempt < 200 && buffers < 3; ++attempt) {
+      const auto net = static_cast<netlist::NetId>(
+          rng.uniformInt(static_cast<std::uint64_t>(nl.numNets())));
+      buffers += sta::insertFanoutBuffer(nl, net).inserted ? 1 : 0;
+    }
+    ASSERT_GT(buffers, 0) << entry.spec.name;
+    expectExtractMatchesReference(nl, placement,
+                                  entry.spec.name + " after buffers");
   }
 }
 

@@ -174,7 +174,8 @@ TEST(WhatIfSession, EditStreamMatchesColdRebuildBitwise) {
   };
 
   // One edit of each kind, parity after each: resize (pure cone update),
-  // move (re-extracted cones + image diff), buffer (structural rebuild).
+  // move (re-masked cones + image diff), buffer (grown pin graph, re-walked
+  // cones). Each is a cone update: only a key's first load builds cold.
   const netlist::CellId toResize = findResizable(session.netlist());
   ASSERT_NE(toResize, netlist::kInvalidId);
   ASSERT_TRUE(session.resizeCell(toResize, /*up=*/true));
@@ -191,7 +192,7 @@ TEST(WhatIfSession, EditStreamMatchesColdRebuildBitwise) {
   ASSERT_NE(toBuffer, netlist::kInvalidId);
   ASSERT_TRUE(session.insertBuffer(toBuffer).inserted);
   checkParity("after buffer insertion");
-  EXPECT_TRUE(session.lastSync().structuralRebuild);
+  EXPECT_FALSE(session.lastSync().structuralRebuild);
 }
 
 TEST(WhatIfSession, PredictAllMatchesPredictDesignForOurs) {
@@ -432,15 +433,16 @@ TEST(WhatIfSession, ConeFilledMemosMatchColdLoadsAtEveryTier) {
 }
 
 /// Pins whose pin-feature rows differ bitwise between two snapshots,
-/// comparing every row (PinFeatures::changedRows skips shared blocks).
+/// comparing every row both hold (PinFeatures::changedRows skips shared
+/// blocks).
 std::vector<netlist::PinId> changedFeatureRows(
     const features::PinFeatures& before, const features::PinFeatures& after) {
-  EXPECT_EQ(before.numPins(), after.numPins());
   EXPECT_EQ(before.dim(), after.dim());
   const std::size_t rowBytes =
       static_cast<std::size_t>(after.dim()) * sizeof(float);
   std::vector<netlist::PinId> changed;
-  for (std::int64_t pin = 0; pin < after.numPins(); ++pin) {
+  const std::int64_t common = std::min(before.numPins(), after.numPins());
+  for (std::int64_t pin = 0; pin < common; ++pin) {
     if (std::memcmp(before.row(pin), after.row(pin), rowBytes) != 0) {
       changed.push_back(static_cast<netlist::PinId>(pin));
     }
@@ -510,14 +512,33 @@ TEST(WhatIfSession, RowsComputedCountTheDirtyFanoutCone) {
   EXPECT_GT(cone, 0);
   EXPECT_LT(cone, numPins);
 
-  // A buffer insertion builds a new pin graph: the fill sweeps every pin.
-  ASSERT_TRUE(session.insertBuffer(findBufferable(session.netlist())).inserted);
+  // A buffer insertion builds a new pin graph. The fill recomputes at
+  // least the fanout cone of the changed rows, the new pins and the
+  // rewired sinks (plus any level whose edge kinds changed), not every pin.
+  const netlist::NetId toBuffer = findBufferable(session.netlist());
+  const sta::BufferInsertion buffer = session.insertBuffer(toBuffer);
+  ASSERT_TRUE(buffer.inserted);
   session.predict({0});
-  const serve::MetricsSnapshot buffered = f.engine.metrics();
-  EXPECT_EQ(buffered.graphMemoFills, resized.graphMemoFills + 1);
-  EXPECT_EQ(buffered.graphMemoRowsComputed - resized.graphMemoRowsComputed,
+  const auto buffered = f.engine.currentSnapshot("wi");
+  ASSERT_NE(buffered->data.graph, after->data.graph);
+  std::vector<netlist::PinId> seeds =
+      changedFeatureRows(after->data.pinFeatures, buffered->data.pinFeatures);
+  for (netlist::PinId p = static_cast<netlist::PinId>(numPins);
+       p < session.netlist().numPins(); ++p) {
+    seeds.push_back(p);
+  }
+  const auto& rewired = session.netlist().net(buffer.bufNet).sinks;
+  seeds.insert(seeds.end(), rewired.begin(), rewired.end());
+  const std::uint64_t bufferCone =
+      static_cast<std::uint64_t>(fanoutClosure(*buffered->data.graph, seeds));
+  const serve::MetricsSnapshot bufferedMetrics = f.engine.metrics();
+  EXPECT_EQ(bufferedMetrics.graphMemoFills, resized.graphMemoFills + 1);
+  const std::uint64_t bufferRows = bufferedMetrics.graphMemoRowsComputed -
+                                   resized.graphMemoRowsComputed;
+  EXPECT_GE(bufferRows, bufferCone);
+  EXPECT_LT(bufferRows,
             static_cast<std::uint64_t>(session.netlist().numPins()));
-  const std::string json = buffered.toJson().dump();
+  const std::string json = bufferedMetrics.toJson().dump();
   EXPECT_NE(json.find("\"graph_memo_rows_computed\""), std::string::npos);
 }
 
@@ -586,9 +607,105 @@ TEST(WhatIfSession, ResizeSyncSharesWhatItDidNotRewrite) {
   EXPECT_LT(cloned, now.numBlocks());
 }
 
+TEST(WhatIfSession, BufferSyncSharesWhatItDidNotRewire) {
+  // A buffer sync appends the buffer's pins and rebuilds the pin graph and
+  // the layout maps, but shares with its predecessor every pin-feature
+  // block without a rewritten row and carries every cone that holds no
+  // moved sink. The rewritten rows are the buffer's pins, the drivers and
+  // sinks of both nets, and the pins whose timing changed.
+  SessionFixture f;
+  WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
+  const auto before = f.engine.currentSnapshot("wi");
+  const sta::TimingResult timingBefore = session.timing();
+  const std::int64_t priorPins = session.netlist().numPins();
+  const std::uint64_t rowsBefore = f.engine.metrics().graphMemoRowsComputed;
+  const sta::BufferInsertion buffer =
+      session.insertBuffer(findBufferable(session.netlist()));
+  ASSERT_TRUE(buffer.inserted);
+  session.sync();
+  EXPECT_FALSE(session.lastSync().structuralRebuild);
+  const auto after = f.engine.currentSnapshot("wi");
+  const netlist::Netlist& nl = session.netlist();
+  ASSERT_GT(nl.numPins(), priorPins);
+  ASSERT_EQ(after->data.graph->numPins(), nl.numPins());
+
+  std::vector<std::uint8_t> rewritten(static_cast<std::size_t>(nl.numPins()),
+                                      0);
+  std::vector<netlist::PinId> cellPins = nl.cell(buffer.buffer).inputPins;
+  cellPins.push_back(nl.cell(buffer.buffer).outputPin);
+  for (const netlist::PinId p : cellPins) {
+    const netlist::Net& net = nl.net(nl.pin(p).net);
+    rewritten[static_cast<std::size_t>(net.driver)] = 1;
+    for (const netlist::PinId sink : net.sinks) {
+      rewritten[static_cast<std::size_t>(sink)] = 1;
+    }
+  }
+  const sta::TimingResult& timingAfter = session.timing();
+  for (std::size_t p = 0; p < rewritten.size(); ++p) {
+    if (static_cast<std::int64_t>(p) >= priorPins ||
+        std::memcmp(&timingBefore.arrival[p], &timingAfter.arrival[p],
+                    sizeof(float)) != 0 ||
+        std::memcmp(&timingBefore.slew[p], &timingAfter.slew[p],
+                    sizeof(float)) != 0) {
+      rewritten[p] = 1;
+    }
+  }
+  const features::PinFeatures& was = before->data.pinFeatures;
+  const features::PinFeatures& now = after->data.pinFeatures;
+  ASSERT_EQ(now.numPins(), nl.numPins());
+  constexpr std::int64_t kRows = features::PinFeatures::kRowsPerBlock;
+  std::int64_t shared = 0;
+  for (std::int64_t b = 0; b < was.numBlocks(); ++b) {
+    const std::int64_t first = b * kRows;
+    const std::int64_t last = std::min(first + kRows, priorPins);
+    const bool holdsRewritten =
+        std::any_of(rewritten.begin() + first, rewritten.begin() + last,
+                    [](std::uint8_t r) { return r != 0; });
+    const bool same = now.block(b).data() == was.block(b).data();
+    // A partial last block grows into a longer copy.
+    EXPECT_EQ(same, last - first == kRows && !holdsRewritten) << "block " << b;
+    shared += same ? 1 : 0;
+  }
+  EXPECT_GT(shared, 0);
+
+  // Every cone equals a fresh extraction; the ones without a moved sink
+  // are the prior snapshot's, and only the others were walked.
+  const std::vector<netlist::PinId>& moved = nl.net(buffer.bufNet).sinks;
+  const place::LayoutMaps maps(nl, f.placement, dataConfig().imageResolution);
+  const std::vector<features::TimingPath> fresh =
+      features::PathExtractor::extract(nl, &maps);
+  ASSERT_EQ(after->data.paths().size(), fresh.size());
+  std::int64_t holdingMoved = 0;
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    const features::TimingPath& old = before->data.paths()[i];
+    const features::TimingPath& got = after->data.paths()[i];
+    ASSERT_EQ(got.conePins, fresh[i].conePins) << "path " << i;
+    ASSERT_EQ(got.maskBins, fresh[i].maskBins) << "path " << i;
+    const bool holds = std::any_of(moved.begin(), moved.end(), [&](auto p) {
+      return std::binary_search(old.conePins.begin(), old.conePins.end(), p);
+    });
+    holdingMoved += holds ? 1 : 0;
+    if (!holds) {
+      EXPECT_EQ(got.conePins, old.conePins) << "path " << i;
+    }
+  }
+  EXPECT_EQ(session.lastSync().conesWalked, holdingMoved);
+  EXPECT_GT(holdingMoved, 0);
+  EXPECT_LT(holdingMoved, static_cast<std::int64_t>(fresh.size()));
+
+  // The query's memo fill recomputes part of the design, and no update
+  // built cold.
+  (void)session.predict({0});
+  const serve::MetricsSnapshot snap = session.metrics();
+  EXPECT_GT(snap.graphMemoRowsComputed, rowsBefore);
+  EXPECT_LT(snap.graphMemoRowsComputed - rowsBefore,
+            static_cast<std::uint64_t>(nl.numPins()));
+  EXPECT_EQ(snap.coneStructuralRebuilds, 0u);
+}
+
 TEST(WhatIfSession, MovedConesRemaskLikeAFreshExtraction) {
   // A move keeps every cone's pins and recomputes the mask bins of the
-  // cones it touched; each path must equal extractOne's on the moved
+  // cones it touched; each path must equal a fresh extraction on the moved
   // netlist, over maps built here from scratch.
   SessionFixture f;
   WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
@@ -610,9 +727,8 @@ TEST(WhatIfSession, MovedConesRemaskLikeAFreshExtraction) {
   ASSERT_EQ(moved->data.paths().size(), endpoints.size());
   int remasked = 0;
   for (std::size_t i = 0; i < endpoints.size(); ++i) {
-    const features::TimingPath want =
-        features::PathExtractor::extractOne(session.netlist(), &maps,
-                                            endpoints[i]);
+    const features::TimingPath want = features::PathExtractor::extract(
+        session.netlist(), &maps, {&endpoints[i], 1})[0];
     const features::TimingPath& got = moved->data.paths()[i];
     ASSERT_EQ(got.endpoint, want.endpoint) << "path " << i;
     ASSERT_EQ(got.conePins, want.conePins) << "path " << i;
@@ -780,8 +896,14 @@ TEST(WhatIfConcurrency, ReadersPredictWhileSessionEdits) {
 
   Rng rng(0xec0ULL);
   const Rect die = f.placement.dieArea;
-  for (int edit = 0; edit < 6; ++edit) {
-    if (edit % 3 == 2) {
+  for (int edit = 0; edit < 7; ++edit) {
+    if (edit == 6) {
+      // A buffer insertion: the cone update grows the pin graph and the
+      // pin features under the readers.
+      if (!session.insertBuffer(findBufferable(session.netlist())).inserted) {
+        failed.store(true);
+      }
+    } else if (edit % 3 == 2) {
       session.moveCell(
           static_cast<netlist::CellId>(rng.uniformInt(
               static_cast<std::uint64_t>(session.netlist().numCells()))),
