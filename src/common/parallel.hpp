@@ -73,8 +73,7 @@ void parallelForRange(std::size_t begin, std::size_t end, F&& fn,
 
 /// True while the calling thread is a parallelFor worker. parallelFor
 /// nested inside a worker runs serially on that worker (no thread
-/// explosion); the data-parallel trainer relies on this when its shard
-/// workers drive full forward/backward passes through the tensor ops.
+/// explosion), so a parallel body may call the parallel tensor ops.
 bool inParallelRegion();
 
 }  // namespace dagt

@@ -18,11 +18,10 @@ namespace dagt::core {
 ///
 /// The producer callback owns ALL stochastic schedule state (the Rng,
 /// epoch shuffles, dataset sampling) and runs on exactly one thread in
-/// strict step order, so results are bitwise identical whether async mode
-/// is on or off — async only moves the same calls onto a background
-/// thread. This is also what makes it safe to feed from TimingDataset,
-/// whose image cache is not synchronized: during training only the
-/// producer thread touches the dataset.
+/// strict step order, so the steps it yields are the ones a serial loop
+/// would draw. This is also what makes it safe to feed from
+/// TimingDataset, whose image cache is not synchronized: during training
+/// only the producer thread touches the dataset.
 ///
 /// The callback fills the next step and returns true, or returns false
 /// when the schedule is exhausted. Exceptions it throws are captured and
@@ -32,22 +31,17 @@ class BatchPrefetcher {
  public:
   using Producer = std::function<bool(Step&)>;
 
-  BatchPrefetcher(Producer produce, bool async)
-      : produce_(std::move(produce)), async_(async) {
-    if (async_) {
-      thread_ = std::thread([this] { producerLoop(); });
-    }
+  explicit BatchPrefetcher(Producer produce) : produce_(std::move(produce)) {
+    thread_ = std::thread([this] { producerLoop(); });
   }
 
   ~BatchPrefetcher() {
-    if (async_) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-      }
-      cv_.notify_all();
-      thread_.join();
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
     }
+    cv_.notify_all();
+    thread_.join();
   }
 
   BatchPrefetcher(const BatchPrefetcher&) = delete;
@@ -55,10 +49,6 @@ class BatchPrefetcher {
 
   /// Blocks until the next step is ready; false when the schedule ended.
   bool next(Step& out) {
-    if (!async_) {
-      DAGT_TRACE_SCOPE("train/prefetch");
-      return produce_(out);
-    }
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] { return slot_.has_value() || done_; });
     if (slot_.has_value()) {
@@ -103,7 +93,6 @@ class BatchPrefetcher {
   }
 
   Producer produce_;
-  bool async_;
   std::thread thread_;
   std::mutex mutex_;
   std::condition_variable cv_;

@@ -1,11 +1,10 @@
 #include "core/trainer.hpp"
 
-#include <algorithm>
 #include <chrono>
+#include <functional>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "core/batch_prefetcher.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/trace.hpp"
@@ -38,32 +37,89 @@ double secondsSince(
       .count();
 }
 
-/// One shard's share of a training step, fully materialized by the batch
-/// producer: the producer owns every RNG draw (schedule shuffles, target
-/// picks, path sampling, the forward seed), so step content is independent
-/// of how — or on which thread — the shard is later executed.
-struct ShardWork {
+/// One training step, fully materialized by the batch producer: the
+/// producer owns every RNG draw (epoch shuffles, target picks, path
+/// sampling, the forward seed), so a step's content does not depend on
+/// the thread that later trains it.
+struct Step {
   DesignBatch batchS;
   DesignBatch batchT;  // transfer (Ours) steps only
-  /// Seeds the Monte-Carlo forward stream for this shard (Ours only).
+  /// Seeds the Monte-Carlo forward stream (Ours only).
   std::uint64_t forwardSeed = 0;
 };
 
-struct PreparedStep {
-  std::vector<ShardWork> shards;
+/// Draws one step's batches for a design from the schedule's RNG stream.
+using SampleFn = std::function<void(const DesignData&, Rng&, Step&)>;
+/// The scalar objective of one step.
+using LossFn = std::function<Tensor(const Step&)>;
+
+/// A run of epochs at one learning rate. Each epoch shuffles `designs`
+/// and takes one step per design.
+struct Phase {
+  std::vector<const DesignData*> designs;
+  std::int32_t epochs;
+  float learningRate;
 };
 
-/// Point every state tensor of `replica` at the master's weight storage.
-/// Afterwards the replica shares weights (reads see every optimizer step)
-/// but keeps private gradient buffers — the data-parallel shard contract.
-template <typename ModelT>
-void aliasStateToMaster(ModelT& replica, ModelT& master) {
-  auto dst = replica.stateTensors();
-  const auto src = master.stateTensors();
-  DAGT_CHECK_MSG(dst.size() == src.size(),
-                 "replica/master state tensor count mismatch");
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    dst[i].aliasDataFrom(src[i]);
+/// The training loop shared by every strategy. The schedule (epoch
+/// shuffles plus `sample`, all from `rng` in strict step order) runs one
+/// step ahead on the prefetcher's producer thread, while the caller's
+/// thread trains: zeroGrad, `lossOf`, backward, clip and an Adam step.
+/// Appends each epoch's mean step loss to `stats`.
+void runPhase(const TrainConfig& config, Strategy strategy,
+              const Phase& phase, Rng& rng, SampleFn sample,
+              const LossFn& lossOf, nn::Adam& adam, TrainStats* stats) {
+  adam.setLearningRate(phase.learningRate);
+  BatchPrefetcher<Step> prefetcher(
+      [&rng, &phase, sample = std::move(sample),
+       epochsLeft = phase.epochs, stepIdx = std::size_t{0},
+       order = std::vector<const DesignData*>{}](Step& out) mutable {
+        if (stepIdx >= order.size()) {
+          if (epochsLeft <= 0) return false;
+          --epochsLeft;
+          order = phase.designs;
+          rng.shuffle(order);
+          stepIdx = 0;
+          if (order.empty()) return false;
+        }
+        sample(*order[stepIdx++], rng, out);
+        return true;
+      });
+  const std::size_t stepsPerEpoch = phase.designs.size();
+  for (std::int32_t epoch = 0; epoch < phase.epochs; ++epoch) {
+    double epochLoss = 0.0;
+    for (std::size_t i = 0; i < stepsPerEpoch; ++i) {
+      Step step;
+      DAGT_CHECK_MSG(prefetcher.next(step),
+                     "batch producer ended before the schedule");
+      // Per-step workspace: every intermediate freed during this step is
+      // recycled locally, and the cache returns to the global pool at
+      // step end — across epochs the optimizer loop stops touching the
+      // heap for tensor buffers.
+      tensor::Workspace workspace;
+      DAGT_TRACE_SCOPE("train/step");
+      adam.zeroGrad();
+      {
+        // The tape dies with `loss`, before the optimizer runs.
+        Tensor loss = lossOf(step);
+        {
+          DAGT_TRACE_SCOPE("train/backward");
+          loss.backward();
+        }
+        epochLoss += loss.item();
+      }
+      {
+        DAGT_TRACE_SCOPE("train/optimizer");
+        adam.clipGradNorm(config.gradClip);
+        adam.step();
+      }
+    }
+    const double meanLoss = epochLoss / static_cast<double>(stepsPerEpoch);
+    if (stats) stats->epochLoss.push_back(static_cast<float>(meanLoss));
+    if (config.verbose) {
+      DAGT_INFO << strategyName(strategy) << " epoch " << epoch << " loss "
+                << meanLoss;
+    }
   }
 }
 
@@ -114,28 +170,6 @@ std::unique_ptr<TimingModel> Trainer::trainBaseline(Strategy strategy,
   adamOpts.learningRate = config_.learningRate;
   nn::Adam adam(model->parameters(), adamOpts);
 
-  const std::size_t shardCount =
-      static_cast<std::size_t>(std::max<std::int32_t>(1, config_.gradShards));
-  std::vector<std::unique_ptr<Dac23Model>> replicas;
-  std::vector<std::vector<Tensor>> shardParams;
-  if (shardCount > 1) {
-    for (std::size_t s = 0; s < shardCount; ++s) {
-      Rng initRng(0);  // replica weights are replaced by aliases below
-      auto replica = std::make_unique<Dac23Model>(pinFeatureDim_,
-                                                  config_.model,
-                                                  perNodeReadout, initRng);
-      aliasStateToMaster(*replica, *model);
-      shardParams.push_back(replica->parameters());
-      replicas.push_back(std::move(replica));
-    }
-  }
-
-  // Phase plan: list of (designs, epochs, learning rate).
-  struct Phase {
-    std::vector<const DesignData*> designs;
-    std::int32_t epochs;
-    float lr;
-  };
   std::vector<Phase> phases;
   std::vector<const DesignData*> all = sources_;
   all.insert(all.end(), targets_.begin(), targets_.end());
@@ -164,105 +198,15 @@ std::unique_ptr<TimingModel> Trainer::trainBaseline(Strategy strategy,
       DAGT_CHECK_MSG(false, "not a baseline strategy");
   }
 
-  // One shard's loss; with S shards each contributes 1/S so the reduced
-  // gradient matches the single-stream scale (clip threshold included).
-  const auto shardLoss = [&](const Dac23Model& m, const ShardWork& work) {
-    const Tensor pred = m.forwardBatch(work.batchS);
-    Tensor loss = mse(pred, work.batchS.labels);
-    if (shardCount > 1) {
-      loss = tensor::mulScalar(loss,
-                               1.0f / static_cast<float>(shardCount));
-    }
-    return loss;
+  const auto sample = [this](const DesignData& design, Rng& rng, Step& out) {
+    DAGT_TRACE_SCOPE("train/sample_batch");
+    out.batchS = data_->sampleBatch(design, config_.endpointCap, rng);
   };
-
+  const LossFn loss = [&](const Step& step) {
+    return mse(model->forwardBatch(step.batchS), step.batchS.labels);
+  };
   for (const Phase& phase : phases) {
-    adam.setLearningRate(phase.lr);
-    const std::size_t stepsPerEpoch = phase.designs.size();
-    // The producer owns the schedule RNG stream: epoch shuffles and every
-    // sampleBatch draw happen here, in strict step order. With S == 1 this
-    // reproduces the classic loop's stream exactly.
-    auto produce = [this, &rng, &phase, shardCount,
-                    epochsLeft = phase.epochs, stepIdx = std::size_t{0},
-                    order = std::vector<const DesignData*>{}](
-                       PreparedStep& out) mutable -> bool {
-      if (stepIdx >= order.size()) {
-        if (epochsLeft <= 0) return false;
-        --epochsLeft;
-        order = phase.designs;
-        rng.shuffle(order);
-        stepIdx = 0;
-        if (order.empty()) return false;
-      }
-      const DesignData* design = order[stepIdx++];
-      out.shards.clear();
-      out.shards.resize(shardCount);
-      for (ShardWork& work : out.shards) {
-        DAGT_TRACE_SCOPE("train/sample_batch");
-        work.batchS = data_->sampleBatch(*design, config_.endpointCap, rng);
-      }
-      return true;
-    };
-    BatchPrefetcher<PreparedStep> prefetcher(std::move(produce),
-                                             config_.prefetch);
-    for (std::int32_t epoch = 0; epoch < phase.epochs; ++epoch) {
-      double epochLoss = 0.0;
-      for (std::size_t step = 0; step < stepsPerEpoch; ++step) {
-        PreparedStep prep;
-        DAGT_CHECK_MSG(prefetcher.next(prep),
-                       "batch producer ended before the schedule");
-        // Per-step workspace: every intermediate freed during this step is
-        // recycled locally, and the cache returns to the global pool at
-        // step end — across epochs the optimizer loop stops touching the
-        // heap for tensor buffers.
-        tensor::Workspace workspace;
-        DAGT_TRACE_SCOPE("train/step");
-        adam.zeroGrad();
-        double stepLoss = 0.0;
-        if (shardCount == 1) {
-          Tensor loss = shardLoss(*model, prep.shards[0]);
-          {
-            DAGT_TRACE_SCOPE("train/backward");
-            loss.backward();
-          }
-          stepLoss = loss.item();
-        } else {
-          std::vector<float> shardLosses(shardCount, 0.0f);
-          for (auto& replica : replicas) replica->zeroGrad();
-          {
-            DAGT_TRACE_SCOPE("train/backward");
-            parallelFor(
-                0, shardCount,
-                [&](std::size_t s) {
-                  tensor::Workspace shardWorkspace;
-                  Tensor loss = shardLoss(*replicas[s], prep.shards[s]);
-                  loss.backward();
-                  shardLosses[s] = loss.item();
-                },
-                /*grainSize=*/1);
-          }
-          {
-            DAGT_TRACE_SCOPE("train/reduce");
-            adam.reduceShardGrads(shardParams);
-          }
-          for (const float l : shardLosses) stepLoss += l;
-        }
-        {
-          DAGT_TRACE_SCOPE("train/optimizer");
-          adam.clipGradNorm(config_.gradClip);
-          adam.step();
-        }
-        epochLoss += stepLoss;
-      }
-      if (stats) {
-        stats->epochLoss.push_back(static_cast<float>(
-            epochLoss / static_cast<double>(stepsPerEpoch)));
-      }
-      if (config_.verbose) {
-        DAGT_INFO << strategyName(strategy) << " epoch " << epoch << " loss "
-                  << epochLoss / static_cast<double>(stepsPerEpoch);
-      }
-    }
+    runPhase(config_, strategy, phase, rng, sample, loss, adam, stats);
   }
   if (stats) stats->trainSeconds = secondsSince(start);
   return model;
@@ -286,34 +230,31 @@ std::unique_ptr<TimingModel> Trainer::trainOurs(Strategy strategy,
   adamOpts.learningRate = config_.learningRate;
   nn::Adam adam(model->parameters(), adamOpts);
 
-  const std::size_t shardCount =
-      static_cast<std::size_t>(std::max<std::int32_t>(1, config_.gradShards));
-  std::vector<std::unique_ptr<OursModel>> replicas;
-  std::vector<std::vector<Tensor>> shardParams;
-  if (shardCount > 1) {
-    for (std::size_t s = 0; s < shardCount; ++s) {
-      Rng initRng(0);  // replica weights are replaced by aliases below
-      auto replica = std::make_unique<OursModel>(pinFeatureDim_,
-                                                 config_.model, variant,
-                                                 initRng);
-      aliasStateToMaster(*replica, *model);
-      shardParams.push_back(replica->parameters());
-      replicas.push_back(std::move(replica));
+  // Each step pairs a source design with a random target design: the
+  // paper samples N'_S and N'_T per batch, then seeds the step's MC
+  // forward stream.
+  const auto sample = [this](const DesignData& source, Rng& rng,
+                             Step& out) {
+    const DesignData* target = targets_[rng.uniformInt(targets_.size())];
+    {
+      DAGT_TRACE_SCOPE("train/sample_batch");
+      out.batchS = data_->sampleBatch(source, config_.endpointCap, rng);
+      out.batchT = data_->sampleBatch(*target, config_.endpointCap, rng);
     }
-  }
+    out.forwardSeed = rng.next();
+  };
 
-  // Full transfer loss for one shard (Eqs. 10-11 plus the alignment
-  // terms), scaled by 1/S so the reduced gradient keeps the single-stream
-  // scale. The Monte-Carlo forward draws come from the shard's own seeded
-  // stream, so the value is independent of shard execution order.
-  const auto shardLoss = [&](const OursModel& m, const ShardWork& work) {
-    Rng forwardRng(work.forwardSeed);
-    const auto fS = m.forward(work.batchS, config_.mcSamples, forwardRng);
-    const auto fT = m.forward(work.batchT, config_.mcSamples, forwardRng);
+  // Full transfer loss (Eqs. 10-11 plus the alignment terms). The
+  // Monte-Carlo forward draws come from the step's own seeded stream.
+  const OursModel& m = *model;
+  const LossFn loss = [&](const Step& step) {
+    Rng forwardRng(step.forwardSeed);
+    const auto fS = m.forward(step.batchS, config_.mcSamples, forwardRng);
+    const auto fT = m.forward(step.batchT, config_.mcSamples, forwardRng);
 
     // Likelihood term of the ELBO (Eq. 11): Monte-Carlo average of the
     // per-sample regression loss, for both nodes' batches.
-    Tensor loss;
+    Tensor total;
     const auto likelihood = [&](const OursModel::BatchForward& f,
                                 const DesignBatch& batch) {
       if (f.samples.empty()) {
@@ -329,8 +270,8 @@ std::unique_ptr<TimingModel> Trainer::trainOurs(Strategy strategy,
     };
     {
       DAGT_TRACE_SCOPE("train/loss_likelihood");
-      loss = tensor::add(likelihood(fS, work.batchS),
-                         likelihood(fT, work.batchT));
+      total = tensor::add(likelihood(fS, step.batchS),
+                          likelihood(fT, step.batchT));
     }
 
     if (m.usesBayesianHead()) {
@@ -353,10 +294,10 @@ std::unique_ptr<TimingModel> Trainer::trainOurs(Strategy strategy,
                           tensor::repeatRows(p.mu, b),
                           tensor::repeatRows(p.logvar, b));
       };
-      loss = tensor::add(
-          loss, tensor::mulScalar(
-                    tensor::add(klOf(fS, priorS), klOf(fT, priorT)),
-                    config_.klWeight));
+      total = tensor::add(
+          total, tensor::mulScalar(
+                     tensor::add(klOf(fS, priorS), klOf(fT, priorT)),
+                     config_.klWeight));
     }
 
     if (m.usesAlignmentLosses()) {
@@ -368,104 +309,15 @@ std::unique_ptr<TimingModel> Trainer::trainOurs(Strategy strategy,
         DAGT_TRACE_SCOPE("train/loss_cmd");
         return centralMomentDiscrepancy(fS.ud, fT.ud, config_.cmdMaxOrder);
       }();
-      loss = tensor::add(loss, tensor::mulScalar(clr, config_.gamma1));
-      loss = tensor::add(loss, tensor::mulScalar(cmd, config_.gamma2));
+      total = tensor::add(total, tensor::mulScalar(clr, config_.gamma1));
+      total = tensor::add(total, tensor::mulScalar(cmd, config_.gamma2));
     }
-    if (shardCount > 1) {
-      loss = tensor::mulScalar(loss,
-                               1.0f / static_cast<float>(shardCount));
-    }
-    return loss;
+    return total;
   };
 
-  const std::size_t stepsPerEpoch = sources_.size();
-  // Producer: owns the schedule stream — epoch shuffle, then per shard the
-  // target pick, both sampleBatch draws (the paper samples N'_S and N'_T
-  // per batch) and a fresh forward seed for the MC stream.
-  auto produce = [this, &rng, shardCount, epochsLeft = config_.epochs,
-                  stepIdx = std::size_t{0},
-                  order = std::vector<const DesignData*>{}](
-                     PreparedStep& out) mutable -> bool {
-    if (stepIdx >= order.size()) {
-      if (epochsLeft <= 0) return false;
-      --epochsLeft;
-      order = sources_;
-      rng.shuffle(order);
-      stepIdx = 0;
-      if (order.empty()) return false;
-    }
-    const DesignData* source = order[stepIdx++];
-    out.shards.clear();
-    out.shards.resize(shardCount);
-    for (ShardWork& work : out.shards) {
-      const DesignData* target = targets_[rng.uniformInt(targets_.size())];
-      {
-        DAGT_TRACE_SCOPE("train/sample_batch");
-        work.batchS = data_->sampleBatch(*source, config_.endpointCap, rng);
-        work.batchT = data_->sampleBatch(*target, config_.endpointCap, rng);
-      }
-      work.forwardSeed = rng.next();
-    }
-    return true;
-  };
-  BatchPrefetcher<PreparedStep> prefetcher(std::move(produce),
-                                           config_.prefetch);
-
-  for (std::int32_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    double epochLoss = 0.0;
-    for (std::size_t step = 0; step < stepsPerEpoch; ++step) {
-      PreparedStep prep;
-      DAGT_CHECK_MSG(prefetcher.next(prep),
-                     "batch producer ended before the schedule");
-      // Per-step buffer recycling scope (see trainBaseline).
-      tensor::Workspace workspace;
-      DAGT_TRACE_SCOPE("train/step");
-      adam.zeroGrad();
-      double stepLoss = 0.0;
-      if (shardCount == 1) {
-        Tensor loss = shardLoss(*model, prep.shards[0]);
-        {
-          DAGT_TRACE_SCOPE("train/backward");
-          loss.backward();
-        }
-        stepLoss = loss.item();
-      } else {
-        std::vector<float> shardLosses(shardCount, 0.0f);
-        for (auto& replica : replicas) replica->zeroGrad();
-        {
-          DAGT_TRACE_SCOPE("train/backward");
-          parallelFor(
-              0, shardCount,
-              [&](std::size_t s) {
-                tensor::Workspace shardWorkspace;
-                Tensor loss = shardLoss(*replicas[s], prep.shards[s]);
-                loss.backward();
-                shardLosses[s] = loss.item();
-              },
-              /*grainSize=*/1);
-        }
-        {
-          DAGT_TRACE_SCOPE("train/reduce");
-          adam.reduceShardGrads(shardParams);
-        }
-        for (const float l : shardLosses) stepLoss += l;
-      }
-      {
-        DAGT_TRACE_SCOPE("train/optimizer");
-        adam.clipGradNorm(config_.gradClip);
-        adam.step();
-      }
-      epochLoss += stepLoss;
-    }
-    if (stats) {
-      stats->epochLoss.push_back(static_cast<float>(
-          epochLoss / static_cast<double>(stepsPerEpoch)));
-    }
-    if (config_.verbose) {
-      DAGT_INFO << strategyName(strategy) << " epoch " << epoch << " loss "
-                << epochLoss / static_cast<double>(stepsPerEpoch);
-    }
-  }
+  runPhase(config_, strategy,
+           {sources_, config_.epochs, config_.learningRate}, rng, sample,
+           loss, adam, stats);
   if (stats) stats->trainSeconds = secondsSince(start);
   return model;
 }

@@ -43,18 +43,6 @@ struct TrainConfig {
   std::uint64_t seed = 1234;
   ModelConfig model;
   bool verbose = false;
-  /// Data-parallel gradient shards per optimizer step. 1 keeps the classic
-  /// single-stream path. S > 1 runs S micro-batches per step on model
-  /// replicas (weights aliased to the master, gradients private) spread
-  /// over parallelFor workers, then tree-reduces the shard gradients in a
-  /// fixed order — loss curves are bitwise identical for any
-  /// parallelThreadCount(). Effective data per step scales by S.
-  std::int32_t gradShards = 1;
-  /// Sample upcoming batches on an async producer thread (double-buffered
-  /// depth-1 slot feeding each step). Purely a pipelining optimization:
-  /// the producer owns the whole sampling RNG stream, so results are
-  /// bitwise identical with prefetching on or off.
-  bool prefetch = true;
 };
 
 struct TrainStats {
@@ -65,6 +53,12 @@ struct TrainStats {
 /// Trains a timing predictor on the designs of a TimingDataset according
 /// to a strategy. The dataset must contain the target-node training design
 /// (role kTrainTarget) and, for transfer strategies, source-node designs.
+///
+/// Every strategy runs the same step loop: an async producer thread draws
+/// the schedule (shuffles, batches, forward seeds) from the one seeded RNG
+/// stream, one step ahead of Adam on the calling thread. The loss curve
+/// and trained weights depend only on the config and the data, not on
+/// parallelThreadCount().
 class Trainer {
  public:
   Trainer(const TimingDataset& trainData, TrainConfig config);

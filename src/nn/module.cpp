@@ -38,19 +38,6 @@ std::int64_t Module::parameterCount() const {
   return count;
 }
 
-void Module::copyParametersFrom(const Module& other) {
-  auto dst = stateTensors();
-  const auto src = other.stateTensors();
-  DAGT_CHECK_MSG(dst.size() == src.size(),
-                 "copyParametersFrom: parameter count mismatch "
-                     << dst.size() << " vs " << src.size());
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    DAGT_CHECK_MSG(dst[i].shape() == src[i].shape(),
-                   "copyParametersFrom: shape mismatch at parameter " << i);
-    std::copy(src[i].data(), src[i].data() + src[i].numel(), dst[i].data());
-  }
-}
-
 namespace {
 
 /// Leading magic of the parameter file format; the trailing digit is the

@@ -36,19 +36,14 @@ class Module {
   /// Total number of scalar parameters in the subtree.
   std::int64_t parameterCount() const;
 
-  /// Copy parameter values from another module with an identical
-  /// architecture (used by pretraining-then-finetuning).
-  void copyParametersFrom(const Module& other);
-
   /// Serialize parameter values (binary, little-endian float32).
   void saveParameters(const std::string& path) const;
   /// Load values saved by saveParameters; shapes must match exactly.
   void loadParameters(const std::string& path);
 
   /// Mix every state tensor of the subtree (shape + data pointer) into a
-  /// program-cache signature. Rebinding parameter storage (aliasDataFrom)
-  /// changes the pointers, so a stale compiled program can never replay
-  /// against swapped-out weights.
+  /// program-cache signature. A compiled program reads the weights it
+  /// captured by address, so the key pins those addresses.
   void mixStateInto(tensor::expr::SigHash& sig) const;
 
  protected:
@@ -56,8 +51,8 @@ class Module {
   tensor::Tensor registerParameter(tensor::Tensor parameter);
   /// Register a child module (must outlive this module; typically a
   /// member). trainable=false freezes the child's whole subtree: its
-  /// tensors are serialized and copied but hidden from parameters(), so
-  /// optimizers leave them at their seeded initialization.
+  /// tensors are serialized but hidden from parameters(), so optimizers
+  /// leave them at their seeded initialization.
   void registerChild(Module& child, bool trainable = true);
 
  private:

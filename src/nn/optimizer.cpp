@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "tensor/kernels/kernels.hpp"
 
 namespace dagt::nn {
 
@@ -49,37 +48,6 @@ void Adam::step() {
 
 void Adam::zeroGrad() {
   for (auto& p : parameters_) p.zeroGrad();
-}
-
-void Adam::reduceShardGrads(
-    const std::vector<std::vector<tensor::Tensor>>& shards) {
-  const std::size_t shardCount = shards.size();
-  if (shardCount == 0) return;
-  for (const auto& shard : shards) {
-    DAGT_CHECK_MSG(shard.size() == parameters_.size(),
-                   "reduceShardGrads: shard parameter list length "
-                       << shard.size() << " != master " << parameters_.size());
-  }
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
-  for (std::size_t i = 0; i < parameters_.size(); ++i) {
-    const std::size_t n = static_cast<std::size_t>(parameters_[i].numel());
-    // A shard that never touched the parameter contributes exact zeros —
-    // ensureGrad() allocates zero-filled, keeping the tree total and its
-    // rounding order identical no matter which shards were active.
-    for (const auto& shard : shards) {
-      DAGT_CHECK(shard[i].numel() == parameters_[i].numel());
-      shard[i].impl()->ensureGrad();
-    }
-    for (std::size_t stride = 1; stride < shardCount; stride *= 2) {
-      for (std::size_t s = 0; s + stride < shardCount; s += 2 * stride) {
-        kt.accAddVec(shards[s + stride][i].impl()->grad.data(),
-                     shards[s][i].impl()->grad.data(), n);
-      }
-    }
-    parameters_[i].impl()->ensureGrad();
-    kt.accAddVec(shards[0][i].impl()->grad.data(),
-                 parameters_[i].impl()->grad.data(), n);
-  }
 }
 
 float Adam::clipGradNorm(float maxNorm) {

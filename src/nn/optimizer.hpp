@@ -29,19 +29,6 @@ class Adam {
   /// Zero every parameter's gradient buffer.
   void zeroGrad();
 
-  /// Deterministic tree reduction of data-parallel gradient shards into
-  /// the master parameters this optimizer owns.
-  ///
-  /// Each element of `shards` is one replica's parameter list (same order
-  /// and shapes as the master list — nn::Module::parameters() of a replica
-  /// built against the same architecture). Shard grads are combined
-  /// pairwise over the shard index with a fixed binary tree
-  /// (s += s+1, s += s+2, s += s+4, ...) and the root is added into the
-  /// master grads, so the result is bitwise independent of how many
-  /// threads ran the shards. Shard grad buffers are consumed (mutated) by
-  /// the reduction; zero them before the next accumulation pass.
-  void reduceShardGrads(const std::vector<std::vector<tensor::Tensor>>& shards);
-
   /// Clip gradients to the given global L2 norm; returns the pre-clip norm.
   float clipGradNorm(float maxNorm);
 

@@ -258,9 +258,9 @@ void setFusionEnabled(bool enabled);
 bool shouldFuse();
 
 /// FNV-1a shape/pointer signature builder for program-cache keys. Mix the
-/// input dims, the data pointers of every captured weight (so rebinding
-/// weight storage — aliasDataFrom — changes the key) and any behavioral
-/// attrs (e.g. an edge kind).
+/// input dims, the data pointers of every captured weight (a compiled
+/// program reads its weights by address) and any behavioral attrs (e.g.
+/// an edge kind).
 struct SigHash {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   void mix(std::uint64_t v) {

@@ -214,11 +214,4 @@ bool Tensor::sharesStorageWith(const Tensor& other) const {
   return impl_->data.aliases(other.impl_->data);
 }
 
-void Tensor::aliasDataFrom(const Tensor& src) {
-  DAGT_CHECK(defined() && src.defined());
-  DAGT_CHECK_MSG(shape() == src.shape(),
-                 "aliasDataFrom: shape mismatch between replica and master");
-  impl_->data = src.impl_->data;
-}
-
 }  // namespace dagt::tensor

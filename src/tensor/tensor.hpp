@@ -83,14 +83,6 @@ class Tensor {
   /// True when both tensors alias the same underlying buffer.
   bool sharesStorageWith(const Tensor& other) const;
 
-  /// Rebind this tensor's VALUE storage to alias src's (shapes must match):
-  /// afterwards writes through either tensor's data are visible in both,
-  /// while gradients stay private to each handle. This is the shared-weight
-  /// mechanism behind data-parallel training — each gradient shard's model
-  /// replica aliases the master's parameter storage and accumulates into
-  /// its own grad buffers.
-  void aliasDataFrom(const Tensor& src);
-
   /// Internal: shared implementation pointer (used by ops.hpp).
   const std::shared_ptr<TensorImpl>& impl() const { return impl_; }
   explicit Tensor(std::shared_ptr<TensorImpl> impl) : impl_(std::move(impl)) {}

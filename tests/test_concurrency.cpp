@@ -86,6 +86,11 @@ const features::DesignData& target7() {
   return d;
 }
 
+const features::DesignData& source130() {
+  static features::DesignData d = pipeline().build("usbf_device");
+  return d;
+}
+
 BundleManifest tinyManifest(const std::string& kind) {
   BundleManifest manifest;
   manifest.modelKind = kind;
@@ -652,8 +657,7 @@ TEST(ConcurrencyStress, BatchPrefetcherDeliversEveryStepInOrder) {
           out.seq = produced++;
           out.payload.assign(64, static_cast<float>(out.seq));
           return true;
-        },
-        /*async=*/true);
+        });
     Step step;
     std::size_t consumed = 0;
     while (prefetcher.next(step)) {
@@ -676,8 +680,7 @@ TEST(ConcurrencyStress, BatchPrefetcherAbandonedMidStreamShutsDownCleanly) {
         [&](Step& out) {
           out.payload.assign(256, 1.0f);
           return true;  // endless stream
-        },
-        /*async=*/true);
+        });
     Step step;
     ASSERT_TRUE(prefetcher.next(step));
     // Drop the prefetcher with the producer mid-flight.
@@ -694,8 +697,7 @@ TEST(ConcurrencyStress, BatchPrefetcherPropagatesProducerException) {
         if (produced++ == 3) throw CheckError("producer exploded");
         out.value = static_cast<int>(produced);
         return true;
-      },
-      /*async=*/true);
+      });
   Step step;
   std::size_t got = 0;
   try {
@@ -706,27 +708,27 @@ TEST(ConcurrencyStress, BatchPrefetcherPropagatesProducerException) {
   EXPECT_EQ(got, 3u);
 }
 
-TEST(ConcurrencyStress, ShardedTrainingWithPrefetchUnderThreads) {
-  // End-to-end data-parallel training: async batch producer feeding 4
-  // gradient shards over 4 workers — replicas share weight storage with
-  // the master, gradients tree-reduce between steps. This is the TSan
+TEST(ConcurrencyStress, PrefetchedTrainingUnderThreads) {
+  // End-to-end transfer training: the async batch producer draws each
+  // step's target pick, both batches and the forward seed while 4
+  // parallelFor workers run the ops of the step before. This is the TSan
   // surface for the whole train-side pipeline.
   ThreadCountGuard guard(4);
   const auto& d7 = target7();
-  core::TimingDataset trainSet({&d7});
+  const auto& d130 = source130();
+  core::TimingDataset trainSet({&d7, &d130});
   core::TrainConfig tc;
-  tc.epochs = 2;
+  tc.epochs = 3;
   tc.endpointCap = 16;
-  tc.gradShards = 4;
-  tc.prefetch = true;
   tc.model.gnnHidden = 8;
   tc.model.cnnBaseChannels = 2;
   tc.model.cnnDim = 4;
   tc.model.headHidden = 8;
   const core::Trainer trainer(trainSet, tc);
   core::TrainStats stats;
-  auto model = trainer.train(core::Strategy::kAdvOnly, &stats);
+  auto model = trainer.train(core::Strategy::kOurs, &stats);
   ASSERT_NE(model, nullptr);
+  ASSERT_EQ(stats.epochLoss.size(), 3u);
   for (const float loss : stats.epochLoss) {
     EXPECT_TRUE(std::isfinite(loss));
   }

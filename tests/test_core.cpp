@@ -710,58 +710,49 @@ class ThreadCountGuard {
   std::size_t saved_;
 };
 
-std::vector<float> trainLossCurve(const TimingDataset& trainSet,
-                                  const TrainConfig& tc, Strategy strategy) {
+/// What one training run leaves behind: its loss curve and trained weights.
+struct TrainRun {
+  std::vector<float> epochLoss;
+  std::vector<std::vector<float>> weights;
+};
+
+TrainRun trainRun(const TimingDataset& trainSet, const TrainConfig& tc,
+                  Strategy strategy) {
   const Trainer trainer(trainSet, tc);
   TrainStats stats;
-  (void)trainer.train(strategy, &stats);
-  return stats.epochLoss;
+  const auto model = trainer.train(strategy, &stats);
+  TrainRun run{stats.epochLoss, {}};
+  for (const Tensor& t : model->module().stateTensors()) {
+    run.weights.push_back(t.toVector());
+  }
+  return run;
 }
 
-TEST(Trainer, ShardedLossCurveIsThreadCountInvariant) {
-  // The data-parallel contract: with a fixed gradShards, the loss curve is
-  // bitwise identical no matter how many parallelFor workers execute the
-  // shards (producer owns all RNG; gradients tree-reduce in a fixed order).
+TEST(Trainer, TrainingIsThreadCountInvariant) {
+  // The producer thread owns every RNG draw, and no op's result depends
+  // on how parallelFor splits it: the loss curve and the trained weights
+  // are bitwise the same for any worker count, for the one-phase and
+  // two-phase baselines and for the transfer loss.
   const auto& d7 = target7();
   const auto& d130 = source130();
   TimingDataset trainSet({&d7, &d130});
   TrainConfig tc = tinyTrainConfig();
   tc.epochs = 2;
-  tc.gradShards = 2;
-  for (const Strategy strategy :
-       {Strategy::kSimpleMerge, Strategy::kOurs}) {
-    std::vector<float> curve1;
+  for (const Strategy strategy : {Strategy::kSimpleMerge,
+                                  Strategy::kPretrainFinetune,
+                                  Strategy::kOurs}) {
+    TrainRun serial;
     {
       ThreadCountGuard threads(1);
-      curve1 = trainLossCurve(trainSet, tc, strategy);
+      serial = trainRun(trainSet, tc, strategy);
     }
     for (const std::size_t workers : {2ul, 8ul}) {
       ThreadCountGuard threads(workers);
-      const std::vector<float> curveN = trainLossCurve(trainSet, tc, strategy);
-      EXPECT_EQ(curve1, curveN)
+      const TrainRun parallel = trainRun(trainSet, tc, strategy);
+      EXPECT_EQ(serial.epochLoss, parallel.epochLoss)
           << strategyName(strategy) << " workers=" << workers;
-    }
-  }
-}
-
-TEST(Trainer, PrefetchDoesNotChangeResults) {
-  // Async batch prefetching is a pure pipelining change — the producer
-  // callback runs the identical RNG stream either way.
-  const auto& d7 = target7();
-  const auto& d130 = source130();
-  TimingDataset trainSet({&d7, &d130});
-  for (const std::int32_t shards : {1, 2}) {
-    TrainConfig tc = tinyTrainConfig();
-    tc.epochs = 2;
-    tc.gradShards = shards;
-    for (const Strategy strategy :
-         {Strategy::kPretrainFinetune, Strategy::kOurs}) {
-      tc.prefetch = true;
-      const std::vector<float> async = trainLossCurve(trainSet, tc, strategy);
-      tc.prefetch = false;
-      const std::vector<float> sync = trainLossCurve(trainSet, tc, strategy);
-      EXPECT_EQ(async, sync)
-          << strategyName(strategy) << " gradShards=" << shards;
+      EXPECT_EQ(serial.weights, parallel.weights)
+          << strategyName(strategy) << " workers=" << workers;
     }
   }
 }

@@ -161,7 +161,7 @@ TEST(Adam, SkipsParametersWithoutGrad) {
   EXPECT_EQ(unused.toVector(), before);
 }
 
-/// Two-layer module used by serialization and copy tests.
+/// Two-layer module used by the serialization tests.
 struct TinyNet : Module {
   Linear a;
   Linear b;
@@ -171,15 +171,6 @@ struct TinyNet : Module {
   }
   Tensor forward(const Tensor& x) const { return b.forward(a.forward(x)); }
 };
-
-TEST(Module, CopyParametersReproducesOutputs) {
-  Rng rng1(8), rng2(9);
-  TinyNet src(rng1), dst(rng2);
-  Tensor x = Tensor::randn({4, 3}, rng1);
-  EXPECT_NE(src.forward(x).toVector(), dst.forward(x).toVector());
-  dst.copyParametersFrom(src);
-  EXPECT_EQ(src.forward(x).toVector(), dst.forward(x).toVector());
-}
 
 TEST(Module, SaveLoadRoundTrip) {
   Rng rng1(10), rng2(11);

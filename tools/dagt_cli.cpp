@@ -60,6 +60,8 @@
 //       at chrome://tracing or ui.perfetto.dev) and prints the self-time
 //       profile and span coverage. See docs/observability.md.
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,6 +70,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -97,11 +100,26 @@ namespace {
 
 using namespace dagt;
 
+/// The integer flags and the least value each accepts.
+const std::map<std::string, std::int32_t> kIntFlagMinimum = {
+    {"epochs", 1}, {"batch", 1}, {"wait-us", 0}};
+
+/// A whole decimal number that fits in 32 bits; nullopt for anything else
+/// (NaN, a fraction, an exponent, out of range).
+std::optional<std::int32_t> parseInt32(const std::string& text) {
+  std::int32_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
 /// Flag parser with per-subcommand validation: positional args plus
 /// --key value / --key=value pairs. Valued flags always consume the next
 /// token (so negative numbers like `--shift -0.5` parse unambiguously);
 /// boolean flags (declared with a trailing '!') never do. Unknown flags
-/// are an error that lists the subcommand's valid flags.
+/// and malformed integer flags (kIntFlagMinimum) are errors, so a bad
+/// value stops a command before it does any work.
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
@@ -160,6 +178,16 @@ struct Args {
         }
         value = argv[++i];
       }
+      const auto minimum = kIntFlagMinimum.find(key);
+      if (minimum != kIntFlagMinimum.end()) {
+        const auto parsed = parseInt32(value);
+        if (!parsed || *parsed < minimum->second) {
+          args.error = "flag --" + key + " expects a whole number in [" +
+                       std::to_string(minimum->second) + ", " +
+                       std::to_string(INT32_MAX) + "], got '" + value + "'";
+          return args;
+        }
+      }
       args.flags[key] = value;
     }
     return args;
@@ -180,6 +208,11 @@ struct Args {
       return fallback;
     }
     return value;
+  }
+  /// An integer flag of kIntFlagMinimum, whose value parse() has checked.
+  std::int32_t intFlag(const std::string& key, std::int32_t fallback) const {
+    const auto it = flags.find(key);
+    return it == flags.end() ? fallback : parseInt32(it->second).value();
   }
   bool has(const std::string& key) const { return flags.count(key) > 0; }
 };
@@ -369,7 +402,7 @@ TrainedModel trainOnPaperSplit(const Args& args) {
                                           << "' (advonly, simplemerge, "
                                              "paramshare, ptft, ours)");
   out.split = buildPaperSplit(scale);
-  out.config.epochs = static_cast<int>(args.floatFlag("epochs", 24.0f));
+  out.config.epochs = args.intFlag("epochs", 24);
   out.config.learningRate = 5e-3f;
   const core::Trainer trainer(*out.split->trainSet, out.config);
   out.model = trainer.train(out.strategy, &out.stats);
@@ -442,10 +475,8 @@ int cmdPredict(const Args& args) {
   const std::string libPath = args.positional[2];
 
   serve::EngineConfig config;
-  config.maxBatch =
-      static_cast<std::int64_t>(args.floatFlag("batch", 64.0f));
-  config.maxWaitUs =
-      static_cast<std::int64_t>(args.floatFlag("wait-us", 200.0f));
+  config.maxBatch = args.intFlag("batch", 64);
+  config.maxWaitUs = args.intFlag("wait-us", 200);
   serve::PredictionEngine engine(config);
   engine.addBundleFromDir(bundleDir);
 

@@ -1,0 +1,23 @@
+# Runs `dagt <CMD> --<FLAG> <VALUE>` and fails unless dagt exits 2 (a usage
+# error) and its message names --<FLAG>. Invoked by the cli.* ctest cases:
+#
+#   cmake -DDAGT=path/to/dagt -DCMD=train -DFLAG=epochs -DVALUE=nan \
+#     -P tools/expect_usage_error.cmake
+#
+# Training commands get a tiny design scale, so that a regression (the
+# command running on) fails in seconds instead of timing out.
+set(args ${CMD} --${FLAG} ${VALUE})
+if(CMD STREQUAL "train")
+  list(APPEND args --scale 0.05)
+elseif(CMD STREQUAL "export")
+  list(APPEND args --scale 0.05 --out cli_bundle)
+endif()
+execute_process(COMMAND ${DAGT} ${args}
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "dagt ${args}: exit ${rc}, want 2\n${err}")
+endif()
+string(FIND "${err}" "flag --${FLAG} " named)
+if(named EQUAL -1)
+  message(FATAL_ERROR "dagt ${args}: message does not name --${FLAG}\n${err}")
+endif()
