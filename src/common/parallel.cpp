@@ -22,8 +22,6 @@ namespace {
 thread_local bool tlInParallelRegion = false;
 }  // namespace
 
-bool inParallelRegion() { return tlInParallelRegion; }
-
 namespace detail {
 
 void parallelForChunks(std::size_t begin, std::size_t end,

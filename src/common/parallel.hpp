@@ -32,8 +32,10 @@ void parallelForChunks(std::size_t begin, std::size_t end,
 /// The range is split into contiguous chunks stolen from a shared cursor;
 /// fn must be safe to call concurrently for distinct i. A range of at most
 /// one grain runs inline on the caller, where spawning threads would cost
-/// more than the work. Exceptions thrown by fn are captured and rethrown on
-/// the calling thread.
+/// more than the work. A parallelFor nested inside a worker runs serially
+/// on that worker (no thread explosion), so a parallel body may call the
+/// parallel tensor ops. Exceptions thrown by fn are captured and rethrown
+/// on the calling thread.
 ///
 /// fn is captured by reference for the duration of the call (no copy, no
 /// type erasure): the per-chunk trampoline below inlines the body, which
@@ -70,10 +72,5 @@ void parallelForRange(std::size_t begin, std::size_t end, F&& fn,
           static_cast<const void*>(std::addressof(fn))),
       grainSize);
 }
-
-/// True while the calling thread is a parallelFor worker. parallelFor
-/// nested inside a worker runs serially on that worker (no thread
-/// explosion), so a parallel body may call the parallel tensor ops.
-bool inParallelRegion();
 
 }  // namespace dagt

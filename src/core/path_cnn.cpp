@@ -33,9 +33,6 @@ Tensor PathCnn::forward(const Tensor& images) const {
   DAGT_CHECK_MSG(images.dim(1) == 3, "expected 3 layout channels");
   DAGT_CHECK_MSG(images.dim(2) >= 8 && images.dim(3) >= 8,
                  "image too small for three stride-2 stages");
-  // The conv stages replay eagerly inside the program (no fused lowering
-  // for conv yet); the payoff is the projection's fused GEMM epilogue and
-  // compile-once shape checking for the whole stack.
   if (tensor::expr::shouldFuse()) {
     tensor::expr::SigHash sig;
     sig.mixTrailingDims(images.shape());

@@ -12,7 +12,11 @@ class PathCnn : public nn::Module {
  public:
   PathCnn(std::int64_t baseChannels, std::int64_t outDim, Rng& rng);
 
-  /// images: [B, 3, R, R] -> [B, outDim]. R must be >= 8.
+  /// images: [B, 3, R, R] -> [B, outDim]. R must be >= 8. Inference with
+  /// fusion on replays one program compiled for every B: the conv stack as
+  /// one convReluPoolRows kernel, then the projection's fused GEMM.
+  /// Training and DAGT_FUSION=0 run the eager conv2d chain, which that
+  /// kernel matches bit for bit.
   tensor::Tensor forward(const tensor::Tensor& images) const;
 
   std::int64_t outDim() const { return outDim_; }

@@ -35,7 +35,10 @@ DesignSpec makeSpec(std::string name, std::uint64_t seed, DesignStyle style,
 }  // namespace
 
 DesignSuite::DesignSuite(float scale) {
-  DAGT_CHECK(scale > 0.0f);
+  // An infinite scale would size every design by an out-of-range lround.
+  DAGT_CHECK_MSG(std::isfinite(scale) && scale > 0.0f,
+                 "design scale must be a finite number above 0, got "
+                     << scale);
   // Gate budgets keep the paper's relative design sizes
   // (jpeg > hwacha > or1200 > sha3 > smallboom >> peripherals).
   // Register fractions shape #endpoints/#pins toward the Table-1 ratios

@@ -193,9 +193,13 @@ TimingFanout Netlist::timingFanout() const {
 }
 
 std::vector<PinId> Netlist::topologicalPinOrder() const {
+  return topologicalPinOrder(timingFanout());
+}
+
+std::vector<PinId> Netlist::topologicalPinOrder(
+    const TimingFanout& fanout) const {
   const std::int64_t n = numPins();
   // Kahn's algorithm over the timing graph.
-  const TimingFanout fanout = timingFanout();
   std::vector<std::int32_t> pendingFanin(static_cast<std::size_t>(n), 0);
   for (const PinId out : fanout.pins) {
     ++pendingFanin[static_cast<std::size_t>(out)];

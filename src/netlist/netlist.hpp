@@ -110,6 +110,9 @@ class Netlist {
   /// Pin ids in a topological order of the timing graph.
   /// Throws CheckError if the combinational graph has a cycle.
   std::vector<PinId> topologicalPinOrder() const;
+  /// The same order from this netlist's timingFanout(), for a caller that
+  /// keeps the fanout anyway.
+  std::vector<PinId> topologicalPinOrder(const TimingFanout& fanout) const;
 
   /// Fanin pins of `pin` in the timing graph (net driver for inputs/POs,
   /// the cell's combinational inputs for cell outputs): a view of the

@@ -23,13 +23,13 @@ IncrementalSta::IncrementalSta(const Netlist& nl,
 
 void IncrementalSta::rebuildTopology() {
   const Netlist& nl = *netlist_;
-  topoOrder_ = nl.topologicalPinOrder();
+  fanout_ = nl.timingFanout();
+  topoOrder_ = nl.topologicalPinOrder(fanout_);
   topoPosition_.assign(static_cast<std::size_t>(nl.numPins()), 0);
   for (std::size_t i = 0; i < topoOrder_.size(); ++i) {
     topoPosition_[static_cast<std::size_t>(topoOrder_[i])] =
         static_cast<std::int32_t>(i);
   }
-  fanout_ = nl.timingFanout();
 }
 
 void IncrementalSta::markAllChanged() {

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -210,6 +212,11 @@ std::int32_t activationCode(OpKind k) {
   }
 }
 
+// Every pass below folds a node into its consumer only when the consumer is
+// its one reader and it is not a program output: compile() marks the
+// outputs first, because refCount counts node inputs only, and a folded
+// output would replay from an input list the pass cleared.
+
 // Pass 1: lower every 2-D matmul to kFusedGemm (empty epilogue is bitwise
 // gemmRows), then greedily fold addBias / activation / residual-add into the
 // epilogue wherever the eager op order matches the fixed epilogue order
@@ -239,7 +246,8 @@ void fuseGemmEpilogues(std::vector<ExprNode>& nodes) {
       const std::int32_t biasId = n.inputs[1];
       ExprNode& fg = nodes[fgId];
       if (fg.kind == OpKind::kFusedGemm && fg.refCount == 1 &&
-          fg.biasArg < 0 && fg.activation == 0 && fg.residualArg < 0) {
+          !fg.isOutput && fg.biasArg < 0 && fg.activation == 0 &&
+          fg.residualArg < 0) {
         takeOver(fgId);
         n.biasArg = static_cast<std::int32_t>(n.inputs.size());
         n.inputs.push_back(biasId);
@@ -248,7 +256,7 @@ void fuseGemmEpilogues(std::vector<ExprNode>& nodes) {
       const std::int32_t fgId = n.inputs[0];
       ExprNode& fg = nodes[fgId];
       if (fg.kind == OpKind::kFusedGemm && fg.refCount == 1 &&
-          fg.activation == 0 && fg.residualArg < 0) {
+          !fg.isOutput && fg.activation == 0 && fg.residualArg < 0) {
         const std::int32_t act = activationCode(n.kind);
         const float slope = n.scalar;
         takeOver(fgId);
@@ -263,8 +271,8 @@ void fuseGemmEpilogues(std::vector<ExprNode>& nodes) {
         const std::int32_t resId = n.inputs[1 - side];
         ExprNode& fg = nodes[fgId];
         if (fg.kind == OpKind::kFusedGemm && fg.refCount == 1 &&
-            fg.residualArg < 0 && nodes[resId].shape == n.shape &&
-            resId != fgId) {
+            !fg.isOutput && fg.residualArg < 0 &&
+            nodes[resId].shape == n.shape && resId != fgId) {
           takeOver(fgId);
           n.residualArg = static_cast<std::int32_t>(n.inputs.size());
           n.inputs.push_back(resId);
@@ -284,7 +292,7 @@ void fuseRowDots(std::vector<ExprNode>& nodes) {
   for (ExprNode& n : nodes) {
     if (n.kind != OpKind::kSumDim1 || n.inputs.size() != 1) continue;
     ExprNode& m = nodes[n.inputs[0]];
-    if (m.refCount != 1 || m.shape.size() != 2) continue;
+    if (m.refCount != 1 || m.isOutput || m.shape.size() != 2) continue;
     if (m.kind == OpKind::kMul) {
       const std::int32_t a = m.inputs[0];
       const std::int32_t b = m.inputs[1];
@@ -299,6 +307,65 @@ void fuseRowDots(std::vector<ExprNode>& nodes) {
       m.inputs.clear();
       m.refCount = 0;
     }
+  }
+  computeRefCounts(nodes);
+}
+
+// Pass 3: conv2d -> relu (-> conv2d -> relu)* -> globalAvgPool ->
+// kConvReluPool, one convReluPoolRows kernel that keeps every intermediate
+// in per-thread scratch. The pool node is rewritten in place (its id keeps
+// the value); each conv and relu of the stack must have the next op of the
+// chain as its one reader. The kernel repeats the eager chain's roundings
+// in every tier, so the rewrite is bitwise.
+void fuseConvStacks(std::vector<ExprNode>& nodes) {
+  for (ExprNode& pool : nodes) {
+    if (pool.kind != OpKind::kGlobalAvgPool || pool.inputs.size() != 1) {
+      continue;
+    }
+    std::vector<std::int32_t> convs;  // last stage first
+    std::vector<std::int32_t> relus;
+    std::int32_t cur = pool.inputs[0];
+    while (static_cast<int>(convs.size()) < kernels::kConvMaxStages) {
+      const ExprNode& relu = nodes[cur];
+      if (relu.kind != OpKind::kRelu || relu.refCount != 1 ||
+          relu.isOutput) {
+        break;
+      }
+      const std::int32_t convId = relu.inputs[0];
+      const ExprNode& conv = nodes[convId];
+      if (conv.kind != OpKind::kConv2d || conv.refCount != 1 ||
+          conv.isOutput) {
+        break;
+      }
+      relus.push_back(cur);
+      convs.push_back(convId);
+      cur = conv.inputs[0];
+    }
+    if (convs.empty()) continue;
+    std::vector<std::int32_t> inputs{cur};
+    std::vector<ConvStageArgs> stages;
+    for (auto it = convs.rbegin(); it != convs.rend(); ++it) {
+      const ExprNode& conv = nodes[*it];
+      ConvStageArgs stage;
+      stage.weightArg = static_cast<std::int32_t>(inputs.size());
+      inputs.push_back(conv.inputs[1]);
+      if (conv.inputs.size() > 2) {
+        stage.biasArg = static_cast<std::int32_t>(inputs.size());
+        inputs.push_back(conv.inputs[2]);
+      }
+      stage.stride = conv.i0;
+      stage.pad = conv.i1;
+      stage.inShape = nodes[conv.inputs[0]].shape;
+      stage.outShape = conv.shape;
+      stages.push_back(std::move(stage));
+    }
+    for (std::size_t i = 0; i < convs.size(); ++i) {
+      nodes[convs[i]].inputs.clear();  // dead intermediates
+      nodes[relus[i]].inputs.clear();
+    }
+    pool.kind = OpKind::kConvReluPool;
+    pool.inputs = std::move(inputs);
+    pool.convStages = std::move(stages);
   }
   computeRefCounts(nodes);
 }
@@ -334,7 +401,7 @@ EwLink makeLink(std::vector<ExprNode>& nodes, std::int32_t id,
     if (operand >= 0) {
       ExprNode& o = nodes[operand];
       if (o.kind == OpKind::kRepeatRows && o.refCount == 1 &&
-          kind == kernels::EwOperandKind::kFull) {
+          !o.isOutput && kind == kernels::EwOperandKind::kFull) {
         link.operand = o.inputs[0];
         link.kind = kernels::EwOperandKind::kRowVec;
         link.simplifiedBroadcast = true;
@@ -455,7 +522,7 @@ bool chainShapeOk(const ExprNode& n, bool hasBroadcast) {
   return !hasBroadcast;
 }
 
-// Pass 3: greedy single-consumer elementwise chains -> kFusedEw. The LAST
+// Pass 4: greedy single-consumer elementwise chains -> kFusedEw. The LAST
 // node of a committed chain is rewritten in place (its id keeps the value),
 // intermediates drop dead. Commit when >= 2 ops merge or a repeatRows
 // broadcast got eliminated.
@@ -471,7 +538,12 @@ void fuseEwChains(std::vector<ExprNode>& nodes) {
   }
   std::vector<char> consumed(nodes.size(), 0);
   for (std::size_t start = 0; start < nodes.size(); ++start) {
-    if (consumed[start] || !ewCapable(nodes[start])) continue;
+    // An earlier pass clears the inputs of the nodes it folds away (a row
+    // dot's product, a conv stack's relus): those start no chain.
+    if (consumed[start] || nodes[start].inputs.empty() ||
+        !ewCapable(nodes[start])) {
+      continue;
+    }
     // The chain seed is the input the first link transforms. Prefer input 0
     // (the conventional data operand for every ew-capable kind).
     const std::int32_t seed = nodes[start].inputs[0];
@@ -482,7 +554,7 @@ void fuseEwChains(std::vector<ExprNode>& nodes) {
     std::vector<EwLink> links{first};
     std::int32_t last = static_cast<std::int32_t>(start);
     while (true) {
-      if (nodes[last].refCount != 1) break;
+      if (nodes[last].refCount != 1 || nodes[last].isOutput) break;
       const auto& cons = consumers[last];
       std::int32_t next = -1;
       for (std::int32_t c : cons) {
@@ -556,7 +628,7 @@ void fuseEwChains(std::vector<ExprNode>& nodes) {
   computeRefCounts(nodes);
 }
 
-// Pass 4: liveness from the outputs + last-use positions for
+// Pass 5: liveness from the outputs + last-use positions for
 // release-at-last-use during replay.
 void computeLiveness(std::vector<ExprNode>& nodes,
                      const std::vector<std::int32_t>& outputs) {
@@ -594,7 +666,7 @@ void computeLiveness(std::vector<ExprNode>& nodes,
   }
 }
 
-// Pass 5: row polymorphism (see FusedProgram). Marks rowScaled on every
+// Pass 6: row polymorphism (see FusedProgram). Marks rowScaled on every
 // live node whose leading dim is the inputs' shared row count and returns
 // whether the whole program is row-local; on false the marks are cleared
 // and the program keeps its capture shapes.
@@ -662,6 +734,13 @@ bool markRowScaled(std::vector<ExprNode>& nodes,
                 (n.biasArg < 0 || !scaled(n.inputs[n.biasArg])) &&
                 (n.residualArg < 0 || scaled(n.inputs[n.residualArg]));
         break;
+      case OpKind::kConvReluPool:
+        // The images are the rows; weights and biases enter whole.
+        local = scaled(n.inputs[0]);
+        for (std::size_t i = 1; i < n.inputs.size(); ++i) {
+          local = local && !scaled(n.inputs[i]);
+        }
+        break;
       case OpKind::kFusedEw: {
         // Full and column-vector operands index rows; a row vector is
         // broadcast down them and must not scale.
@@ -706,11 +785,12 @@ std::shared_ptr<const FusedProgram> Recorder::compile(
   }
   auto& nodes = program->nodes_;
 
+  for (std::int32_t out : program->outputIds_) nodes[out].isOutput = true;
   fuseGemmEpilogues(nodes);
   fuseRowDots(nodes);
+  fuseConvStacks(nodes);
   fuseEwChains(nodes);
   computeLiveness(nodes, program->outputIds_);
-  for (std::int32_t out : program->outputIds_) nodes[out].isOutput = true;
   program->rowPolymorphic_ = markRowScaled(nodes, program->inputIds_);
   // Capture-pinning lazy handles are no longer needed once compiled; drop
   // them so replays do not keep an extra impl per node alive.
@@ -973,6 +1053,42 @@ void FusedProgram::replay(const Tensor* inputs, std::size_t numInputs,
           po[r] = static_cast<float>(kt.dotVec(
               pa + r * cols, pb + r * cols, static_cast<std::size_t>(cols)));
         }
+        break;
+      }
+      case OpKind::kConvReluPool: {
+        DAGT_TRACE_SCOPE("kernel/conv_stack");
+        const Tensor& images = values[n.inputs[0]];
+        kernels::ConvStage stages[kernels::kConvMaxStages];
+        const int numStages = static_cast<int>(n.convStages.size());
+        for (int i = 0; i < numStages; ++i) {
+          const ConvStageArgs& a = n.convStages[static_cast<std::size_t>(i)];
+          const Tensor& w = values[n.inputs[a.weightArg]];
+          kernels::ConvStage& st = stages[i];
+          st.weight = w.data();
+          st.bias =
+              a.biasArg >= 0 ? values[n.inputs[a.biasArg]].data() : nullptr;
+          st.inChannels = a.inShape[1];
+          st.inH = a.inShape[2];
+          st.inW = a.inShape[3];
+          st.outChannels = a.outShape[1];
+          st.kh = w.dim(2);
+          st.kw = w.dim(3);
+          st.stride = a.stride;
+          st.pad = a.pad;
+          st.outH = a.outShape[2];
+          st.outW = a.outShape[3];
+        }
+        v = Tensor(detail::makeOut(shapeOf(n)));
+        const float* pi = images.data();
+        float* po = v.data();
+        parallelForRange(
+            0, static_cast<std::size_t>(images.dim(0)),
+            [&](std::size_t rb, std::size_t re) {
+              kt.convReluPoolRows(pi, stages, numStages, po,
+                                  static_cast<std::int64_t>(rb),
+                                  static_cast<std::int64_t>(re));
+            },
+            32);
         break;
       }
       case OpKind::kFusedGemm: {

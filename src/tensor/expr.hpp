@@ -14,8 +14,8 @@
 
 // Expression compiler: capture a forward's op sequence as a tape of
 // ExprNodes, fuse elementwise chains / GEMM epilogues / row-dot reductions
-// into composite nodes, and replay the compiled FusedProgram with zero graph
-// overhead.
+// / conv -> relu -> pool stacks into composite nodes, and replay the
+// compiled FusedProgram with zero graph overhead.
 //
 // Capture is LAZY: while a Recorder is active (one per thread, via the RAII
 // Capture helper), the ops in tensor/ops.hpp append nodes to the recorder's
@@ -34,7 +34,7 @@
 namespace dagt::tensor::expr {
 
 /// Node opcodes. Everything before kFusedEw replays by calling the eager op
-/// it recorded; the three fused kinds dispatch to KernelTable composites.
+/// it recorded; the fused kinds dispatch to KernelTable composites.
 enum class OpKind : std::int32_t {
   kInput = 0,  ///< program argument (shape fixed at capture)
   kConst,      ///< captured real tensor (aliases its storage)
@@ -70,7 +70,8 @@ enum class OpKind : std::int32_t {
   kTranspose2d,
   kReshape,
   kSliceRows,
-  // Convolution stack (replayed eagerly inside programs).
+  // Convolution stack (replayed eagerly inside programs unless the conv
+  // stack pass lowers it).
   kConv2d,
   kMaxPool2d,
   kGlobalAvgPool,
@@ -81,6 +82,20 @@ enum class OpKind : std::int32_t {
   kFusedEw,    ///< elementwise chain -> kernels fusedEwRows
   kFusedGemm,  ///< matmul + bias/activation/residual -> fusedGemmEpilogueRows
   kRowDot,     ///< sumDim1(mul(a,b)) -> per-row dotVec
+  kConvReluPool,  ///< conv2d -> relu (-> conv2d -> relu)* -> globalAvgPool
+                  ///< -> convReluPoolRows
+};
+
+/// One conv -> relu stage of a kConvReluPool node: where its weight and
+/// bias sit in the node's inputs (biasArg -1 without one), and its
+/// geometry, fixed at capture.
+struct ConvStageArgs {
+  std::int32_t weightArg = -1;
+  std::int32_t biasArg = -1;
+  std::int64_t stride = 1;
+  std::int64_t pad = 0;
+  Shape inShape;   ///< [rows, C, H, W] at capture
+  Shape outShape;  ///< [rows, F, OH, OW] at capture
 };
 
 /// One captured op. POD-ish: attrs are a union-by-convention (see each
@@ -108,6 +123,10 @@ struct ExprNode {
   float slope = 0.0f;
   std::int32_t biasArg = -1;
   std::int32_t residualArg = -1;
+
+  // kConvReluPool: inputs[0] is the image batch, then each stage's weight
+  // (and bias), as convStages says.
+  std::vector<ConvStageArgs> convStages;
 
   // Filled by compile(): number of consumers, last node id that reads this
   // node's value (for release-at-last-use during replay), liveness.
@@ -145,7 +164,8 @@ void resetStats();
 /// (the row count) and every live node is row-local: its row i reads only
 /// row i of its row-scaled operands, and weights and other constants enter
 /// whole (GEMMs against constant B, bias and column-vector broadcasts,
-/// elementwise chains, row reductions, LayerNorm). Such a program replays
+/// elementwise chains, row reductions, LayerNorm, a lowered conv stack,
+/// whose row is a sample). Such a program replays
 /// at any row count with the same per-row arithmetic, so it is compiled
 /// once for all of them. A program that bakes in its row count (repeatRows,
 /// a reshape, a column reduction, a constant with the batch as a dim) is

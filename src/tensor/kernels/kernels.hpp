@@ -28,6 +28,10 @@
 //     same accumulation ORDER but one rounding less per step — results
 //     differ from scalar by bounded ulps and the parity suite compares
 //     them under a tight relative tolerance instead.
+//   * The conv stack (convReluPoolRows) repeats conv2d's im2col GEMM per
+//     output in this tier's GEMM rounding, then reluVec's and
+//     globalAvgPool's arithmetic, so in every tier it is bitwise equal to
+//     that tier's eager conv2d -> relu ... -> globalAvgPool chain.
 // Every tier is bitwise-reproducible run-to-run and across thread counts:
 // parallelism only ever splits work along C rows, never along the
 // accumulation dimension.
@@ -113,6 +117,27 @@ struct GemmEpilogue {
   std::int32_t activation = 0;
   float slope = 0.0f;
 };
+
+/// One conv2d -> relu stage of convReluPoolRows (NCHW). Padding reads as
+/// +0, as in conv2d's im2col.
+struct ConvStage {
+  const float* weight = nullptr;  ///< [outChannels, inChannels, kh, kw]
+  const float* bias = nullptr;    ///< [outChannels]; nullptr starts at +0
+  std::int64_t inChannels = 0;
+  std::int64_t inH = 0;
+  std::int64_t inW = 0;
+  std::int64_t outChannels = 0;
+  std::int64_t kh = 0;
+  std::int64_t kw = 0;
+  std::int64_t stride = 1;
+  std::int64_t pad = 0;
+  std::int64_t outH = 0;
+  std::int64_t outW = 0;
+};
+
+/// Most stages one convReluPoolRows call runs: of a longer captured chain,
+/// the expression compiler lowers the last kConvMaxStages stages.
+inline constexpr int kConvMaxStages = 8;
 
 /// One table of function pointers per tier. All pointers are always
 /// non-null; unsupported tiers simply never become active.
@@ -236,6 +261,22 @@ struct KernelTable {
   void (*layerNormRows)(const float* x, const float* gain, const float* bias,
                         float eps, bool relu, std::int64_t rows,
                         std::int64_t cols, float* out);
+
+  // -- Conv stack (path CNN inference lowering target) -----------------------
+  /// For each sample r in [rowBegin, rowEnd) of `in` ([rows, C, H, W] as
+  /// stages[0] reads it): conv2d -> relu through every stage, then
+  /// globalAvgPool of the last, into out[r, 0:stages[last].outChannels].
+  /// One sample at a time, with every intermediate in per-thread scratch
+  /// (no im2col buffer, no per-stage tensor). Each output starts from its
+  /// bias and accumulates over k = (c, ky, kx) in order, as conv2d's
+  /// gemmRows does over its oh * ow columns: at avx2fma a fused step for
+  /// pixels in a full 16-pixel block and mul then add past the last one,
+  /// mul then add everywhere in the other tiers. Relu is reluVec's select
+  /// and the pool globalAvgPool's sumVec / spatial, so the stack is bitwise
+  /// equal to the eager chain run at the same tier.
+  void (*convReluPoolRows)(const float* in, const ConvStage* stages,
+                           int numStages, float* out, std::int64_t rowBegin,
+                           std::int64_t rowEnd);
 };
 
 /// Canonical lower-case tier name ("scalar", "avx2", "avx2fma") — the

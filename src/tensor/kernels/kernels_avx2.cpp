@@ -476,6 +476,8 @@ const KernelTable& avx2Table() {
     x.gatherRowsPtrs = avx2::gatherRowsPtrs;
     x.segmentMeanMaxRows = detail::segmentMeanMaxRowsImpl<avx2::LevelOps>;
     x.layerNormRows = detail::layerNormRowsImpl<avx2::LevelOps>;
+    x.convReluPoolRows = detail::convReluPoolRowsImpl<
+        detail::ConvAvx2</*kFma=*/false, avx2::LevelOps>>;
     return x;
   }();
   return t;

@@ -4,9 +4,10 @@
 
 #include "tensor/kernels/kernels_internal.hpp"
 
-// AVX2+FMA tier. Only the dense GEMM family lives here — elementwise,
-// accumulate and reduction kernels are inherited from the avx2 table so
-// they stay bitwise identical to scalar (see avx2FmaTable() below).
+// AVX2+FMA tier. Only the dense GEMM family and the conv stack, which
+// repeats its rounding, live here — elementwise, accumulate and reduction
+// kernels are inherited from the avx2 table so they stay bitwise identical
+// to scalar (see avx2FmaTable() below).
 //
 // The microkernel is register-blocked 4 rows x 16 columns with the B panel
 // packed into thread-local scratch. Each C element still accumulates over
@@ -171,6 +172,14 @@ void fusedGemmEpilogueRows(const float* a, const float* b,
   detail::applyGemmEpilogueRowsAvx2(c, rowBegin, rowEnd, m, *epilogue);
 }
 
+// The conv stack's pool reduces with the avx2 tier's sumVec, which this
+// tier inherits.
+struct ConvOps {
+  static double sumVec(const float* x, std::size_t n) {
+    return avx2Table().sumVec(x, n);
+  }
+};
+
 }  // namespace fma
 
 const KernelTable& avx2FmaTable() {
@@ -182,6 +191,8 @@ const KernelTable& avx2FmaTable() {
     x.gemmPackBSize = fma::gemmPackBSize;
     x.gemmPackB = fma::gemmPackB;
     x.gemmRowsPacked = fma::gemmRowsPacked;
+    x.convReluPoolRows = detail::convReluPoolRowsImpl<
+        detail::ConvAvx2</*kFma=*/true, fma::ConvOps>>;
     // gemmTransBRows stays dot-based (bitwise contract), as do all
     // elementwise / accumulate / reduction kernels — including fusedEwRows,
     // whose avx2 implementation is bitwise identical to scalar.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -388,6 +390,344 @@ inline void layerNormRowsImpl(const float* x, const float* gain,
     if (relu) Ops::reluVec(o, o, width);
   }
 }
+
+// -- Conv stack (convReluPoolRows) -------------------------------------------
+//
+// Each stage's input lives in zero-bordered planes split by stride phase:
+// input channel c's padded plane P (P[y][x] = in[c][y - pad][x - pad], +0
+// outside the image) is kept as stride^2 planes Q[a][b] of qh x qw floats,
+// Q[a][b][y][x] = P[y * s + a][x * s + b]. What output pixel (oy, ox) reads
+// at kernel offset (ky, kx) is then Q[ky % s][kx % s][oy + ky / s][ox +
+// kx / s]: a per-pixel base plus a per-k offset. So every stage, at any
+// stride, is one table-driven loop, and a stage writes its relu'd outputs
+// straight into the next stage's planes. Each call zeroes the planes once;
+// the borders are never written after that, and every sample overwrites
+// every inside slot. The helpers sit in an unnamed namespace so that each
+// tier's TU keeps its own copy, compiled with that tier's flags.
+
+namespace {
+
+/// One stage's tables and planes inside a call's scratch.
+struct ConvPlan {
+  std::int64_t kDim = 0;        // inChannels * kh * kw
+  std::int64_t pixels = 0;      // outH * outW
+  std::int64_t chanStride = 0;  // floats per input channel (its phases)
+  float* planes = nullptr;      // [inChannels * chanStride]
+  const float* packed = nullptr;        // the tier's weight layout, if any
+  const std::int32_t* koff = nullptr;   // [kDim] offset of k = (c, ky, kx)
+  const std::int32_t* pbase = nullptr;  // [pixels] base of output pixel j
+  const std::int32_t* slot = nullptr;   // [inH * inW] slot of input pixel
+};
+
+/// A thread's scratch, grown to the largest stack it has run.
+struct ConvScratch {
+  std::vector<float> floats;
+  std::vector<std::int32_t> ints;
+};
+
+/// convReluPoolRows over a tier policy `Tier`: Tier::packFloats(stage) and
+/// Tier::pack(stage, kDim, dst) lay out the tier's weights (packFloats may
+/// be 0); Tier::run(stage, plan, dst, dstSlot, dstStride) computes one
+/// stage for one sample, writing the relu'd output (f, j) to
+/// dst[f * dstStride + dstSlot[j]]; Tier::sumVec is the tier's reduction.
+template <typename Tier>
+void convReluPoolRowsImpl(const float* in, const ConvStage* stages,
+                          int numStages, float* out, std::int64_t rowBegin,
+                          std::int64_t rowEnd) {
+  if (rowEnd <= rowBegin || numStages <= 0) return;
+  thread_local ConvScratch scratch;
+  ConvPlan plans[kConvMaxStages];
+  std::int64_t floats = 0;
+  std::int64_t ints = 0;
+  std::int64_t qhs[kConvMaxStages];
+  std::int64_t qws[kConvMaxStages];
+  for (int i = 0; i < numStages; ++i) {
+    const ConvStage& st = stages[i];
+    ConvPlan& plan = plans[i];
+    qhs[i] = (st.inH + 2 * st.pad + st.stride - 1) / st.stride;
+    qws[i] = (st.inW + 2 * st.pad + st.stride - 1) / st.stride;
+    plan.kDim = st.inChannels * st.kh * st.kw;
+    plan.pixels = st.outH * st.outW;
+    plan.chanStride = st.stride * st.stride * qhs[i] * qws[i];
+    floats += st.inChannels * plan.chanStride + Tier::packFloats(st);
+    ints += plan.kDim + plan.pixels + st.inH * st.inW;
+  }
+  const ConvStage& last = stages[numStages - 1];
+  const std::int64_t spatial = last.outH * last.outW;
+  floats += last.outChannels * spatial;  // the pooled stage's output
+  ints += spatial;                       // its identity slots
+  if (static_cast<std::int64_t>(scratch.floats.size()) < floats) {
+    scratch.floats.resize(static_cast<std::size_t>(floats));
+  }
+  if (static_cast<std::int64_t>(scratch.ints.size()) < ints) {
+    scratch.ints.resize(static_cast<std::size_t>(ints));
+  }
+
+  float* fp = scratch.floats.data();
+  std::int32_t* ip = scratch.ints.data();
+  for (int i = 0; i < numStages; ++i) {
+    const ConvStage& st = stages[i];
+    ConvPlan& plan = plans[i];
+    const std::int64_t s = st.stride;
+    const std::int64_t qh = qhs[i];
+    const std::int64_t qw = qws[i];
+    plan.planes = fp;
+    std::fill(fp, fp + st.inChannels * plan.chanStride, 0.0f);
+    fp += st.inChannels * plan.chanStride;
+    Tier::pack(st, plan.kDim, fp);
+    plan.packed = fp;
+    fp += Tier::packFloats(st);
+    // Channel 0's offsets, then each channel's shifted by its planes (the
+    // tables are built once per call, without a division per entry).
+    std::int32_t* koff = ip;
+    const std::int64_t taps = st.kh * st.kw;
+    for (std::int64_t ky = 0; ky < st.kh; ++ky) {
+      for (std::int64_t kx = 0; kx < st.kw; ++kx) {
+        koff[ky * st.kw + kx] = static_cast<std::int32_t>(
+            ((ky % s) * s + kx % s) * qh * qw + (ky / s) * qw + kx / s);
+      }
+    }
+    for (std::int64_t c = 1; c < st.inChannels; ++c) {
+      for (std::int64_t t = 0; t < taps; ++t) {
+        koff[c * taps + t] =
+            koff[t] + static_cast<std::int32_t>(c * plan.chanStride);
+      }
+    }
+    ip += plan.kDim;
+    std::int32_t* pbase = ip;
+    for (std::int64_t oy = 0; oy < st.outH; ++oy) {
+      for (std::int64_t ox = 0; ox < st.outW; ++ox) {
+        *ip++ = static_cast<std::int32_t>(oy * qw + ox);
+      }
+    }
+    // The slot of padded (py, px) is ((py % s) * s + px % s) * qh * qw +
+    // (py / s) * qw + px / s: a row part plus a column part. Row 0's slots
+    // hold the column parts until row 0, the last one filled, adds its own.
+    std::int32_t* slot = ip;
+    for (std::int64_t ix = 0; ix < st.inW; ++ix) {
+      const std::int64_t px = ix + st.pad;
+      slot[ix] = static_cast<std::int32_t>((px % s) * qh * qw + px / s);
+    }
+    for (std::int64_t iy = st.inH - 1; iy >= 0; --iy) {
+      const std::int64_t py = iy + st.pad;
+      const auto row =
+          static_cast<std::int32_t>((py % s) * s * qh * qw + (py / s) * qw);
+      for (std::int64_t ix = 0; ix < st.inW; ++ix) {
+        slot[iy * st.inW + ix] = row + slot[ix];
+      }
+    }
+    ip += st.inH * st.inW;
+    plan.koff = koff;
+    plan.pbase = pbase;
+    plan.slot = slot;
+  }
+  float* pooled = fp;
+  std::int32_t* identity = ip;
+  for (std::int64_t j = 0; j < spatial; ++j) {
+    identity[j] = static_cast<std::int32_t>(j);
+  }
+
+  const ConvStage& first = stages[0];
+  const std::int64_t inPixels = first.inH * first.inW;
+  const std::int64_t sampleSize = first.inChannels * inPixels;
+  for (std::int64_t r = rowBegin; r < rowEnd; ++r) {
+    const float* img = in + r * sampleSize;
+    for (std::int64_t c = 0; c < first.inChannels; ++c) {
+      float* dst = plans[0].planes + c * plans[0].chanStride;
+      const float* src = img + c * inPixels;
+      for (std::int64_t j = 0; j < inPixels; ++j) {
+        dst[plans[0].slot[j]] = src[j];
+      }
+    }
+    for (int i = 0; i < numStages; ++i) {
+      const bool pool = i + 1 == numStages;
+      Tier::run(stages[i], plans[i], pool ? pooled : plans[i + 1].planes,
+                pool ? identity : plans[i + 1].slot,
+                pool ? spatial : plans[i + 1].chanStride);
+    }
+    float* o = out + r * last.outChannels;
+    for (std::int64_t f = 0; f < last.outChannels; ++f) {
+      o[f] = static_cast<float>(
+          Tier::sumVec(pooled + f * spatial,
+                       static_cast<std::size_t>(spatial)) /
+          static_cast<double>(spatial));
+    }
+  }
+}
+
+/// The reference stage: per output (f, j), from the bias over k in order,
+/// one mul and one add rounding per step (gemmRows' scalar arithmetic).
+template <typename Ops>
+struct ConvScalar {
+  static std::int64_t packFloats(const ConvStage&) { return 0; }
+  static void pack(const ConvStage&, std::int64_t, float*) {}
+  static void run(const ConvStage& st, const ConvPlan& plan, float* dst,
+                  const std::int32_t* dstSlot, std::int64_t dstStride) {
+    for (std::int64_t f = 0; f < st.outChannels; ++f) {
+      const float* w = st.weight + f * plan.kDim;
+      const float b = st.bias != nullptr ? st.bias[f] : 0.0f;
+      float* d = dst + f * dstStride;
+      for (std::int64_t j = 0; j < plan.pixels; ++j) {
+        const float* base = plan.planes + plan.pbase[j];
+        float acc = b;
+        for (std::int64_t k = 0; k < plan.kDim; ++k) {
+          acc += w[k] * base[plan.koff[k]];
+        }
+        d[dstSlot[j]] = acc > 0.0f ? acc : 0.0f;
+      }
+    }
+  }
+  static double sumVec(const float* x, std::size_t n) {
+    return Ops::sumVec(x, n);
+  }
+};
+
+#if defined(__AVX2__)
+/// acc + x * w: fused at avx2fma (kFused), one mul and one add rounding
+/// otherwise, as the tier's gemmRows steps.
+template <bool kFused>
+inline __m256 convStep(__m256 x, __m256 w, __m256 acc) {
+#if defined(__FMA__)
+  if constexpr (kFused) return _mm256_fmadd_ps(x, w, acc);
+#endif
+  return _mm256_add_ps(acc, _mm256_mul_ps(x, w));
+}
+
+/// P output pixels from j by V blocks of 8 output channels: the weights
+/// are packed [kDim, fp] (fp = channels rounded up to 8, zero-filled) so a
+/// k step is V loads, P broadcasts and P * V steps. `channels` of the 8 * V
+/// lanes are real; the rest (zero weights, relu'd) are never stored.
+template <int P, int V, bool kFused>
+inline void convTile(const ConvPlan& plan, const float* wt, std::int64_t fp,
+                     const float* bias, std::int64_t j, float* dst,
+                     const std::int32_t* dstSlot, std::int64_t dstStride,
+                     std::int64_t channels) {
+  __m256 acc[P][V];
+#pragma GCC unroll 4
+  for (int v = 0; v < V; ++v) {
+    const __m256 b = _mm256_loadu_ps(bias + 8 * v);
+#pragma GCC unroll 8
+    for (int p = 0; p < P; ++p) acc[p][v] = b;
+  }
+  const float* src[P];
+#pragma GCC unroll 8
+  for (int p = 0; p < P; ++p) src[p] = plan.planes + plan.pbase[j + p];
+  for (std::int64_t k = 0; k < plan.kDim; ++k) {
+    const std::int32_t off = plan.koff[k];
+    const float* wk = wt + k * fp;
+    __m256 w[V];
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) w[v] = _mm256_loadu_ps(wk + 8 * v);
+#pragma GCC unroll 8
+    for (int p = 0; p < P; ++p) {
+      const __m256 x = _mm256_broadcast_ss(src[p] + off);
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        acc[p][v] = convStep<kFused>(x, w[v], acc[p][v]);
+      }
+    }
+  }
+  // Every acc index is a constant (the loops above and this one unroll),
+  // so the accumulators live in registers.
+  const __m256 zero = _mm256_setzero_ps();
+  alignas(32) float lanes[P][8 * V];
+#pragma GCC unroll 8
+  for (int p = 0; p < P; ++p) {
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      // max(acc, 0) returns 0 for NaN and -0: reluVec's select.
+      _mm256_store_ps(lanes[p] + 8 * v, _mm256_max_ps(acc[p][v], zero));
+    }
+  }
+  for (int p = 0; p < P; ++p) {
+    float* d = dst + dstSlot[j + p];
+    if (channels == 8 * V) {
+#pragma GCC unroll 16
+      for (int c = 0; c < 8 * V; ++c) d[c * dstStride] = lanes[p][c];
+    } else {
+      for (std::int64_t c = 0; c < channels; ++c) {
+        d[c * dstStride] = lanes[p][c];
+      }
+    }
+  }
+}
+
+/// Pixels [jBegin, jEnd) of one channel block, in tiles of P.
+template <int P, int V, bool kFused>
+inline void convPixels(const ConvPlan& plan, const float* wt, std::int64_t fp,
+                       const float* bias, std::int64_t jBegin,
+                       std::int64_t jEnd, float* dst,
+                       const std::int32_t* dstSlot, std::int64_t dstStride,
+                       std::int64_t channels) {
+  std::int64_t j = jBegin;
+  for (; j + P <= jEnd; j += P) {
+    convTile<P, V, kFused>(plan, wt, fp, bias, j, dst, dstSlot, dstStride,
+                           channels);
+  }
+  for (; j < jEnd; ++j) {
+    convTile<1, V, kFused>(plan, wt, fp, bias, j, dst, dstSlot, dstStride,
+                           channels);
+  }
+}
+
+/// The avx2 (kFma false) and avx2fma stage. At avx2fma the pixels of full
+/// 16-pixel blocks take fused steps and the rest mul then add, as
+/// gemmBlocked's column blocks and tail do.
+template <bool kFma, typename Ops>
+struct ConvAvx2 {
+  static std::int64_t channelsPadded(const ConvStage& st) {
+    return (st.outChannels + 7) / 8 * 8;
+  }
+  static std::int64_t packFloats(const ConvStage& st) {
+    const std::int64_t fp = channelsPadded(st);
+    return (st.inChannels * st.kh * st.kw + 1) * fp;
+  }
+  /// [kDim, fp] transposed weights, then the [fp] bias; lanes past
+  /// outChannels are zero.
+  static void pack(const ConvStage& st, std::int64_t kDim, float* dst) {
+    const std::int64_t f = st.outChannels;
+    const std::int64_t fp = channelsPadded(st);
+    for (std::int64_t k = 0; k < kDim; ++k) {
+      float* row = dst + k * fp;
+      for (std::int64_t c = 0; c < f; ++c) row[c] = st.weight[c * kDim + k];
+      std::fill(row + f, row + fp, 0.0f);
+    }
+    float* bias = dst + kDim * fp;
+    std::fill(bias, bias + fp, 0.0f);
+    if (st.bias != nullptr) std::copy(st.bias, st.bias + f, bias);
+  }
+  static void run(const ConvStage& st, const ConvPlan& plan, float* dst,
+                  const std::int32_t* dstSlot, std::int64_t dstStride) {
+    const std::int64_t fp = channelsPadded(st);
+    const float* bias = plan.packed + plan.kDim * fp;
+    const std::int64_t fusedEnd = kFma ? plan.pixels / 16 * 16 : 0;
+    std::int64_t cb = 0;
+    for (; cb + 16 <= fp; cb += 16) {
+      const std::int64_t channels = std::min<std::int64_t>(16, st.outChannels - cb);
+      float* d = dst + cb * dstStride;
+      convPixels<4, 2, kFma>(plan, plan.packed + cb, fp, bias + cb, 0,
+                             fusedEnd, d, dstSlot, dstStride, channels);
+      convPixels<4, 2, false>(plan, plan.packed + cb, fp, bias + cb,
+                              fusedEnd, plan.pixels, d, dstSlot, dstStride,
+                              channels);
+    }
+    if (cb < fp) {
+      const std::int64_t channels = st.outChannels - cb;
+      float* d = dst + cb * dstStride;
+      convPixels<8, 1, kFma>(plan, plan.packed + cb, fp, bias + cb, 0,
+                             fusedEnd, d, dstSlot, dstStride, channels);
+      convPixels<8, 1, false>(plan, plan.packed + cb, fp, bias + cb,
+                              fusedEnd, plan.pixels, d, dstSlot, dstStride,
+                              channels);
+    }
+  }
+  static double sumVec(const float* x, std::size_t n) {
+    return Ops::sumVec(x, n);
+  }
+};
+#endif  // defined(__AVX2__)
+
+}  // namespace
 
 /// Fold one (score, id) into a descending top-k kept in (topScores, topIds).
 /// Strictly-greater insertion keeps the lower id on score ties; the shift is

@@ -231,6 +231,8 @@ const KernelTable& scalarTable() {
     x.gatherRowsPtrs = scalar::gatherRowsPtrs;
     x.segmentMeanMaxRows = detail::segmentMeanMaxRowsImpl<scalar::LevelOps>;
     x.layerNormRows = detail::layerNormRowsImpl<scalar::LevelOps>;
+    x.convReluPoolRows =
+        detail::convReluPoolRowsImpl<detail::ConvScalar<scalar::LevelOps>>;
     return x;
   }();
   return t;

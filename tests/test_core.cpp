@@ -9,6 +9,7 @@
 #include "core/dataset.hpp"
 #include "core/disentangler.hpp"
 #include "core/losses.hpp"
+#include "core/path_cnn.hpp"
 #include "core/models.hpp"
 #include "core/timing_gnn.hpp"
 #include "core/trainer.hpp"
@@ -305,6 +306,49 @@ TEST(TimingGnn, ForwardFromAcrossChangedGraphMatchesFullSweep) {
     EXPECT_GT(rows, 0);
     EXPECT_LT(rows, baseGraph.numPins());
   }
+}
+
+TEST(PathCnn, FusedForwardBitwiseMatchesEagerAtEveryTier) {
+  // With fusion on, inference runs the conv stack as one convReluPoolRows
+  // kernel inside a program compiled once for every batch size; it must
+  // equal the eager conv2d -> relu ... chain bit for bit at every tier.
+  Rng rng(31);
+  const PathCnn cnn(8, 32, rng);
+  // Random biases (they initialize at zero, which would hide a dropped
+  // bias add).
+  for (Tensor p : cnn.parameters()) {
+    if (p.ndim() == 1) {
+      const Tensor r = Tensor::randn(p.shape(), rng, 0.1f);
+      std::memcpy(p.data(), r.data(),
+                  static_cast<std::size_t>(p.numel()) * sizeof(float));
+    }
+  }
+  const bool savedFusion = tensor::expr::fusionEnabled();
+  for (int t = 0; t < tensor::kernels::kTierCount; ++t) {
+    const auto tier = static_cast<tensor::kernels::Tier>(t);
+    if (!tensor::kernels::tierSupported(tier)) continue;
+    SCOPED_TRACE(tensor::kernels::tierName(tier));
+    TierGuard guard(tier);
+    tensor::NoGradGuard noGrad;
+    for (const std::int64_t batch : {1, 8, 37}) {
+      // Masked layout images are mostly exact zeros.
+      Tensor images = Tensor::randn({batch, 3, 32, 32}, rng);
+      for (std::int64_t i = 0; i < images.numel(); ++i) {
+        if (rng.uniform() < 0.6) images.data()[i] = 0.0f;
+      }
+      tensor::expr::setFusionEnabled(true);
+      const Tensor fused = cnn.forward(images);
+      tensor::expr::setFusionEnabled(false);
+      const Tensor eager = cnn.forward(images);
+      ASSERT_EQ(fused.shape(), eager.shape());
+      EXPECT_EQ(std::memcmp(fused.data(), eager.data(),
+                            static_cast<std::size_t>(fused.numel()) *
+                                sizeof(float)),
+                0)
+          << "batch " << batch;
+    }
+  }
+  tensor::expr::setFusionEnabled(savedFusion);
 }
 
 TEST(Dataset, BatchShapesAndLabelScale) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.hpp"
 #include "designgen/design_suite.hpp"
 #include "designgen/logic_network.hpp"
@@ -180,6 +182,14 @@ TEST(DesignSuite, RelativeSizesFollowTable1) {
             suite.entry("or1200").spec.numGates);
   EXPECT_GT(suite.entry("or1200").spec.numGates,
             suite.entry("arm9").spec.numGates);
+}
+
+TEST(DesignSuite, RejectsAScaleThatIsNotAFiniteNumberAboveZero) {
+  for (const float scale : {std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(), -1.0f,
+                            0.0f}) {
+    EXPECT_THROW(DesignSuite{scale}, ::dagt::CheckError) << scale;
+  }
 }
 
 TEST(DesignSuite, BuildNetlistChecksNode) {

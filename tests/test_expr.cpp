@@ -305,6 +305,114 @@ TEST(ExprParity, MultiOutputProgramSharesIntermediates) {
       [](const expr::FusedProgram& p) { EXPECT_EQ(p.numOutputs(), 3); });
 }
 
+TEST(ExprParity, OutputsAreNeverFoldedIntoTheirConsumer) {
+  // A capture that returns a value and also a consumer of it: no pass may
+  // fold the returned value into that consumer (its replay would read an
+  // input list the pass cleared), so the consumer keeps its own node and
+  // every output replays equal to the eager ops.
+  Rng rng(18);
+  const Tensor x = Tensor::randn({9, 13}, rng);
+  const Tensor w = Tensor::randn({13, 11}, rng);
+  const Tensor bias = Tensor::randn({11}, rng);
+  const Tensor y = Tensor::randn({9, 13}, rng);
+  const Tensor img = Tensor::randn({3, 2, 8, 8}, rng);
+  const Tensor kernel = Tensor::randn({4, 2, 3, 3}, rng);
+  const Tensor kernelBias = Tensor::randn({4}, rng);
+  const std::vector<Tensor> inputs{x, w, bias, y, img, kernel, kernelBias};
+  using Body = std::function<std::vector<Tensor>(const std::vector<Tensor>&)>;
+  struct Pattern {
+    const char* name;
+    Body body;
+    expr::OpKind keptKind;  // the consumer's kind, a node of its own
+    int kept;               // live nodes of that kind
+  };
+  const std::vector<Pattern> patterns{
+      {"matmul and its addBias",
+       [](const std::vector<Tensor>& in) {
+         const Tensor h = matmul(in[0], in[1]);
+         return std::vector<Tensor>{h, addBias(h, in[2])};
+       },
+       expr::OpKind::kAddBias, 1},
+      {"matmul and its relu",
+       [](const std::vector<Tensor>& in) {
+         const Tensor h = matmul(in[0], in[1]);
+         return std::vector<Tensor>{relu(h), h};
+       },
+       expr::OpKind::kRelu, 1},
+      {"elementwise link after a dead intermediate",
+       [](const std::vector<Tensor>& in) {
+         const Tensor a = add(relu(in[0]), in[3]);
+         return std::vector<Tensor>{a, tanhOp(mulScalar(a, 0.5f))};
+       },
+       expr::OpKind::kFusedEw, 2},
+      {"row-dot product",
+       [](const std::vector<Tensor>& in) {
+         const Tensor m = mul(in[0], in[3]);
+         return std::vector<Tensor>{sumDim1(m), m};
+       },
+       expr::OpKind::kSumDim1, 1},
+      {"conv stack relu",
+       [](const std::vector<Tensor>& in) {
+         const Tensor h = relu(conv2d(in[4], in[5], in[6], 2, 1));
+         return std::vector<Tensor>{globalAvgPool(h), h};
+       },
+       expr::OpKind::kGlobalAvgPool, 1},
+      {"conv stack conv",
+       [](const std::vector<Tensor>& in) {
+         const Tensor c = conv2d(in[4], in[5], in[6], 1, 0);
+         return std::vector<Tensor>{c, globalAvgPool(relu(c))};
+       },
+       expr::OpKind::kGlobalAvgPool, 1},
+  };
+  for (const Pattern& pattern : patterns) {
+    SCOPED_TRACE(pattern.name);
+    checkParity(pattern.body, inputs, /*exactAtFma=*/false,
+                [&](const expr::FusedProgram& p) {
+                  EXPECT_EQ(p.numOutputs(), 2);
+                  EXPECT_EQ(p.countKind(pattern.keptKind), pattern.kept);
+                  EXPECT_EQ(p.countKind(expr::OpKind::kConvReluPool), 0);
+                });
+  }
+}
+
+TEST(ExprParity, ConvStackLowersToOneRowLocalNode) {
+  // conv2d -> relu -> conv2d -> relu -> globalAvgPool -> a Linear becomes
+  // one kConvReluPool node and a fused GEMM, replays at any row count from
+  // one compile, and is bitwise equal to the eager chain in every tier.
+  Rng rng(19);
+  const Tensor w1 = Tensor::randn({6, 3, 3, 3}, rng, 0.5f);
+  const Tensor b1 = Tensor::randn({6}, rng, 0.2f);
+  const Tensor w2 = Tensor::randn({10, 6, 3, 3}, rng, 0.5f);
+  const Tensor b2 = Tensor::randn({10}, rng, 0.2f);
+  const Tensor project = Tensor::randn({10, 4}, rng);
+  const auto stack = [&](const Tensor& images) {
+    const Tensor h = relu(conv2d(images, w1, b1, 2, 1));
+    return globalAvgPool(relu(conv2d(h, w2, b2, 1, 1)));
+  };
+  for (const Tier tier : supportedTiers()) {
+    SCOPED_TRACE(kernels::tierName(tier));
+    TierGuard guard(tier);
+    NoGradGuard noGrad;
+    std::shared_ptr<const expr::FusedProgram> program;
+    {
+      expr::Capture cap;
+      const Tensor out =
+          matmul(stack(cap.input(Tensor::zeros({2, 3, 12, 10}))), project);
+      program = cap.compile({&out});
+    }
+    EXPECT_TRUE(program->rowPolymorphic());
+    EXPECT_EQ(program->countKind(expr::OpKind::kConvReluPool), 1);
+    EXPECT_EQ(program->countKind(expr::OpKind::kConv2d), 0);
+    EXPECT_EQ(program->countKind(expr::OpKind::kRelu), 0);
+    EXPECT_EQ(program->liveNodeCount(), 2);
+    for (const std::int64_t rows : {1, 2, 37}) {
+      const Tensor images = Tensor::randn({rows, 3, 12, 10}, rng);
+      expectBitwise(matmul(stack(images), project), program->runOne({images}),
+                    "conv stack");
+    }
+  }
+}
+
 TEST(ExprReplay, RepeatedRunsAreBitwiseStable) {
   Rng rng(16);
   const Tensor x = Tensor::randn({6, 48}, rng);

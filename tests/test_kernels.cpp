@@ -932,5 +932,123 @@ TEST(KernelParity, Conv2dMatchesBoundsTestedIm2colEveryTier) {
   }
 }
 
+// -- conv stack against the eager conv2d -> relu ... -> globalAvgPool chain ---
+
+struct StackStage {
+  std::int64_t outChannels, kernel, stride, pad;
+  bool bias;
+};
+
+struct StackGeometry {
+  const char* name;
+  std::int64_t channels, h, w;
+  std::vector<StackStage> stages;
+};
+
+/// PathCnn's stack, plus odd ones: stride 1 and 3, output planes that are
+/// not a multiple of 16 pixels (so avx2fma runs its mul-then-add tail),
+/// channel counts that are not a multiple of 8, a 1x1 and a 5x5 kernel,
+/// and a stage without bias.
+const std::vector<StackGeometry>& stackGeometries() {
+  static const std::vector<StackGeometry> geometries = {
+      {"path-cnn", 3, 32, 32,
+       {{8, 3, 2, 1, true}, {16, 3, 2, 1, true}, {32, 3, 2, 1, true}}},
+      {"stride-1-and-3", 5, 11, 9, {{7, 3, 1, 1, true}, {13, 2, 3, 0, true}}},
+      {"odd-planes", 2, 20, 20,
+       {{3, 5, 3, 2, true}, {9, 1, 1, 0, false}, {17, 3, 2, 1, true}}},
+      {"one-stage", 4, 6, 6, {{24, 3, 1, 0, true}}},
+  };
+  return geometries;
+}
+
+struct BuiltStack {
+  std::vector<Tensor> weights, biases;
+  std::vector<ConvStage> stages;
+};
+
+BuiltStack buildStack(const StackGeometry& g, Rng& rng) {
+  BuiltStack built;
+  std::int64_t c = g.channels, h = g.h, w = g.w;
+  for (const StackStage& s : g.stages) {
+    built.weights.push_back(
+        Tensor::randn({s.outChannels, c, s.kernel, s.kernel}, rng, 0.4f));
+    built.biases.push_back(s.bias ? Tensor::randn({s.outChannels}, rng, 0.2f)
+                                  : Tensor());
+    ConvStage st;
+    st.weight = built.weights.back().data();
+    st.bias = s.bias ? built.biases.back().data() : nullptr;
+    st.inChannels = c;
+    st.inH = h;
+    st.inW = w;
+    st.outChannels = s.outChannels;
+    st.kh = st.kw = s.kernel;
+    st.stride = s.stride;
+    st.pad = s.pad;
+    st.outH = (h + 2 * s.pad - s.kernel) / s.stride + 1;
+    st.outW = (w + 2 * s.pad - s.kernel) / s.stride + 1;
+    built.stages.push_back(st);
+    c = st.outChannels;
+    h = st.outH;
+    w = st.outW;
+  }
+  return built;
+}
+
+/// Images whose even samples are plain Gaussians with 5% exact +0 / -0,
+/// and whose odd samples also carry +-inf and NaNs of either sign.
+Tensor stackImages(const StackGeometry& g, std::int64_t batch, Rng& rng) {
+  Tensor images = Tensor::randn({batch, g.channels, g.h, g.w}, rng);
+  const std::int64_t sample = g.channels * g.h * g.w;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {inf, -inf, nan, -nan};
+  for (std::int64_t r = 0; r < batch; ++r) {
+    float* p = images.data() + r * sample;
+    for (std::int64_t i = 0; i < sample; ++i) {
+      const double u = rng.uniform();
+      if (u < 0.05) {
+        p[i] = rng.uniform() < 0.5 ? 0.0f : -0.0f;
+      } else if (r % 2 == 1 && u < 0.06) {
+        p[i] = specials[rng.uniformInt(4)];
+      }
+    }
+  }
+  return images;
+}
+
+TEST(KernelParity, ConvReluPoolMatchesEagerChainEveryTier) {
+  for (const Tier tier : supportedTiers()) {
+    SCOPED_TRACE(tierName(tier));
+    TierGuard guard(tier);
+    NoGradGuard noGrad;
+    Rng rng(77);
+    for (const StackGeometry& g : stackGeometries()) {
+      const BuiltStack built = buildStack(g, rng);
+      for (const std::int64_t batch : {1, 8, 37, 428}) {
+        SCOPED_TRACE(testing::Message() << g.name << " batch " << batch);
+        const Tensor images = stackImages(g, batch, rng);
+        Tensor h = images;
+        for (std::size_t i = 0; i < built.stages.size(); ++i) {
+          h = relu(conv2d(h, built.weights[i], built.biases[i],
+                          g.stages[i].stride, g.stages[i].pad));
+        }
+        const Tensor eager = globalAvgPool(h);
+        // Two calls over a split row range: the kernel must index rows
+        // from the batch start, not from rowBegin.
+        Tensor fused = Tensor::full(eager.shape(), -7.0f);
+        const std::int64_t split = batch / 3;
+        table(tier).convReluPoolRows(
+            images.data(), built.stages.data(),
+            static_cast<int>(built.stages.size()), fused.data(), 0, split);
+        table(tier).convReluPoolRows(
+            images.data(), built.stages.data(),
+            static_cast<int>(built.stages.size()), fused.data(), split,
+            batch);
+        expectSameBits(eager, fused, "stack");
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dagt::tensor::kernels

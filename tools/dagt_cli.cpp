@@ -61,6 +61,7 @@
 //       profile and span coverage. See docs/observability.md.
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -114,12 +115,29 @@ std::optional<std::int32_t> parseInt32(const std::string& text) {
   return value;
 }
 
+/// The flags that take a finite number above 0.
+const std::set<std::string> kPositiveFlags = {"scale"};
+
+/// A finite decimal number above 0 that fits a float; nullopt for anything
+/// else (NaN, an infinity, 0, a negative, out of range, trailing text).
+std::optional<float> parsePositiveFloat(const std::string& text) {
+  float value = 0.0f;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value) ||
+      !(value > 0.0f)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 /// Flag parser with per-subcommand validation: positional args plus
 /// --key value / --key=value pairs. Valued flags always consume the next
 /// token (so negative numbers like `--shift -0.5` parse unambiguously);
-/// boolean flags (declared with a trailing '!') never do. Unknown flags
-/// and malformed integer flags (kIntFlagMinimum) are errors, so a bad
-/// value stops a command before it does any work.
+/// boolean flags (declared with a trailing '!') never do. Unknown flags,
+/// malformed integer flags (kIntFlagMinimum) and positive-number flags
+/// (kPositiveFlags) that are not a finite number above 0 are errors, so a
+/// bad value stops a command before it does any work.
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
@@ -188,6 +206,11 @@ struct Args {
           return args;
         }
       }
+      if (kPositiveFlags.count(key) && !parsePositiveFloat(value)) {
+        args.error = "flag --" + key +
+                     " expects a finite number above 0, got '" + value + "'";
+        return args;
+      }
       args.flags[key] = value;
     }
     return args;
@@ -197,17 +220,11 @@ struct Args {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  float floatFlag(const std::string& key, float fallback) const {
+  /// A flag of kPositiveFlags, whose value parse() has checked.
+  float positiveFlag(const std::string& key, float fallback) const {
     const auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    char* end = nullptr;
-    const float value = std::strtof(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0') {
-      std::fprintf(stderr, "warning: --%s value '%s' is not a number\n",
-                   key.c_str(), it->second.c_str());
-      return fallback;
-    }
-    return value;
+    return it == flags.end() ? fallback
+                             : parsePositiveFloat(it->second).value();
   }
   /// An integer flag of kIntFlagMinimum, whose value parse() has checked.
   std::int32_t intFlag(const std::string& key, std::int32_t fallback) const {
@@ -229,7 +246,7 @@ int usage() {
 int cmdGen(const Args& args) {
   if (args.positional.empty()) return usage();
   const std::string name = args.positional[0];
-  const float scale = args.floatFlag("scale", 1.0f);
+  const float scale = args.positiveFlag("scale", 1.0f);
 
   const designgen::DesignSuite suite(scale);
   const auto& entry = suite.entry(name);
@@ -395,7 +412,7 @@ struct TrainedModel {
 TrainedModel trainOnPaperSplit(const Args& args) {
   Log::threshold() = LogLevel::kInfo;
   TrainedModel out;
-  const float scale = args.floatFlag("scale", 0.5f);
+  const float scale = args.positiveFlag("scale", 0.5f);
   bool ok = false;
   out.strategy = parseStrategy(args.flagOr("strategy", "ours"), &ok);
   DAGT_CHECK_MSG(ok, "unknown strategy '" << args.flagOr("strategy", "ours")
