@@ -56,9 +56,9 @@ struct TrainStats {
 ///
 /// Every strategy runs the same step loop: an async producer thread draws
 /// the schedule (shuffles, batches, forward seeds) from the one seeded RNG
-/// stream, one step ahead of Adam on the calling thread. The loss curve
-/// and trained weights depend only on the config and the data, not on
-/// parallelThreadCount().
+/// stream, one step ahead of the forward, backward and Adam step on the
+/// calling thread. The loss curve and trained weights depend only on the
+/// config and the data.
 class Trainer {
  public:
   Trainer(const TimingDataset& trainData, TrainConfig config);

@@ -33,10 +33,12 @@ struct Grid {
 
   float& hEdge(std::int32_t x, std::int32_t y) {
     // Edge from (x, y) to (x+1, y); x in [0, size-2].
+    DAGT_DCHECK(x >= 0 && x < size - 1 && y >= 0 && y < size);
     return hUsage[static_cast<std::size_t>(y * (size - 1) + x)];
   }
   float& vEdge(std::int32_t x, std::int32_t y) {
     // Edge from (x, y) to (x, y+1); y in [0, size-2].
+    DAGT_DCHECK(x >= 0 && x < size && y >= 0 && y < size - 1);
     return vUsage[static_cast<std::size_t>(x * (size - 1) + y)];
   }
 };
@@ -84,12 +86,15 @@ float routeTwoPin(Grid& grid, Point from, Point to) {
     }
 
     // Escape: both progressing directions saturated -> sidestep
-    // perpendicular to the dominant direction (adds detour length).
+    // perpendicular to the dominant direction (adds detour length). The
+    // directions are those that still progress from the new position.
     if (x != tx || y != ty) {
+      const std::int32_t ndx = tx > x ? 1 : (tx < x ? -1 : 0);
+      const std::int32_t ndy = ty > y ? 1 : (ty < y ? -1 : 0);
       const bool hBlocked =
-          dx != 0 && grid.hEdge(dx > 0 ? x : x - 1, y) > grid.capacity;
+          ndx != 0 && grid.hEdge(ndx > 0 ? x : x - 1, y) > grid.capacity;
       const bool vBlocked =
-          dy != 0 && grid.vEdge(x, dy > 0 ? y : y - 1) > grid.capacity;
+          ndy != 0 && grid.vEdge(x, ndy > 0 ? y : y - 1) > grid.capacity;
       if (hBlocked && vBlocked) {
         if (y + 1 < grid.size) {
           grid.vEdge(x, y) += 1.0f;

@@ -29,9 +29,9 @@ struct EngineConfig {
   /// How long the batcher holds an under-full batch open waiting for
   /// concurrent callers to join it.
   std::int64_t maxWaitUs = 200;
-  /// Batcher threads. One is usually right: the tensor ops inside a
-  /// forward already fan out via parallelFor, so extra batchers mostly
-  /// help when many small designs interleave.
+  /// Batcher threads. Each forward runs whole on the batcher that formed
+  /// its batch, and a batcher serves one snapshot at a time, so extra
+  /// batchers help when traffic over several designs interleaves.
   std::int32_t workerThreads = 1;
   /// false disables coalescing entirely: every request runs its own
   /// forward in the caller's thread (the single-request baseline of

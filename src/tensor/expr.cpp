@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/ops_common.hpp"
@@ -799,7 +798,7 @@ std::shared_ptr<const FusedProgram> Recorder::compile(
   }
 
   // Compile-time packed B panels for constant GEMM operands: packed once,
-  // shared by every replay and every parallel worker.
+  // read by every replay.
   const kernels::Tier tier = kernels::activeTier();
   const kernels::KernelTable& kt = kernels::table(tier);
   program->packedTier_ = tier;
@@ -1079,16 +1078,8 @@ void FusedProgram::replay(const Tensor* inputs, std::size_t numInputs,
           st.outW = a.outShape[3];
         }
         v = Tensor(detail::makeOut(shapeOf(n)));
-        const float* pi = images.data();
-        float* po = v.data();
-        parallelForRange(
-            0, static_cast<std::size_t>(images.dim(0)),
-            [&](std::size_t rb, std::size_t re) {
-              kt.convReluPoolRows(pi, stages, numStages, po,
-                                  static_cast<std::int64_t>(rb),
-                                  static_cast<std::int64_t>(re));
-            },
-            32);
+        kt.convReluPoolRows(images.data(), stages, numStages, v.data(), 0,
+                            images.dim(0));
         break;
       }
       case OpKind::kFusedGemm: {
@@ -1111,18 +1102,8 @@ void FusedProgram::replay(const Tensor* inputs, std::size_t numInputs,
           auto it = packedPanels_.find(static_cast<std::int32_t>(id));
           if (it != packedPanels_.end()) panel = it->second.data();
         }
-        const float* pa = a.data();
-        const float* pb = b.data();
-        float* pc = v.data();
-        parallelForRange(
-            0, static_cast<std::size_t>(gemmRows),
-            [&](std::size_t rb, std::size_t re) {
-              kt.fusedGemmEpilogueRows(pa, pb, panel, pc,
-                                       static_cast<std::int64_t>(rb),
-                                       static_cast<std::int64_t>(re), k, m,
-                                       &ep);
-            },
-            32);
+        kt.fusedGemmEpilogueRows(a.data(), b.data(), panel, v.data(), 0,
+                                 gemmRows, k, m, &ep);
         break;
       }
     }

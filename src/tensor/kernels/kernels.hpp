@@ -32,9 +32,9 @@
 //     output in this tier's GEMM rounding, then reluVec's and
 //     globalAvgPool's arithmetic, so in every tier it is bitwise equal to
 //     that tier's eager conv2d -> relu ... -> globalAvgPool chain.
-// Every tier is bitwise-reproducible run-to-run and across thread counts:
-// parallelism only ever splits work along C rows, never along the
-// accumulation dimension.
+// Every tier is bitwise-reproducible run-to-run, and a row-range kernel's
+// output rows do not depend on which range a call covers: no kernel splits
+// the accumulation dimension.
 namespace dagt::tensor::kernels {
 
 /// Dispatch tiers, weakest to strongest. kAvx2 vectorizes without changing
@@ -142,7 +142,7 @@ inline constexpr int kConvMaxStages = 8;
 /// One table of function pointers per tier. All pointers are always
 /// non-null; unsupported tiers simply never become active.
 struct KernelTable {
-  // -- GEMM family (accumulating; callers parallelize over C rows) ----------
+  // -- GEMM family (accumulating over a range of C rows) ---------------------
   /// C[rowBegin:rowEnd, :] += A[rowBegin:rowEnd, :] * B for A [n,k], B [k,m].
   void (*gemmRows)(const float* a, const float* b, float* c,
                    std::int64_t rowBegin, std::int64_t rowEnd, std::int64_t k,
@@ -200,7 +200,7 @@ struct KernelTable {
                                 std::int64_t k, std::int64_t m,
                                 const GemmEpilogue* epilogue);
 
-  // -- Shared packed-B panel (pack once, use from every worker) -------------
+  // -- Packed-B panel (packed once per compiled program, used every replay) --
   /// Floats needed for a packed B panel, or 0 when the tier does not use
   /// packing for this shape (callers must then pass packedB = nullptr).
   std::int64_t (*gemmPackBSize)(std::int64_t k, std::int64_t m);
@@ -208,11 +208,6 @@ struct KernelTable {
   /// floats). Only called when gemmPackBSize returned > 0.
   void (*gemmPackB)(const float* b, std::int64_t k, std::int64_t m,
                     float* packed);
-  /// gemmRows reading B through a prepacked panel (nullptr packedB falls
-  /// back to packing internally / plain B). Same rounding as gemmRows.
-  void (*gemmRowsPacked)(const float* a, const float* b, const float* packedB,
-                         float* c, std::int64_t rowBegin, std::int64_t rowEnd,
-                         std::int64_t k, std::int64_t m);
 
   // -- Batched dot + top-k selection (retrieval index probe) ----------------
   /// Score q against each row of a [numRows, rowStride] block (only the

@@ -384,19 +384,13 @@ void fusedGemmEpilogueRows(const float* a, const float* b,
 }
 
 // avx2 GEMM reads B rows directly (no panel), so packing is declined and
-// gemmRowsPacked ignores the shared panel.
+// fusedGemmEpilogueRows ignores the panel argument.
 std::int64_t gemmPackBSize(std::int64_t /*k*/, std::int64_t /*m*/) {
   return 0;
 }
 
 void gemmPackB(const float* /*b*/, std::int64_t /*k*/, std::int64_t /*m*/,
                float* /*packed*/) {}
-
-void gemmRowsPacked(const float* a, const float* b, const float* /*packedB*/,
-                    float* c, std::int64_t rowBegin, std::int64_t rowEnd,
-                    std::int64_t k, std::int64_t m) {
-  gemmRows(a, b, c, rowBegin, rowEnd, k, m);
-}
 
 void dotTopkRows(const float* q, const float* rows, std::int64_t numRows,
                  std::int64_t dim, std::int64_t rowStride,
@@ -470,7 +464,6 @@ const KernelTable& avx2Table() {
     x.fusedGemmEpilogueRows = avx2::fusedGemmEpilogueRows;
     x.gemmPackBSize = avx2::gemmPackBSize;
     x.gemmPackB = avx2::gemmPackB;
-    x.gemmRowsPacked = avx2::gemmRowsPacked;
     x.dotTopkRows = avx2::dotTopkRows;
     x.segmentSumRows = avx2::segmentSumRows;
     x.gatherRowsPtrs = avx2::gatherRowsPtrs;

@@ -27,11 +27,11 @@ thread_local std::vector<float> tlPanel;
 // operand of matmul (aRowStride = k, aColStride = 1) and the transposed
 // operand of the weight-gradient GEMM (aRowStride = 1, aColStride = n).
 //
-// When `prepacked` is non-null it points at a full shared B panel (layout of
-// gemmPackB: column block jb starts at (jb/16) * k * 16) packed ONCE by the
-// caller; otherwise each 16-column block is packed into thread-local scratch
-// on the fly. The packed values are bit-copies of B either way, so sharing
-// the panel cannot change a result bit.
+// When `prepacked` is non-null it points at a full B panel (layout of
+// gemmPackB: column block jb starts at (jb/16) * k * 16) that a fused
+// program packed when it compiled; otherwise each 16-column block is packed
+// into thread-local scratch once per call. The packed values are bit-copies
+// of B either way, so the panel cannot change a result bit.
 void gemmBlocked(const float* a, std::int64_t aRowStride,
                  std::int64_t aColStride, const float* b,
                  const float* prepacked, float* c, std::int64_t rowBegin,
@@ -157,12 +157,6 @@ void gemmPackB(const float* b, std::int64_t k, std::int64_t m, float* packed) {
   }
 }
 
-void gemmRowsPacked(const float* a, const float* b, const float* packedB,
-                    float* c, std::int64_t rowBegin, std::int64_t rowEnd,
-                    std::int64_t k, std::int64_t m) {
-  gemmBlocked(a, k, 1, b, packedB, c, rowBegin, rowEnd, k, m);
-}
-
 void fusedGemmEpilogueRows(const float* a, const float* b,
                            const float* packedB, float* c,
                            std::int64_t rowBegin, std::int64_t rowEnd,
@@ -190,7 +184,6 @@ const KernelTable& avx2FmaTable() {
     x.fusedGemmEpilogueRows = fma::fusedGemmEpilogueRows;
     x.gemmPackBSize = fma::gemmPackBSize;
     x.gemmPackB = fma::gemmPackB;
-    x.gemmRowsPacked = fma::gemmRowsPacked;
     x.convReluPoolRows = detail::convReluPoolRowsImpl<
         detail::ConvAvx2</*kFma=*/true, fma::ConvOps>>;
     // gemmTransBRows stays dot-based (bitwise contract), as do all

@@ -145,20 +145,14 @@ void fusedGemmEpilogueRows(const float* a, const float* b,
   detail::applyGemmEpilogueRows(c, rowBegin, rowEnd, m, *epilogue);
 }
 
-// The scalar tier never packs: gemmRowsPacked ignores the panel so callers
-// can share one packing decision across tiers.
+// The scalar tier never packs: fusedGemmEpilogueRows ignores the panel so
+// callers can share one packing decision across tiers.
 std::int64_t gemmPackBSize(std::int64_t /*k*/, std::int64_t /*m*/) {
   return 0;
 }
 
 void gemmPackB(const float* /*b*/, std::int64_t /*k*/, std::int64_t /*m*/,
                float* /*packed*/) {}
-
-void gemmRowsPacked(const float* a, const float* b, const float* /*packedB*/,
-                    float* c, std::int64_t rowBegin, std::int64_t rowEnd,
-                    std::int64_t k, std::int64_t m) {
-  gemmRows(a, b, c, rowBegin, rowEnd, k, m);
-}
 
 void dotTopkRows(const float* q, const float* rows, std::int64_t numRows,
                  std::int64_t dim, std::int64_t rowStride,
@@ -225,7 +219,6 @@ const KernelTable& scalarTable() {
     x.fusedGemmEpilogueRows = scalar::fusedGemmEpilogueRows;
     x.gemmPackBSize = scalar::gemmPackBSize;
     x.gemmPackB = scalar::gemmPackB;
-    x.gemmRowsPacked = scalar::gemmRowsPacked;
     x.dotTopkRows = scalar::dotTopkRows;
     x.segmentSumRows = scalar::segmentSumRows;
     x.gatherRowsPtrs = scalar::gatherRowsPtrs;

@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "obs/trace.hpp"
 #include "tensor/expr.hpp"
 #include "tensor/kernels/kernels.hpp"
@@ -151,16 +150,13 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   const std::int64_t outSize = d.f * d.colCols;
 
   const kernels::KernelTable& kt = kernels::active();
-  parallelFor(0, static_cast<std::size_t>(d.n), [&](std::size_t s) {
-    // One im2col scratch per thread, reused across that thread's samples
-    // (im2col writes every entry, so no zero-fill). parallelFor's workers
-    // live for one call, so each allocates once per call; only a loop run
-    // inline on the caller keeps its scratch, at its largest size, across
-    // calls.
-    thread_local std::vector<float> col;
-    col.resize(static_cast<std::size_t>(d.colRows * d.colCols));
-    im2col(ip + static_cast<std::int64_t>(s) * imgSize, d, col.data());
-    float* op = out->data.data() + static_cast<std::int64_t>(s) * outSize;
+  // One im2col scratch per thread, kept across calls at its largest size
+  // (im2col writes every entry, so no zero-fill).
+  thread_local std::vector<float> col;
+  col.resize(static_cast<std::size_t>(d.colRows * d.colCols));
+  for (std::int64_t s = 0; s < d.n; ++s) {
+    im2col(ip + s * imgSize, d, col.data());
+    float* op = out->data.data() + s * outSize;
     // out = W[f, colRows] * col[colRows, colCols] (+ bias), one GEMM per
     // sample through the active kernel tier. makeOut zero-filled `op`, so
     // without bias the accumulate starts from 0; with bias we seed rows.
@@ -172,7 +168,7 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
     }
     DAGT_TRACE_SCOPE("kernel/gemm");
     kt.gemmRows(wp, col.data(), op, 0, d.f, d.colRows, d.colCols);
-  }, /*grainSize=*/1);
+  }
 
   if (tapeActive({&input, &weight, &bias})) {
     auto ii = input.impl();

@@ -1,4 +1,3 @@
-#include "common/parallel.hpp"
 #include "obs/trace.hpp"
 #include "tensor/expr.hpp"
 #include "tensor/kernels/kernels.hpp"
@@ -13,63 +12,24 @@ using detail::tapeActive;
 
 namespace {
 
-// The three GEMM shapes (forward, dA, dB) all dispatch through the active
-// kernel tier and parallelize over blocks of C rows — never over the
-// accumulation dimension, which is what keeps every tier bitwise
-// reproducible across thread counts (see src/tensor/kernels/kernels.hpp).
-constexpr std::size_t kGemmRowGrain = 32;
+// The three GEMM shapes (forward, dA, dB) run over all of C's rows in one
+// call through the active kernel tier (see src/tensor/kernels/kernels.hpp
+// for each tier's rounding contract).
 
-/// C[n,m] += A[n,k] * B[k,m]. For large shapes whose tier packs B into a
-/// panel (avx2fma), the panel is packed ONCE here into a pooled buffer and
-/// shared read-only by every parallelForRange worker, instead of each
-/// worker re-packing its own thread-local copy per row block. Packing is a
-/// bit-copy, so sharing cannot change results.
+/// C[n,m] += A[n,k] * B[k,m].
 void gemmAcc(const float* a, const float* b, float* c, std::int64_t n,
              std::int64_t k, std::int64_t m) {
   DAGT_TRACE_SCOPE("kernel/gemm");
-  const kernels::KernelTable& kt = kernels::active();
-  const std::int64_t panelSize = kt.gemmPackBSize(k, m);
-  if (panelSize > 0 && n >= static_cast<std::int64_t>(2 * kGemmRowGrain)) {
-    // Pooled scratch, not an op output: the packed panel is shared by every
-    // parallelForRange worker and dies with this call.
-    Storage panel =  // dagt-analyze: allow(kernel-alloc) -- shared scratch
-        Storage::allocate(static_cast<std::size_t>(panelSize));
-    kt.gemmPackB(b, k, m, panel.data());
-    const float* packed = panel.data();
-    parallelForRange(0, static_cast<std::size_t>(n),
-                     [&](std::size_t rowBegin, std::size_t rowEnd) {
-                       kt.gemmRowsPacked(a, b, packed, c,
-                                         static_cast<std::int64_t>(rowBegin),
-                                         static_cast<std::int64_t>(rowEnd), k,
-                                         m);
-                     },
-                     kGemmRowGrain);
-    return;
-  }
-  parallelForRange(0, static_cast<std::size_t>(n),
-                   [&](std::size_t rowBegin, std::size_t rowEnd) {
-                     kt.gemmRows(a, b, c, static_cast<std::int64_t>(rowBegin),
-                                 static_cast<std::int64_t>(rowEnd), k, m);
-                   },
-                   kGemmRowGrain);
+  kernels::active().gemmRows(a, b, c, 0, n, k, m);
 }
 
-/// C[n,m] += A^T * B for A [k,n], B [k,m]. Each worker owns a block of C
-/// rows outright and accumulates its full sum over k, so there is no
-/// cross-thread write sharing; the column reads a[p*n + i] are strided, but
-/// the contiguous B-row reads and C-row writes dominate.
+/// C[n,m] += A^T * B for A [k,n], B [k,m]. Each C row accumulates its full
+/// sum over k; the column reads a[p*n + i] are strided, but the contiguous
+/// B-row reads and C-row writes dominate.
 void gemmTransAAcc(const float* a, const float* b, float* c, std::int64_t k,
                    std::int64_t n, std::int64_t m) {
   DAGT_TRACE_SCOPE("kernel/gemm");
-  const kernels::KernelTable& kt = kernels::active();
-  parallelForRange(0, static_cast<std::size_t>(n),
-                   [&](std::size_t rowBegin, std::size_t rowEnd) {
-                     kt.gemmTransARows(a, b, c,
-                                       static_cast<std::int64_t>(rowBegin),
-                                       static_cast<std::int64_t>(rowEnd), k, n,
-                                       m);
-                   },
-                   kGemmRowGrain);
+  kernels::active().gemmTransARows(a, b, c, 0, n, k, n, m);
 }
 
 /// C[n,k] += A[n,m] * B^T where B is [k,m]. Dot-product based: bitwise
@@ -77,15 +37,7 @@ void gemmTransAAcc(const float* a, const float* b, float* c, std::int64_t k,
 void gemmTransBAcc(const float* a, const float* b, float* c, std::int64_t n,
                    std::int64_t m, std::int64_t k) {
   DAGT_TRACE_SCOPE("kernel/gemm");
-  const kernels::KernelTable& kt = kernels::active();
-  parallelForRange(0, static_cast<std::size_t>(n),
-                   [&](std::size_t rowBegin, std::size_t rowEnd) {
-                     kt.gemmTransBRows(a, b, c,
-                                       static_cast<std::int64_t>(rowBegin),
-                                       static_cast<std::int64_t>(rowEnd), m,
-                                       k);
-                   },
-                   kGemmRowGrain);
+  kernels::active().gemmTransBRows(a, b, c, 0, n, m, k);
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cmath>
 #include <set>
 
 #include "common/check.hpp"
 #include "common/geometry.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 
@@ -110,48 +107,6 @@ TEST(Rng, ShuffleIsAPermutation) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
-}
-
-// ---------------------------------------------------------------------------
-// parallelFor
-// ---------------------------------------------------------------------------
-
-TEST(ParallelFor, VisitsEveryIndexOnce) {
-  constexpr std::size_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  parallelFor(0, kN, [&](std::size_t i) { ++hits[i]; }, /*grainSize=*/64);
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelFor, EmptyAndTinyRanges) {
-  std::atomic<int> count{0};
-  parallelFor(5, 5, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 0);
-  parallelFor(0, 3, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallelFor(0, 4096,
-                  [](std::size_t i) {
-                    if (i == 1234) throw std::runtime_error("boom");
-                  },
-                  /*grainSize=*/16),
-      std::runtime_error);
-}
-
-TEST(ParallelFor, MatchesSerialReduction) {
-  constexpr std::size_t kN = 4096;
-  std::vector<double> out(kN);
-  parallelFor(0, kN, [&](std::size_t i) {
-    out[i] = std::sqrt(static_cast<double>(i));
-  });
-  for (std::size_t i = 0; i < kN; i += 97) {
-    EXPECT_DOUBLE_EQ(out[i], std::sqrt(static_cast<double>(i)));
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@
 // The tests drive the shared-state surfaces of the serving stack from many
 // threads at once: request coalescing + metrics snapshots, design/bundle
 // registry mutation during queries, the global BufferPool / Workspace
-// recycling handoff, and parallelFor itself. Most assertions are coarse
-// (totals, finiteness) — the point is the interleaving; TSan and the
+// recycling handoff, and the trainer's batch producer. Most assertions are
+// coarse (totals, finiteness) — the point is the interleaving; TSan and the
 // DAGT_CHECKS contracts do the fine-grained judging. Served answers are
 // pinned bitwise: every bundle kind answers an endpoint independently of
 // what shares its batch.
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "core/batch_prefetcher.hpp"
 #include "core/dataset.hpp"
 #include "core/trainer.hpp"
@@ -45,20 +44,6 @@
 
 namespace dagt::serve {
 namespace {
-
-/// parallelFor is serial unless the thread count is raised (this box may
-/// report one core); force real fan-out for the duration of each test.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(std::size_t n)
-      : saved_(parallelThreadCount()) {
-    parallelThreadCount() = n;
-  }
-  ~ThreadCountGuard() { parallelThreadCount() = saved_; }
-
- private:
-  std::size_t saved_;
-};
 
 // -- Tiny untrained bundle fixture -------------------------------------------
 //
@@ -156,7 +141,6 @@ std::unique_ptr<PredictionEngine> makeEngine(
 /// whichever requests shared its batch.
 void coalescedClientsStress(const std::string& kind) {
   SCOPED_TRACE(kind);
-  ThreadCountGuard guard(4);
   auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/16, /*batching=*/true,
                            kind);
   const features::DesignData& reference = target7();
@@ -246,7 +230,6 @@ TEST(ConcurrencyStress, CoalescedClientsMetricsPollerAndPoolChurn) {
 }
 
 TEST(ConcurrencyStress, RegistryMutationDuringQueries) {
-  ThreadCountGuard guard(4);
   auto engine = makeEngine(/*workers=*/2, /*maxBatch=*/8);
   const features::DesignData& reference = target7();
   const std::int64_t endpointCount = engine->loadDesign(
@@ -308,7 +291,6 @@ TEST(ConcurrencyStress, RegistryMutationDuringQueries) {
 /// every reader must see its complete result.
 void newlyRoutedSnapshotStress(const std::string& kind) {
   SCOPED_TRACE(kind);
-  ThreadCountGuard guard(4);
   const features::DesignData& reference = target7();
   constexpr int kFull = 3;
   constexpr int kEndpoint = 3;
@@ -375,7 +357,6 @@ TEST(ConcurrencyStress, ConeUpdatedSnapshotFillsOnceUnderConcurrentReaders) {
   // edit rewrote is held by nothing else once the snapshot is re-routed,
   // unless the session's revert baseline shares it, so such a block's
   // lifetime shows when the base goes.
-  ThreadCountGuard guard(4);
   const features::DesignData& reference = target7();
   constexpr int kFull = 3;
   constexpr int kEndpoint = 3;
@@ -609,37 +590,6 @@ TEST(ConcurrencyStress, FusionProgramsCompileAndReplayConcurrently) {
   EXPECT_EQ(compiles.load(), 3);
 }
 
-TEST(ConcurrencyStress, ParallelForDisjointWritesAndReduction) {
-  ThreadCountGuard guard(4);
-  constexpr std::size_t kN = 1 << 12;
-  std::vector<float> out(kN, 0.0f);
-  std::atomic<std::uint64_t> visits{0};
-  for (int round = 0; round < 8; ++round) {
-    parallelFor(0, kN, [&](std::size_t i) {
-      out[i] += static_cast<float>(i % 7);
-      visits.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  EXPECT_EQ(visits.load(), 8u * kN);
-  double sum = 0.0;
-  for (const float v : out) sum += v;
-  double expected = 0.0;
-  for (std::size_t i = 0; i < kN; ++i) expected += 8.0 * (i % 7);
-  EXPECT_DOUBLE_EQ(sum, expected);
-}
-
-TEST(ConcurrencyStress, ParallelForPropagatesFirstError) {
-  ThreadCountGuard guard(4);
-  EXPECT_THROW(
-      parallelFor(0, 1024,
-                          [&](std::size_t i) {
-                            if (i == 500) {
-                              throw CheckError("stress failure at 500");
-                            }
-                          }),
-      CheckError);
-}
-
 TEST(ConcurrencyStress, BatchPrefetcherDeliversEveryStepInOrder) {
   // Hammer the async producer/consumer handoff: the producer allocates a
   // real payload per step (so TSan sees the memory cross threads) and the
@@ -710,10 +660,9 @@ TEST(ConcurrencyStress, BatchPrefetcherPropagatesProducerException) {
 
 TEST(ConcurrencyStress, PrefetchedTrainingUnderThreads) {
   // End-to-end transfer training: the async batch producer draws each
-  // step's target pick, both batches and the forward seed while 4
-  // parallelFor workers run the ops of the step before. This is the TSan
-  // surface for the whole train-side pipeline.
-  ThreadCountGuard guard(4);
+  // step's target pick, both batches and the forward seed while the
+  // training thread runs the step before. This is the TSan surface for
+  // the whole train-side pipeline.
   const auto& d7 = target7();
   const auto& d130 = source130();
   core::TimingDataset trainSet({&d7, &d130});

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "core/bayesian_head.hpp"
 #include "core/dataset.hpp"
 #include "core/disentangler.hpp"
@@ -742,18 +741,6 @@ TEST(Trainer, TransferStrategiesRequireSources) {
   EXPECT_NO_THROW(trainer.train(Strategy::kAdvOnly));
 }
 
-/// Force a real parallelFor worker count for one scope.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(std::size_t n) : saved_(parallelThreadCount()) {
-    parallelThreadCount() = n;
-  }
-  ~ThreadCountGuard() { parallelThreadCount() = saved_; }
-
- private:
-  std::size_t saved_;
-};
-
 /// What one training run leaves behind: its loss curve and trained weights.
 struct TrainRun {
   std::vector<float> epochLoss;
@@ -772,11 +759,11 @@ TrainRun trainRun(const TimingDataset& trainSet, const TrainConfig& tc,
   return run;
 }
 
-TEST(Trainer, TrainingIsThreadCountInvariant) {
-  // The producer thread owns every RNG draw, and no op's result depends
-  // on how parallelFor splits it: the loss curve and the trained weights
-  // are bitwise the same for any worker count, for the one-phase and
-  // two-phase baselines and for the transfer loss.
+TEST(Trainer, TrainingIsDeterministic) {
+  // The producer thread owns every RNG draw while the training thread
+  // steps, so two runs of one config give bitwise the same loss curve and
+  // trained weights, for the one-phase and two-phase baselines and for the
+  // transfer loss.
   const auto& d7 = target7();
   const auto& d130 = source130();
   TimingDataset trainSet({&d7, &d130});
@@ -785,19 +772,10 @@ TEST(Trainer, TrainingIsThreadCountInvariant) {
   for (const Strategy strategy : {Strategy::kSimpleMerge,
                                   Strategy::kPretrainFinetune,
                                   Strategy::kOurs}) {
-    TrainRun serial;
-    {
-      ThreadCountGuard threads(1);
-      serial = trainRun(trainSet, tc, strategy);
-    }
-    for (const std::size_t workers : {2ul, 8ul}) {
-      ThreadCountGuard threads(workers);
-      const TrainRun parallel = trainRun(trainSet, tc, strategy);
-      EXPECT_EQ(serial.epochLoss, parallel.epochLoss)
-          << strategyName(strategy) << " workers=" << workers;
-      EXPECT_EQ(serial.weights, parallel.weights)
-          << strategyName(strategy) << " workers=" << workers;
-    }
+    const TrainRun first = trainRun(trainSet, tc, strategy);
+    const TrainRun second = trainRun(trainSet, tc, strategy);
+    EXPECT_EQ(first.epochLoss, second.epochLoss) << strategyName(strategy);
+    EXPECT_EQ(first.weights, second.weights) << strategyName(strategy);
   }
 }
 

@@ -7,8 +7,6 @@
 //     tolerance (same accumulation order, fused rounding).
 //   * Autograd correctness per tier (finite-difference gradcheck with the
 //     tier pinned).
-//   * Thread-count invariance: op results are bitwise identical whether
-//     parallelFor runs 1 or 4 workers, in every tier.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "tensor/expr.hpp"
 #include "tensor/kernels/kernels.hpp"
@@ -44,18 +41,6 @@ class TierGuard {
  public:
   explicit TierGuard(Tier tier) { forceTier(tier); }
   ~TierGuard() { resetTier(); }
-};
-
-/// Force a real worker count (the test box may report one core).
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(std::size_t n) : saved_(parallelThreadCount()) {
-    parallelThreadCount() = n;
-  }
-  ~ThreadCountGuard() { parallelThreadCount() = saved_; }
-
- private:
-  std::size_t saved_;
 };
 
 std::vector<float> randomVec(std::size_t n, Rng& rng) {
@@ -270,28 +255,6 @@ TEST(KernelParity, GemmFmaMatchesScalarWithinUlps) {
       const float scale = std::max(1.0f, std::abs(cRef[i]));
       EXPECT_NEAR(cGot[i], cRef[i], 1e-5f * scale)
           << "gemmRows(fma) " << s.n << "x" << s.k << "x" << s.m << " @" << i;
-    }
-  }
-}
-
-TEST(KernelParity, MatmulOpBitwiseAcrossThreadCounts) {
-  // parallelFor splits GEMM along C rows only, so the op result must not
-  // depend on the worker count — in any tier.
-  Rng rng(23);
-  Tensor a = Tensor::randn({37, 19}, rng);
-  Tensor b = Tensor::randn({19, 41}, rng);
-  for (const Tier tier : supportedTiers()) {
-    TierGuard tierGuard(tier);
-    std::vector<float> single;
-    {
-      ThreadCountGuard threads(1);
-      single = matmul(a, b).toVector();
-    }
-    for (const std::size_t workers : {2ul, 4ul}) {
-      ThreadCountGuard threads(workers);
-      const std::vector<float> multi = matmul(a, b).toVector();
-      EXPECT_TRUE(bitwiseEqual(single, multi))
-          << "tier=" << tierName(tier) << " workers=" << workers;
     }
   }
 }

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "designgen/design_suite.hpp"
 #include "features/design_data.hpp"
@@ -850,21 +849,7 @@ TEST(WhatIfSession, MetricsExposeEditAndConeCounters) {
 
 // -- Reader/writer stress (ThreadSanitizer target) ---------------------------
 
-/// parallelFor is serial unless the thread count is raised; force real
-/// fan-out for the duration of the test.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(std::size_t n) : saved_(parallelThreadCount()) {
-    parallelThreadCount() = n;
-  }
-  ~ThreadCountGuard() { parallelThreadCount() = saved_; }
-
- private:
-  std::size_t saved_;
-};
-
 TEST(WhatIfConcurrency, ReadersPredictWhileSessionEdits) {
-  ThreadCountGuard guard(4);
   SessionFixture f("or1200", /*batching=*/true);
   WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
   const std::int64_t numEndpoints = session.numEndpoints();

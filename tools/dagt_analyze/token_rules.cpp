@@ -15,7 +15,7 @@ bool isOpKernel(const std::string& path) {
 }
 
 bool isHotHeader(const std::string& path) {
-  return path == "src/tensor/ops_common.hpp" || path == "src/common/parallel.hpp";
+  return path == "src/tensor/ops_common.hpp";
 }
 
 /// Raw x86 SIMD surface: _mm_/_mm256_/_mm512_ intrinsic calls and the
