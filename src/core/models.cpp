@@ -168,25 +168,6 @@ OursModel::BatchForward OursModel::forward(const DesignBatch& batch,
   return out;
 }
 
-Tensor OursModel::embed(const DesignBatch& batch) const {
-  DAGT_CHECK_MSG(usesBayesianHead(), "embed() needs the Bayesian head");
-  const BatchForward split = encode(batch);
-  return tensor::concat1({split.un, split.ud});
-}
-
-OursModel::HeadPrediction OursModel::headPredict(
-    const Tensor& joint, const Tensor& preRouteNs) const {
-  DAGT_CHECK_MSG(usesBayesianHead(), "headPredict() needs the Bayesian head");
-  DAGT_TRACE_SCOPE("model/head");
-  const BayesianHead::Predictive p = bayesHead_->predictive(joint);
-  HeadPrediction out;
-  out.predictionNs = applyBypass(p.mean, preRouteNs, bypass_).toVector();
-  out.rawMeanNs = p.mean.toVector();
-  out.sigmaPs = p.variance.toVector();
-  for (float& s : out.sigmaPs) s = std::sqrt(s) / kLabelScale;  // ns -> ps
-  return out;
-}
-
 BayesianHead::WeightDistribution OursModel::prior(
     const Tensor& unThisNode, const Tensor& udAllNodes) const {
   DAGT_CHECK(usesBayesianHead());
@@ -204,13 +185,17 @@ TimingModel::Prediction OursModel::predictBatch(
   DAGT_TRACE_SCOPE("model/forward");
   const BatchForward split = encode(batch);
   const Tensor joint = tensor::concat1({split.un, split.ud});
+  DAGT_TRACE_SCOPE("model/head");
   Prediction out;
   if (usesBayesianHead()) {
-    HeadPrediction head = headPredict(joint, batch.preRouteNs);
-    out.mean = unscale(std::move(head.predictionNs));
-    out.stddev = std::move(head.sigmaPs);
+    // The closed-form predictive: the bypass shifts the mean, not the
+    // variance, so sigma is the head's own.
+    const BayesianHead::Predictive p = bayesHead_->predictive(joint);
+    out.mean =
+        unscale(applyBypass(p.mean, batch.preRouteNs, bypass_).toVector());
+    out.stddev = p.variance.toVector();
+    for (float& s : out.stddev) s = std::sqrt(s) / kLabelScale;  // ns -> ps
   } else {
-    DAGT_TRACE_SCOPE("model/head");
     out.mean = unscale(deterministicReadout(joint, batch).toVector());
     out.stddev.assign(out.mean.size(), 0.0f);
   }

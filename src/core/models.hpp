@@ -109,33 +109,6 @@ class OursModel : public TimingModel, public nn::Module {
   BatchForward forward(const DesignBatch& batch, std::int32_t mcSamples,
                        Rng& rng) const;
 
-  /// The joint disentangled embedding [B, m] of a batch: extractor ->
-  /// disentangler -> concat, exactly the prefix of predictBatch() before
-  /// the head. A later headPredict() on these rows reproduces
-  /// predictBatch()'s answer bit-for-bit — the split exists so the serving
-  /// retrieval cache can embed once, probe its index, and run the head only
-  /// on misses. Bayesian-head variants only.
-  tensor::Tensor embed(const DesignBatch& batch) const;
-
-  /// The closed-form head over precomputed joint embeddings (Bayesian-head
-  /// variants only): predictionNs is bitwise predictBatch()'s mean, in ns.
-  /// rawMeanNs is the PRE-bypass head mean (what the retrieval cache
-  /// stores, so a hit can re-apply the bypass against a newer revision's
-  /// pre-route arrival); sigmaPs is the exact predictive stddev in ps
-  /// (bypass-invariant: the bypass only shifts the mean).
-  struct HeadPrediction {
-    std::vector<float> predictionNs;  // [B], bypass applied
-    std::vector<float> rawMeanNs;     // [B], pre-bypass head mean
-    std::vector<float> sigmaPs;       // [B], predictive stddev (ps)
-  };
-  HeadPrediction headPredict(const tensor::Tensor& joint,
-                             const tensor::Tensor& preRouteNs) const;
-
-  /// w0 of the shared pre-route bypass, for re-applying the bypass to a
-  /// cached rawMeanNs: y = raw + w0 * preRouteNs (same two float roundings
-  /// as the tensor-side applyBypass).
-  float bypassW0() const { return bypass_.data()[0]; }
-
   /// Prior p(W|N) from the dummy node feature u~ (Eq. 10): the mean
   /// node-dependent feature of this node's paths and the pooled mean
   /// design-dependent feature across both nodes. Returns [1, m] params.

@@ -102,6 +102,7 @@ void Module::loadParameters(const std::string& path) {
   for (std::size_t i = 0; i < params.size(); ++i) {
     std::copy(staged[i].begin(), staged[i].end(), params[i].data());
   }
+  tensor::expr::noteParametersWritten();
 }
 
 void Module::mixStateInto(tensor::expr::SigHash& sig) const {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "tensor/expr.hpp"
 
 namespace dagt::nn {
 
@@ -44,6 +45,7 @@ void Adam::step() {
       w[j] -= options_.learningRate * update;
     }
   }
+  tensor::expr::noteParametersWritten();
 }
 
 void Adam::zeroGrad() {

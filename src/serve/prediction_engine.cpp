@@ -1,9 +1,6 @@
 #include "serve/prediction_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/check.hpp"
 #include "netlist/io.hpp"
@@ -114,7 +111,6 @@ std::int64_t PredictionEngine::loadDesign(const std::string& key,
   ref.graphMemo = newGraphMemo();
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
-    attachRetrievalLocked(key, ref);
     designs_[key] = ref;
   }
   warmUp(ref);
@@ -138,7 +134,6 @@ std::int64_t PredictionEngine::loadDesign(
   ref.graphMemo = newGraphMemo();
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
-    attachRetrievalLocked(key, ref);
     designs_[key] = ref;
   }
   warmUp(ref);
@@ -196,39 +191,11 @@ void PredictionEngine::installSnapshot(
   entry.graphMemo = std::move(memo);
 }
 
-void PredictionEngine::attachRetrievalLocked(const std::string& key,
-                                             DesignRef& ref) {
-  if (!config_.retrieval.enabled) return;
-  // Only "ours" bundles with the Bayesian head are cacheable: the cache
-  // stores posteriors keyed by the disentangled embedding, and the sigma
-  // admission gate needs a predictive spread to gate on.
-  auto* ours = dynamic_cast<core::OursModel*>(&ref.node->bundle.model());
-  if (ours == nullptr || !ours->usesBayesianHead()) return;
-  const auto it = designs_.find(key);
-  if (it != designs_.end() && it->second.retrieval != nullptr &&
-      it->second.node == ref.node) {
-    // Re-loading a design (a new revision) keeps its cache: the embedding
-    // space belongs to the model, so posteriors persist across revisions
-    // — that cross-revision reuse is the whole point of the layer.
-    ref.retrieval = it->second.retrieval;
-    return;
-  }
-  ref.retrieval = std::make_shared<retrieval::PredictionCache>(
-      ref.node->bundle.manifest().model.pathFeatureDim(), config_.retrieval);
-}
-
 std::shared_ptr<const ServableDesign> PredictionEngine::currentSnapshot(
     const std::string& key) const {
   std::lock_guard<std::mutex> lock(designsMutex_);
   const auto it = designs_.find(key);
   return it == designs_.end() ? nullptr : it->second.design;
-}
-
-std::shared_ptr<retrieval::PredictionCache> PredictionEngine::retrievalCache(
-    const std::string& key) const {
-  std::lock_guard<std::mutex> lock(designsMutex_);
-  const auto it = designs_.find(key);
-  return it == designs_.end() ? nullptr : it->second.retrieval;
 }
 
 PredictionEngine::DesignRef PredictionEngine::designRef(
@@ -303,16 +270,6 @@ void PredictionEngine::serveBatch(std::vector<RequestGroup> groups) {
       combined.insert(combined.end(), group.endpoints.begin(),
                       group.endpoints.end());
     }
-    if (ref.retrieval != nullptr) {
-      // Learned prediction cache: embed, probe, head-forward only the
-      // misses. Attached only for Bayesian-head "ours" bundles, so the
-      // cast cannot fail. With the cache disabled this branch vanishes and
-      // the path below is bitwise identical to a cache-less build.
-      auto* ours = dynamic_cast<core::OursModel*>(&ref.node->bundle.model());
-      DAGT_DCHECK(ours != nullptr);
-      serveBatchRetrieval(groups, *ours, combined);
-      return;
-    }
     const core::DesignBatch batch = [&] {
       DAGT_TRACE_SCOPE("serve/batch_assembly");
       return ref.batch(combined);
@@ -357,130 +314,6 @@ void PredictionEngine::serveBatch(std::vector<RequestGroup> groups) {
         // Promise already satisfied — the failure happened after its reply.
       }
     }
-  }
-}
-
-void PredictionEngine::serveBatchRetrieval(
-    std::vector<RequestGroup>& groups, core::OursModel& ours,
-    const std::vector<std::int64_t>& combined) {
-  const DesignRef& ref = groups.front().ref;
-  const ServableDesign& design = *ref.design;
-  retrieval::PredictionCache& cache = *ref.retrieval;
-
-  // The embedding memo is keyed by the snapshot: a revision invalidates
-  // every embedding but none of the cached posteriors.
-  const std::shared_ptr<retrieval::PredictionCache::Era> era =
-      cache.eraFor(ref.design.get(), design.numEndpoints());
-
-  // Unique endpoints in first-occurrence order (a duplicate endpoint in a
-  // coalesced batch embeds once and every copy gets the same reply).
-  std::vector<std::int64_t> uniq;
-  uniq.reserve(combined.size());
-  std::unordered_set<std::int64_t> seen;
-  for (const std::int64_t e : combined) {
-    if (seen.insert(e).second) uniq.push_back(e);
-  }
-
-  std::vector<std::int64_t> needEmbed;
-  std::uint64_t memoHits = 0;
-  for (const std::int64_t e : uniq) {
-    if (era->lookup(e) != nullptr) {
-      ++memoHits;
-    } else {
-      needEmbed.push_back(e);
-    }
-  }
-  cache.recordEmbedMemoHits(memoHits);
-
-  const std::int64_t m = cache.embeddingDim();
-  if (!needEmbed.empty()) {
-    DAGT_TRACE_SCOPE("retrieval/embed");
-    const tensor::Tensor joint = ours.embed(ref.batch(needEmbed));
-    DAGT_DCHECK(joint.dim(1) == m);
-    const float* rows = joint.data();
-    for (std::size_t i = 0; i < needEmbed.size(); ++i) {
-      era->memoize(needEmbed[i], rows + static_cast<std::int64_t>(i) * m);
-    }
-  }
-
-  // Probe every endpoint; hits re-apply the bypass against the CURRENT
-  // snapshot's pre-route arrival (same two roundings as the tensor-side
-  // bypass: one mul, one add), misses queue for the head forward.
-  const float w0 = ours.bypassW0();
-  std::unordered_map<std::int64_t, float> replyPs;
-  std::vector<std::int64_t> misses;
-  {
-    DAGT_TRACE_SCOPE("retrieval/probe");
-    for (const std::int64_t e : uniq) {
-      const float* embedding = era->lookup(e);
-      DAGT_DCHECK(embedding != nullptr);
-      const auto probe = cache.probe(embedding);
-      if (probe.outcome ==
-          retrieval::PredictionCache::ProbeOutcome::kHit) {
-        const float preNs =
-            design.data.preRouteArrivals[static_cast<std::size_t>(e)] *
-            core::kLabelScale;
-        const float predictionNs = probe.posterior.rawMeanNs + preNs * w0;
-        replyPs[e] = predictionNs / core::kLabelScale;
-      } else {
-        misses.push_back(e);
-      }
-    }
-  }
-
-  if (!misses.empty()) {
-    DAGT_TRACE_SCOPE("retrieval/head");
-    const std::int64_t numMisses =
-        static_cast<std::int64_t>(misses.size());
-    tensor::Tensor joint = tensor::Tensor::zeros({numMisses, m});
-    tensor::Tensor preRouteNs = tensor::Tensor::zeros({numMisses});
-    for (std::int64_t i = 0; i < numMisses; ++i) {
-      const std::int64_t e = misses[static_cast<std::size_t>(i)];
-      std::memcpy(joint.data() + i * m, era->lookup(e),
-                  static_cast<std::size_t>(m) * sizeof(float));
-      // Same ps -> ns scaling as makeBatch, so a miss reproduces the
-      // cache-off forward bit-for-bit.
-      preRouteNs.data()[i] =
-          design.data.preRouteArrivals[static_cast<std::size_t>(e)] *
-          core::kLabelScale;
-    }
-    const core::OursModel::HeadPrediction head =
-        ours.headPredict(joint, preRouteNs);
-    {
-      DAGT_TRACE_SCOPE("retrieval/insert");
-      for (std::int64_t i = 0; i < numMisses; ++i) {
-        const std::int64_t e = misses[static_cast<std::size_t>(i)];
-        cache.insert(era->lookup(e),
-                     {head.rawMeanNs[static_cast<std::size_t>(i)],
-                      head.sigmaPs[static_cast<std::size_t>(i)]});
-        replyPs[e] = head.predictionNs[static_cast<std::size_t>(i)] /
-                     core::kLabelScale;  // ns -> ps
-      }
-    }
-  }
-
-  DAGT_TRACE_SCOPE("serve/readout");
-  const std::unordered_set<std::int64_t> missSet(misses.begin(),
-                                                 misses.end());
-  const auto now = std::chrono::steady_clock::now();
-  metrics_.recordBatch(combined.size());
-  for (auto& group : groups) {
-    std::vector<float> reply(group.endpoints.size());
-    bool allHit = true;
-    for (std::size_t i = 0; i < reply.size(); ++i) {
-      const std::int64_t e = group.endpoints[i];
-      reply[i] = replyPs.at(e);
-      allHit = allHit && missSet.count(e) == 0;
-    }
-    metrics_.recordRequests(group.endpoints.size());
-    const double us = microsSince(group.enqueued, now);
-    metrics_.recordLatencyUs(us);
-    if (allHit) {
-      cache.recordHitPathUs(us);
-    } else {
-      cache.recordMissPathUs(us);
-    }
-    group.reply.set_value(std::move(reply));
   }
 }
 
@@ -550,7 +383,6 @@ MetricsSnapshot PredictionEngine::metrics() const {
   std::uint64_t coneReused = 0;
   std::uint64_t coneEvicted = 0;
   std::uint64_t memoBytes = 0;
-  std::vector<std::shared_ptr<retrieval::PredictionCache>> caches;
   {
     std::lock_guard<std::mutex> lock(designsMutex_);
     for (const auto& [key, entry] : nodes_) {
@@ -563,7 +395,6 @@ MetricsSnapshot PredictionEngine::metrics() const {
     }
     for (const auto& [key, ref] : designs_) {
       if (ref.graphMemo != nullptr) memoBytes += ref.graphMemo->bytes();
-      if (ref.retrieval != nullptr) caches.push_back(ref.retrieval);
     }
   }
   // Buffer-pool counters are process-wide (the pool is shared by every
@@ -579,46 +410,10 @@ MetricsSnapshot PredictionEngine::metrics() const {
   snap.graphMemoRowsComputed =
       graphMemoCounters_.rowsComputed.load(std::memory_order_relaxed);
   snap.graphMemoBytes = memoBytes;
-  if (!caches.empty()) {
-    snap.retrievalEnabled = true;
-    std::uint64_t hitBatches = 0;
-    std::uint64_t missBatches = 0;
-    double hitUsTotal = 0.0;
-    double missUsTotal = 0.0;
-    for (const auto& cache : caches) {
-      const retrieval::PredictionCache::Counters c = cache->counters();
-      snap.retrievalHits += c.hits;
-      snap.retrievalMisses += c.misses;
-      snap.retrievalRejectByDist += c.rejectByDist;
-      snap.retrievalRejectBySigma += c.rejectBySigma;
-      snap.retrievalInserts += c.inserts;
-      snap.retrievalEmbedMemoHits += c.embedMemoHits;
-      snap.retrievalIndexSize += c.indexSize;
-      hitBatches += c.hitPathBatches;
-      missBatches += c.missPathBatches;
-      hitUsTotal += c.hitPathUsTotal;
-      missUsTotal += c.missPathUsTotal;
-    }
-    const std::uint64_t probes = snap.retrievalHits + snap.retrievalMisses;
-    snap.retrievalHitRate =
-        probes == 0 ? 0.0
-                    : static_cast<double>(snap.retrievalHits) /
-                          static_cast<double>(probes);
-    snap.retrievalHitMeanUs =
-        hitBatches == 0 ? 0.0
-                        : hitUsTotal / static_cast<double>(hitBatches);
-    snap.retrievalMissMeanUs =
-        missBatches == 0 ? 0.0
-                         : missUsTotal / static_cast<double>(missBatches);
-  }
   if (obs::tracingEnabled()) {
     // Per-request span summary (process-wide, like the pool counters):
     // only populated while `dagt trace` / setEnabled has tracing on.
     snap.traceSpans = obs::TraceRegistry::global().aggregate("serve/");
-    const std::vector<obs::SpanStats> retrievalSpans =
-        obs::TraceRegistry::global().aggregate("retrieval/");
-    snap.traceSpans.insert(snap.traceSpans.end(), retrievalSpans.begin(),
-                           retrievalSpans.end());
   }
   return snap;
 }

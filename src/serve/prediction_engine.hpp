@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "retrieval/prediction_cache.hpp"
 #include "serve/feature_service.hpp"
 #include "serve/metrics.hpp"
 #include "serve/model_bundle.hpp"
@@ -42,13 +41,11 @@ struct EngineConfig {
   /// its 6σ·√(2/K) tolerance band; it goes once that check compares
   /// replies bitwise.
   std::int32_t mcSamples = 8;
-  /// Learned prediction cache (uncertainty-gated ANN retrieval over the
-  /// model's disentangled embeddings). Off by default; every knob comes
-  /// from DAGT_RETRIEVAL* (see retrieval::CacheConfig and
-  /// docs/retrieval.md). Only Bayesian-head "ours" bundles get a cache;
-  /// with enabled=false the serve path is bitwise identical to a build
-  /// without the retrieval layer.
-  retrieval::CacheConfig retrieval = retrieval::CacheConfig::fromEnv();
+  /// Not read by the engine, and reads no environment. Kept only because
+  /// perfbench assigns `retrieval.enabled = false`; it goes with that line.
+  struct {
+    bool enabled = false;
+  } retrieval;
 };
 
 /// Long-lived, queryable inference service over trained model bundles.
@@ -59,22 +56,20 @@ struct EngineConfig {
 /// batches by a background batcher, bounded by maxBatch / maxWaitUs.
 ///
 /// Each routed snapshot carries a memo of its GNN embeddings (GraphMemo),
-/// filled once per snapshot, and every batch, full-design predict and
-/// retrieval embed on that snapshot only gathers its endpoint rows. A load
-/// fills its memo with a whole-design sweep in the warm-up. A what-if
-/// update or revert routes an empty memo whose base is the key's previous
-/// one; the first query fills it by re-running the GNN on the fanout cone
-/// of the changed pin-feature rows alone, plus, when a buffer insertion or
-/// a revert changed the pin graph, the cone of the new and rewired pins.
+/// filled once per snapshot, and every batch and full-design predict on
+/// that snapshot only gathers its endpoint rows. A load fills its memo
+/// with a whole-design sweep in the warm-up. A what-if update or revert
+/// routes an empty memo whose base is the key's previous one; the first
+/// query fills it by re-running the GNN on the fanout cone of the changed
+/// pin-feature rows alone, plus, when a buffer insertion or a revert
+/// changed the pin graph, the cone of the new and rewired pins.
 ///
 /// Determinism contract: every read path runs the model's one inference
 /// readout (TimingModel::predictBatch), whose rows are independent. So an
 /// endpoint's answer depends only on (bundle, snapshot, endpoint) and
 /// agrees bitwise across read paths: served alone, inside any coalesced
-/// batch, on the retrieval miss path, through predictDesign(), and with
-/// the trainer's own predictDesign(). Only a retrieval-cache hit (the
-/// cache is off by default) answers differently: with a stored neighbor's
-/// mean.
+/// batch, through predictDesign(), and with the trainer's own
+/// predictDesign().
 class PredictionEngine {
  public:
   explicit PredictionEngine(EngineConfig config = EngineConfig{});
@@ -125,11 +120,6 @@ class PredictionEngine {
   std::shared_ptr<const ServableDesign> currentSnapshot(
       const std::string& key) const;
 
-  /// The retrieval cache attached to `key` (nullptr if not loaded, the
-  /// retrieval layer is disabled, or the bundle is not cacheable).
-  std::shared_ptr<retrieval::PredictionCache> retrievalCache(
-      const std::string& key) const;
-
   /// Predicted sign-off arrival (ps) of one endpoint. Blocks; coalesced
   /// with concurrent callers.
   float predictEndpoint(const std::string& key, std::int64_t endpoint);
@@ -153,10 +143,6 @@ class PredictionEngine {
     /// empty memo whenever the key is routed to a snapshot, filled by the
     /// first forward that needs it (from its base, if it has one).
     std::shared_ptr<core::GraphMemo> graphMemo;
-    /// Per-design learned prediction cache; null unless the retrieval
-    /// layer is enabled and the bundle has a Bayesian head. Survives
-    /// revision re-loads (the embedding space is the model's).
-    std::shared_ptr<retrieval::PredictionCache> retrieval;
 
     /// A batch of `endpoints` on this snapshot, carrying its GNN memo.
     core::DesignBatch batch(std::vector<std::int64_t> endpoints) const;
@@ -180,17 +166,6 @@ class PredictionEngine {
   /// Run one forward over the union of the groups' endpoints and fulfill
   /// their promises. noexcept-ish: failures land in the promises.
   void serveBatch(std::vector<RequestGroup> groups);
-  /// The retrieval-fronted variant of serveBatch's forward: embed (memoized
-  /// per snapshot and endpoint), probe the cache, run the head only for
-  /// the misses.
-  /// Called inside serveBatch's try block; only reached when the lead
-  /// design carries a cache.
-  void serveBatchRetrieval(std::vector<RequestGroup>& groups,
-                           core::OursModel& ours,
-                           const std::vector<std::int64_t>& combined);
-  /// Attach (or re-attach) the retrieval cache for `key` while holding
-  /// designsMutex_.
-  void attachRetrievalLocked(const std::string& key, DesignRef& ref);
   void workerLoop();
 
   EngineConfig config_;

@@ -26,6 +26,10 @@ int resolveFusionEnv() {
   return 1;
 }
 
+// Parameter writes so far (noteParametersWritten); a ProgramCache whose
+// generation lags it holds programs compiled before a write.
+std::atomic<std::uint64_t> gParameterGeneration{0};
+
 // -- Stats -------------------------------------------------------------------
 
 struct AtomicStats {
@@ -66,6 +70,8 @@ bool shouldFuse() {
   return !Recorder::active() && !NoGradGuard::gradEnabled() && fusionEnabled();
 }
 
+void noteParametersWritten() { gParameterGeneration.fetch_add(1); }
+
 FusionStats stats() {
   AtomicStats& s = gStats();
   FusionStats out;
@@ -91,6 +97,14 @@ void resetStats() {
 }
 
 void ProgramCache::noteMiss() { bump(gStats().cacheMisses); }
+
+void ProgramCache::dropIfStaleLocked() {
+  const std::uint64_t now = gParameterGeneration.load();
+  if (generation_ == now) return;
+  generation_ = now;
+  index_.clear();
+  recency_.clear();
+}
 
 std::shared_ptr<const FusedProgram> ProgramCache::findLocked(
     std::uint64_t key) {

@@ -277,6 +277,12 @@ void setFusionEnabled(bool enabled);
 /// into the outer graph instead of nesting).
 bool shouldFuse();
 
+/// Record that parameter values were written in place (an optimizer step, a
+/// weight load). A compiled program may hold copies of the weights it
+/// captured (compile-time packed GEMM panels), so every ProgramCache drops
+/// its programs at its next lookup after a write.
+void noteParametersWritten();
+
 /// FNV-1a shape/pointer signature builder for program-cache keys. Mix the
 /// input dims, the data pointers of every captured weight (a compiled
 /// program reads its weights by address) and any behavioral attrs (e.g.
@@ -310,7 +316,9 @@ struct SigHash {
 
 /// Mutex-protected signature -> program cache (one per module that compiles
 /// programs; keyed like the feature cache, by content signature). Holds at
-/// most kMaxEntries programs and evicts the least recently used one.
+/// most kMaxEntries programs and evicts the least recently used one. A
+/// lookup after noteParametersWritten() first drops every program, so none
+/// compiled before a weight write is replayed after it.
 class ProgramCache {
  public:
   static constexpr std::size_t kMaxEntries = 64;
@@ -327,6 +335,7 @@ class ProgramCache {
                                                    std::int64_t rows,
                                                    BuildFn&& build) {
     std::lock_guard<std::mutex> lock(mutex_);
+    dropIfStaleLocked();
     if (auto hit = findLocked(sig)) return hit;
     SigHash exact{sig};
     exact.mix(static_cast<std::uint64_t>(rows));
@@ -352,6 +361,8 @@ class ProgramCache {
   using Entry = std::pair<std::uint64_t, std::shared_ptr<const FusedProgram>>;
 
   static void noteMiss();
+  /// Drop every program if parameters were written since the last lookup.
+  void dropIfStaleLocked();
   /// The entry under `key`, marked most recently used and counted as a
   /// hit; null when absent.
   std::shared_ptr<const FusedProgram> findLocked(std::uint64_t key);
@@ -361,6 +372,7 @@ class ProgramCache {
                     std::shared_ptr<const FusedProgram> program);
 
   mutable std::mutex mutex_;
+  std::uint64_t generation_ = 0;  // GUARDED_BY(mutex_)
   // Most recently used first.
   std::list<Entry> recency_;  // GUARDED_BY(mutex_)
   // GUARDED_BY(mutex_)

@@ -209,20 +209,6 @@ struct KernelTable {
   void (*gemmPackB)(const float* b, std::int64_t k, std::int64_t m,
                     float* packed);
 
-  // -- Batched dot + top-k selection (retrieval index probe) ----------------
-  /// Score q against each row of a [numRows, rowStride] block (only the
-  /// first `dim` floats of a row are scored; trailing payload floats are
-  /// skipped) using the lane-blocked dotVec scheme, and fold each score
-  /// into the caller's running top-k: `topScores`/`topIds` are k entries
-  /// sorted by descending score, seeded with -inf / -1 and carried across
-  /// blocks (row r gets id idBase + r). Ties keep the lower id. The dot is
-  /// the bitwise cross-tier reduction and the selection is scalar control
-  /// flow, so results are bitwise identical in every tier.
-  void (*dotTopkRows)(const float* q, const float* rows, std::int64_t numRows,
-                      std::int64_t dim, std::int64_t rowStride,
-                      std::int64_t idBase, std::int32_t k, float* topScores,
-                      std::int64_t* topIds);
-
   // -- Segment / gather (GNN extractor hot loops) ---------------------------
   /// out[segment[r], :] += src[r, :] for r = 0..rows-1 in row order (the
   /// accumulation order is part of the contract: bitwise in every tier).

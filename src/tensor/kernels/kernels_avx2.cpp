@@ -392,20 +392,6 @@ std::int64_t gemmPackBSize(std::int64_t /*k*/, std::int64_t /*m*/) {
 void gemmPackB(const float* /*b*/, std::int64_t /*k*/, std::int64_t /*m*/,
                float* /*packed*/) {}
 
-void dotTopkRows(const float* q, const float* rows, std::int64_t numRows,
-                 std::int64_t dim, std::int64_t rowStride,
-                 std::int64_t idBase, std::int32_t k, float* topScores,
-                 std::int64_t* topIds) {
-  // The per-row score is this tier's dotVec (lane-blocked, bitwise equal to
-  // scalar); the selection is the shared scalar fold, so the whole entry is
-  // bitwise identical across tiers.
-  for (std::int64_t r = 0; r < numRows; ++r) {
-    const float score = static_cast<float>(
-        dotVec(q, rows + r * rowStride, static_cast<std::size_t>(dim)));
-    detail::topkFold(score, idBase + r, k, topScores, topIds);
-  }
-}
-
 void segmentSumRows(const float* src, const std::int64_t* segment,
                     std::int64_t rows, std::int64_t cols, float* out) {
   // Serial over rows (the accumulation-order contract); 8-wide within a row,
@@ -464,7 +450,6 @@ const KernelTable& avx2Table() {
     x.fusedGemmEpilogueRows = avx2::fusedGemmEpilogueRows;
     x.gemmPackBSize = avx2::gemmPackBSize;
     x.gemmPackB = avx2::gemmPackB;
-    x.dotTopkRows = avx2::dotTopkRows;
     x.segmentSumRows = avx2::segmentSumRows;
     x.gatherRowsPtrs = avx2::gatherRowsPtrs;
     x.segmentMeanMaxRows = detail::segmentMeanMaxRowsImpl<avx2::LevelOps>;

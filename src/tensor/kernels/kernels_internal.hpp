@@ -729,23 +729,6 @@ struct ConvAvx2 {
 
 }  // namespace
 
-/// Fold one (score, id) into a descending top-k kept in (topScores, topIds).
-/// Strictly-greater insertion keeps the lower id on score ties; the shift is
-/// plain scalar control flow, shared verbatim by every tier so the only
-/// tier-varying part of dotTopkRows is the (bitwise) dot itself.
-inline void topkFold(float score, std::int64_t id, std::int32_t k,
-                     float* topScores, std::int64_t* topIds) {
-  if (k <= 0 || !(score > topScores[k - 1])) return;
-  std::int32_t pos = k - 1;
-  while (pos > 0 && score > topScores[pos - 1]) {
-    topScores[pos] = topScores[pos - 1];
-    topIds[pos] = topIds[pos - 1];
-    --pos;
-  }
-  topScores[pos] = score;
-  topIds[pos] = id;
-}
-
 }  // namespace detail
 
 }  // namespace dagt::tensor::kernels

@@ -154,17 +154,6 @@ std::int64_t gemmPackBSize(std::int64_t /*k*/, std::int64_t /*m*/) {
 void gemmPackB(const float* /*b*/, std::int64_t /*k*/, std::int64_t /*m*/,
                float* /*packed*/) {}
 
-void dotTopkRows(const float* q, const float* rows, std::int64_t numRows,
-                 std::int64_t dim, std::int64_t rowStride,
-                 std::int64_t idBase, std::int32_t k, float* topScores,
-                 std::int64_t* topIds) {
-  for (std::int64_t r = 0; r < numRows; ++r) {
-    const float score = static_cast<float>(
-        dotVec(q, rows + r * rowStride, static_cast<std::size_t>(dim)));
-    detail::topkFold(score, idBase + r, k, topScores, topIds);
-  }
-}
-
 void segmentSumRows(const float* src, const std::int64_t* segment,
                     std::int64_t rows, std::int64_t cols, float* out) {
   detail::segmentSumRowsImpl(src, segment, rows, cols, out);
@@ -219,7 +208,6 @@ const KernelTable& scalarTable() {
     x.fusedGemmEpilogueRows = scalar::fusedGemmEpilogueRows;
     x.gemmPackBSize = scalar::gemmPackBSize;
     x.gemmPackB = scalar::gemmPackB;
-    x.dotTopkRows = scalar::dotTopkRows;
     x.segmentSumRows = scalar::segmentSumRows;
     x.gatherRowsPtrs = scalar::gatherRowsPtrs;
     x.segmentMeanMaxRows = detail::segmentMeanMaxRowsImpl<scalar::LevelOps>;

@@ -1,7 +1,5 @@
-// Drift fixture: metric keys, one documented only as a path segment and
-// one in the retrieval slice.
+// Drift fixture: metric keys, one documented only as a path segment.
 void fillMetrics(Json& json) {
   json.set("fixture_requests", 1);
   json.set("fixture_spans", 2);
-  json.set("retrieval_fixture_hits", 3);
 }

@@ -508,83 +508,6 @@ TEST(KernelParity, SegmentSumRowsBitwiseAcrossTiers) {
   }
 }
 
-TEST(KernelParity, DotTopkRowsMatchesNaiveAndBitwiseAcrossTiers) {
-  const std::int64_t dim = 19, payload = 2, numRows = 37;
-  const std::int64_t rowStride = dim + payload;
-  const std::int32_t k = 5;
-  Rng rng(61);
-  const std::vector<float> rows =
-      randomVec(static_cast<std::size_t>(numRows * rowStride), rng);
-  const std::vector<float> q = randomVec(static_cast<std::size_t>(dim), rng);
-
-  // Naive reference: score every row with the scalar dot (the cross-tier
-  // contract), stable-sort descending — ties keep the lower id.
-  std::vector<std::pair<float, std::int64_t>> scored;
-  for (std::int64_t r = 0; r < numRows; ++r) {
-    const float s = static_cast<float>(table(Tier::kScalar).dotVec(
-        q.data(), rows.data() + r * rowStride,
-        static_cast<std::size_t>(dim)));
-    scored.emplace_back(s, r);
-  }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first > b.first;
-                   });
-
-  std::vector<float> refScores;
-  std::vector<std::int64_t> refIds;
-  for (const Tier tier : supportedTiers()) {
-    SCOPED_TRACE(tierName(tier));
-    std::vector<float> topScores(
-        static_cast<std::size_t>(k),
-        -std::numeric_limits<float>::infinity());
-    std::vector<std::int64_t> topIds(static_cast<std::size_t>(k), -1);
-    // Feed the rows in two blocks with an idBase offset for the second:
-    // the running top-k must carry across block calls.
-    const std::int64_t split = 20;
-    table(tier).dotTopkRows(q.data(), rows.data(), split, dim, rowStride, 0,
-                            k, topScores.data(), topIds.data());
-    table(tier).dotTopkRows(q.data(), rows.data() + split * rowStride,
-                            numRows - split, dim, rowStride, split, k,
-                            topScores.data(), topIds.data());
-    for (std::int32_t i = 0; i < k; ++i) {
-      EXPECT_EQ(topIds[static_cast<std::size_t>(i)],
-                scored[static_cast<std::size_t>(i)].second)
-          << "rank " << i;
-    }
-    if (tier == Tier::kScalar) {
-      refScores = topScores;
-      refIds = topIds;
-    } else {
-      EXPECT_TRUE(bitwiseEqual(refScores, topScores));
-      EXPECT_EQ(refIds, topIds);
-    }
-  }
-}
-
-TEST(KernelParity, DotTopkRowsTiesKeepLowerIdAndRespectK) {
-  // Identical rows: every score ties, so the top-k must be ids 0..k-1.
-  const std::int64_t dim = 9, numRows = 7;
-  const std::vector<float> q(static_cast<std::size_t>(dim), 0.5f);
-  std::vector<float> rows(static_cast<std::size_t>(numRows * dim));
-  for (std::int64_t r = 0; r < numRows; ++r) {
-    for (std::int64_t c = 0; c < dim; ++c) {
-      rows[static_cast<std::size_t>(r * dim + c)] = 1.0f;
-    }
-  }
-  for (const Tier tier : supportedTiers()) {
-    SCOPED_TRACE(tierName(tier));
-    const std::int32_t k = 3;
-    std::vector<float> topScores(
-        static_cast<std::size_t>(k),
-        -std::numeric_limits<float>::infinity());
-    std::vector<std::int64_t> topIds(static_cast<std::size_t>(k), -1);
-    table(tier).dotTopkRows(q.data(), rows.data(), numRows, dim, dim, 0, k,
-                            topScores.data(), topIds.data());
-    EXPECT_EQ(topIds, (std::vector<std::int64_t>{0, 1, 2}));
-  }
-}
-
 TEST(KernelParity, GatherRowsPtrsBitwiseAcrossTiers) {
   const std::int64_t rows = 29, cols = 13;
   Rng rng(53);

@@ -14,6 +14,7 @@
 #include "nn/module.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/expr.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace dagt::nn {
@@ -159,6 +160,88 @@ TEST(Adam, SkipsParametersWithoutGrad) {
   loss.backward();
   adam.step();
   EXPECT_EQ(unused.toVector(), before);
+}
+
+/// Pins a kernel tier and the fusion switch for one scope.
+class TierAndFusionGuard {
+ public:
+  explicit TierAndFusionGuard(tensor::kernels::Tier tier)
+      : fusion_(tensor::expr::fusionEnabled()) {
+    tensor::kernels::forceTier(tier);
+  }
+  ~TierAndFusionGuard() {
+    tensor::kernels::resetTier();
+    tensor::expr::setFusionEnabled(fusion_);
+  }
+
+ private:
+  bool fusion_;
+};
+
+std::vector<tensor::kernels::Tier> supportedTiers() {
+  std::vector<tensor::kernels::Tier> tiers;
+  for (int t = 0; t < tensor::kernels::kTierCount; ++t) {
+    const auto tier = static_cast<tensor::kernels::Tier>(t);
+    if (tensor::kernels::tierSupported(tier)) tiers.push_back(tier);
+  }
+  return tiers;
+}
+
+/// The compiled (fused) inference forward of `layer` against its eager op
+/// chain on the layer's current weights: bitwise equal, so a program that
+/// replays weights copied before an in-place write fails here.
+void expectFusedForwardMatchesEager(const Linear& layer, const Tensor& x) {
+  tensor::NoGradGuard noGrad;
+  tensor::expr::setFusionEnabled(true);
+  const Tensor fused = layer.forward(x);
+  tensor::expr::setFusionEnabled(false);
+  const Tensor eager = layer.forward(x);
+  ASSERT_EQ(fused.shape(), eager.shape());
+  EXPECT_EQ(std::memcmp(fused.data(), eager.data(),
+                        static_cast<std::size_t>(fused.numel()) *
+                            sizeof(float)),
+            0)
+      << "fused " << fused.data()[0] << " eager " << eager.data()[0];
+}
+
+TEST(Adam, StepRefreshesCompiledProgramsAtEveryTier) {
+  // Predict, train one step in place, predict again: the second inference
+  // forward must read the updated weights, not a program compiled before
+  // the step (at avx2fma that program packs the weight panel at compile
+  // time).
+  for (const tensor::kernels::Tier tier : supportedTiers()) {
+    SCOPED_TRACE(tensor::kernels::tierName(tier));
+    TierAndFusionGuard guard(tier);
+    Rng rng(40);
+    Linear layer(32, 32, rng);
+    const Tensor x = Tensor::randn({4, 32}, rng);
+    expectFusedForwardMatchesEager(layer, x);
+    Adam::Options opts;
+    opts.learningRate = 0.1f;
+    Adam adam(layer.parameters(), opts);
+    tensor::sumAll(layer.forward(x)).backward();
+    adam.step();
+    expectFusedForwardMatchesEager(layer, x);
+  }
+}
+
+TEST(Module, LoadRefreshesCompiledProgramsAtEveryTier) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dagt_linear_reload.bin")
+          .string();
+  for (const tensor::kernels::Tier tier : supportedTiers()) {
+    SCOPED_TRACE(tensor::kernels::tierName(tier));
+    TierAndFusionGuard guard(tier);
+    Rng rng(41);
+    Linear layer(32, 32, rng);
+    const Linear other(32, 32, rng);
+    const Tensor x = Tensor::randn({4, 32}, rng);
+    expectFusedForwardMatchesEager(layer, x);
+    other.saveParameters(path);
+    layer.loadParameters(path);
+    expectFusedForwardMatchesEager(layer, x);
+  }
+  std::remove(path.c_str());
 }
 
 /// Two-layer module used by the serialization tests.

@@ -38,20 +38,16 @@ const std::vector<Rule> kRules = {
     {"guarded-by-unlocked"},
     {"guarded-by-gap"},
     {"kernel-table-complete"},
-    // Drift rows (drift.cpp): page, registry slices, GENERATED section.
-    {"metric-drift", "docs/metrics-reference.md", {{R::kMetricKeys}},
+    // Drift rows (drift.cpp): page, registry, GENERATED section.
+    {"metric-drift", "docs/metrics-reference.md", R::kMetricKeys,
      "serve-metrics-keys"},
-    {"span-drift", "docs/observability.md", {{R::kSpans}}},
-    {"knob-drift", "docs/performance.md", {{R::kKnobs}}},
-    {"tier-drift", "docs/performance.md", {{R::kTiers}}},
-    {"option-drift", "docs/performance.md", {{R::kOptions}}},
-    {"bench-drift", "docs/performance.md", {{R::kBenches}}},
-    {"command-drift", "docs/whatif.md", {{R::kCommands}}},
-    {"rule-drift", "docs/static-analysis.md", {{R::kRuleIds}}},
-    {"retrieval-drift", "docs/retrieval.md",
-     {{R::kKnobs, "DAGT_RETRIEVAL"},
-      {R::kSpans, "retrieval/"},
-      {R::kMetricKeys, "retrieval_"}}},
+    {"span-drift", "docs/observability.md", R::kSpans},
+    {"knob-drift", "docs/performance.md", R::kKnobs},
+    {"tier-drift", "docs/performance.md", R::kTiers},
+    {"option-drift", "docs/performance.md", R::kOptions},
+    {"bench-drift", "docs/performance.md", R::kBenches},
+    {"command-drift", "docs/whatif.md", R::kCommands},
+    {"rule-drift", "docs/static-analysis.md", R::kRuleIds},
 };
 
 }  // namespace

@@ -52,19 +52,13 @@ enum class Registry {
   kRuleIds,     // every id in ruleTable()
 };
 
-/// A registry, or the part of it whose names start with `prefix`.
-struct Slice {
-  Registry registry;
-  const char* prefix = "";
-};
-
 struct Rule {
   const char* id;
-  // Drift rows only: the page that must name every entry of `slices`, and
-  // the GENERATED section of it the names must sit in (metric keys match
-  // as a path segment there).
+  // Drift rows only: the page that must name every entry of `registry`,
+  // and the GENERATED section of it the names must sit in (metric keys
+  // match as a path segment there).
   const char* page = nullptr;
-  std::vector<Slice> slices = {};
+  Registry registry = Registry::kMetricKeys;
   const char* section = nullptr;
 };
 

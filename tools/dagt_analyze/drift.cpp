@@ -1,9 +1,9 @@
-// Drift rows: each row of the rule table with a page names the registries
-// (or registry slices) that page must document. A name is documented when
-// it appears backticked on the page; metric keys must sit in the page's
-// GENERATED section, where a key may also be one segment of a backticked
-// path (`trace_spans.<name>.count`). A missing page, lost GENERATED
-// markers or a registry slice that extracts nothing are findings too.
+// Drift rows: each row of the rule table with a page names the registry
+// that page must document. A name is documented when it appears backticked
+// on the page; metric keys must sit in the page's GENERATED section, where
+// a key may also be one segment of a backticked path
+// (`trace_spans.<name>.count`). A missing page, lost GENERATED markers or a
+// registry that extracts nothing are findings too.
 
 #include <algorithm>
 #include <sstream>
@@ -180,28 +180,22 @@ void driftRows(Registries names, const std::vector<SourceFile>& files,
       }
     }
 
-    for (const Slice& slice : row.slices) {
-      bool extracted = false;
-      for (const auto& [name, site] : names[slice.registry]) {
-        if (!startsWith(name, slice.prefix)) continue;
-        extracted = true;
-        if (!pageOk) continue;
-        const bool documented =
-            row.section != nullptr
-                ? namesSegment(text, name)
-                : text.find("`" + name + "`") != std::string::npos;
-        if (documented) continue;
-        const bool sited = !site.path.empty();  // rule ids have no site
-        out.push_back({row.id, sited ? site.path : page, sited ? site.line : 1,
-                       std::string(noun(slice.registry)) + " '" + name +
-                           "' is not documented in " + page});
-      }
-      if (!extracted) {
-        const std::string prefix = slice.prefix;
-        fail(std::string("no ") + noun(slice.registry) +
-             (prefix.empty() ? "" : " starting with '" + prefix + "'") +
-             " extracted from the checkout (extraction broke?)");
-      }
+    const auto& registry = names[row.registry];
+    if (registry.empty()) {
+      fail(std::string("no ") + noun(row.registry) +
+           " extracted from the checkout (extraction broke?)");
+    }
+    if (!pageOk) continue;
+    for (const auto& [name, site] : registry) {
+      const bool documented =
+          row.section != nullptr
+              ? namesSegment(text, name)
+              : text.find("`" + name + "`") != std::string::npos;
+      if (documented) continue;
+      const bool sited = !site.path.empty();  // rule ids have no site
+      out.push_back({row.id, sited ? site.path : page, sited ? site.line : 1,
+                     std::string(noun(row.registry)) + " '" + name +
+                         "' is not documented in " + page});
     }
   }
 }

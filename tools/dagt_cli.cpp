@@ -39,8 +39,7 @@
 //       metrics are printed afterwards (--metrics-json writes them as
 //       JSON). Serving latency is measured by `python3 perfbench/run.py
 //       --workload point_query --seed 1 --seconds 30 --trace 0` from the
-//       repo root. DAGT_RETRIEVAL=1 additionally fronts Bayesian bundles
-//       with the learned prediction cache (docs/retrieval.md).
+//       repo root.
 //
 //   dagt whatif <bundle> <netlist.dagtnl> <lib.dagtlib> [--pl F]
 //       [--edits FILE] [--repl] [--metrics-json F]

@@ -20,10 +20,6 @@
 #   obs       ThreadSanitizer build, tracing-layer suite (dagt_obs_tests)
 #   whatif    ThreadSanitizer build of the what-if suite + bench_whatif
 #             smoke (short edit stream, parity + 5x refresh-speedup gate)
-#   retrieval ThreadSanitizer build of the learned-prediction-cache suite
-#             (insert-during-query stress) + bench_retrieval smoke (short
-#             revision stream: cache-off bitwise parity, >= 1.3x speedup,
-#             in-budget hit accuracy, JSON schema validated)
 #
 # Usage: tools/verify.sh [--fast]
 #   --fast skips the sanitizer stages (default + analyze + bench + fusion
@@ -119,46 +115,6 @@ run_whatif() {
       ./build/bench/bench_whatif
 }
 
-# Learned prediction cache: the retrieval suite runs under ThreadSanitizer
-# (the EmbeddingIndex insert-during-query stress is the point), then a short bench_retrieval revision stream on
-# the default tree checks the cache end-to-end — miss-path bitwise parity
-# with the cache-off engine, uncertainty-gated hits within the error
-# budget, and an effective-QPS speedup. The full bench gates at 2x; the
-# smoke stream is short (embed memo amortizes over fewer rounds), so its
-# gate is looser (1.3x).
-run_retrieval() {
-  cmake -B build-tsan -S . -DDAGT_SANITIZE=thread &&
-    cmake --build build-tsan -j "$JOBS" --target dagt_retrieval_tests &&
-    ./build-tsan/tests/dagt_retrieval_tests &&
-    cmake --build build -j "$JOBS" --target bench_retrieval &&
-    rm -rf build/retrieval-smoke && mkdir -p build/retrieval-smoke &&
-    DAGT_BENCH_DIR=build/retrieval-smoke \
-      DAGT_RETRIEVAL_REVISIONS=2 DAGT_RETRIEVAL_ROUNDS=2 \
-      DAGT_RETRIEVAL_ENDPOINTS=16 DAGT_RETRIEVAL_MIN_SPEEDUP=1.3 \
-      ./build/bench/bench_retrieval &&
-    python3 - <<'EOF'
-import json
-doc = json.load(open("build/retrieval-smoke/BENCH_retrieval.json"))
-assert doc["parity_bitwise"], "miss path != cache-off engine"
-assert doc["speedup"] >= 1.3, f"retrieval speedup {doc['speedup']:.2f}x < 1.3x"
-assert doc["hits"] > 0, "revision stream produced no cache hits"
-assert doc["hit_accuracy"] >= doc["min_accuracy_gate"], (
-    f"hit accuracy {doc['hit_accuracy']:.3f} below gate")
-assert doc["max_sigma_ps"] > 0 and doc["budget_ps"] >= doc["max_sigma_ps"]
-assert doc["inserts"] == doc["index_size"], "index size != inserts"
-metrics = doc["engine_metrics"]
-for key in ("retrieval_hits", "retrieval_misses", "retrieval_hit_rate",
-            "retrieval_reject_by_dist", "retrieval_reject_by_sigma",
-            "retrieval_inserts", "retrieval_embed_memo_hits",
-            "retrieval_index_size", "retrieval_hit_mean_us",
-            "retrieval_miss_mean_us"):
-    assert key in metrics, f"{key} missing from engine metrics"
-assert metrics["retrieval_hits"] == doc["hits"], "counter drift vs metrics"
-print(f"retrieval-smoke: ok ({doc['speedup']:.2f}x, "
-      f"accuracy {doc['hit_accuracy']:.3f}, {doc['hits']} hits)")
-EOF
-}
-
 # Smoke-run the perf dashboard at tiny shapes, then validate the JSON it
 # writes: the kernel tier table must be present, every profiled tier must
 # have a real timing, and on SIMD-capable hosts the dispatch layer must
@@ -239,7 +195,6 @@ if [[ "$FAST" == 0 ]]; then
   stage tsan build-tsan/verify-tsan.log run_tsan
   stage obs build-tsan/verify-obs.log run_obs
   stage whatif build-tsan/verify-whatif.log run_whatif
-  stage retrieval build-tsan/verify-retrieval.log run_retrieval
 fi
 
 if [[ "$FAILED" != 0 ]]; then
