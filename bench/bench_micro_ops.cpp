@@ -207,6 +207,28 @@ void BM_GnnForward(benchmark::State& state) {
 }
 BENCHMARK(BM_GnnForward);
 
+/// One training step of the GNN alone: the sweep under autograd, then
+/// sumAll(select(endpoints)).backward(). With fusion on each level is one
+/// tape node (tensor::gnnLevel); DAGT_FUSION=0 runs the eager op chain.
+void BM_GnnTrainStep(benchmark::State& state) {
+  const auto& d = design();
+  Rng rng(5);
+  core::TimingGnn gnn(d.pinFeatures.dim(), 64, rng);
+  const auto endpoints = d.netlist.endpoints();
+  tensor::Workspace workspace;
+  const auto step = [&] {
+    gnn.zeroGrad();
+    const auto out = gnn.forward(*d.graph, d.pinFeatures);
+    tensor::sumAll(core::TimingGnn::select(out, endpoints)).backward();
+  };
+  step();
+  tensor::BufferPool::global().resetStats();
+  for (auto _ : state) step();
+  reportPoolCounters(state, poolDelta());
+  state.SetItemsProcessed(state.iterations() * d.netlist.numPins());
+}
+BENCHMARK(BM_GnnTrainStep);
+
 void BM_ModelInference(benchmark::State& state) {
   const auto& d = design();
   core::TimingDataset dataset({&d});

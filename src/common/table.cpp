@@ -1,5 +1,7 @@
 #include "common/table.hpp"
 
+#include <cstdio>
+
 #include <iomanip>
 #include <sstream>
 
@@ -63,6 +65,12 @@ std::string TextTable::num(double value, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << value;
   return os.str();
+}
+
+std::string TextTable::exact(float value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(value));
+  return buf;
 }
 
 }  // namespace dagt

@@ -28,6 +28,10 @@ class TextTable {
   /// Format a double with fixed precision (helper for numeric cells).
   static std::string num(double value, int precision = 3);
 
+  /// A float in %.9g: nine significant digits, which strtof reads back to
+  /// the same bits for every finite float.
+  static std::string exact(float value);
+
  private:
   struct Row {
     std::vector<std::string> cells;

@@ -26,6 +26,11 @@ TimingGnn::TimingGnn(std::int64_t inputDim, std::int64_t hidden, Rng& rng)
   registerChild(cellSum_);
   registerChild(cellMax_);
   registerChild(norm_);
+  levelWeights_ = {self_.weight(),    self_.bias(),    netSum_.weight(),
+                   netSum_.bias(),    netMax_.weight(), netMax_.bias(),
+                   cellSum_.weight(), cellSum_.bias(),  cellMax_.weight(),
+                   cellMax_.bias(),   norm_.gain(),     norm_.bias(),
+                   norm_.epsilon()};
 }
 
 void TimingGnn::checkInputs(const features::PinGraph& graph,
@@ -54,8 +59,19 @@ Tensor TimingGnn::levelBody(const features::PinFeatures& pinFeatures,
   // Own features of the pins.
   const Tensor x = pinFeatures.gather(pins);
 
+  if (tensor::expr::fusionEnabled() && tensor::NoGradGuard::gradEnabled()) {
+    // Training: the level as one tape node, bitwise equal to the chain
+    // below in its values and in every gradient it accumulates.
+    tensor::GnnLevelEdges net;
+    tensor::GnnLevelEdges cell;
+    if (netEdges != nullptr) net = {&netEdges->src, &netEdges->dstLocal};
+    if (cellEdges != nullptr) cell = {&cellEdges->src, &cellEdges->dstLocal};
+    return tensor::gnnLevel(x, earlier, netEdges != nullptr ? &net : nullptr,
+                            cellEdges != nullptr ? &cell : nullptr,
+                            levelWeights_);
+  }
   if (!tensor::expr::shouldFuse()) {
-    // Training and DAGT_FUSION=0: the autograd op chain.
+    // DAGT_FUSION=0: the autograd op chain, the reference path.
     Tensor h = self_.forward(x);
     const auto addAggregates = [&](const features::LevelEdges* edges,
                                    const nn::Linear& meanProj,

@@ -66,12 +66,6 @@ class TimingGnn : public nn::Module {
 
   std::int64_t hidden() const { return hidden_; }
 
- private:
-  void checkInputs(const features::PinGraph& graph,
-                   const features::PinFeatures& pinFeatures) const;
-  /// The parameter-storage part of every level program's key, computed
-  /// once per sweep.
-  std::uint64_t levelKeyBase() const;
   /// The sweep's per-level body: embeddings [pins.size(), hidden] of `pins`
   /// (rows of `pinFeatures`) from their own features, gathered with
   /// PinFeatures::gather, and, per edge kind, the mean and max of their
@@ -85,15 +79,26 @@ class TimingGnn : public nn::Module {
   /// pass over the in-edges, sources read in place) and replays one
   /// row-polymorphic program per edge-kind combination: the five GEMMs
   /// with bias and residual epilogues, then the LayerNorm + relu kernel.
-  /// Training and DAGT_FUSION=0 run the autograd op chain (gatherRowsMulti,
-  /// segmentSum, mulColVec, segmentMax, Linear, LayerNorm, relu); both are
-  /// bitwise equal at the scalar and avx2 tiers.
+  /// Training with fusion on runs the same kernels as one tensor::gnnLevel
+  /// tape node. DAGT_FUSION=0 runs the autograd op chain (gatherRowsMulti,
+  /// segmentSum, mulColVec, segmentMax, Linear, LayerNorm, relu), the
+  /// reference. The program equals the chain bitwise at the scalar and
+  /// avx2 tiers; the node equals it at every tier, in its values and, with
+  /// the sweep read through select(), in every gradient. Public so that
+  /// tests can drive one level over hand-built edges.
   tensor::Tensor levelBody(const features::PinFeatures& pinFeatures,
                            const std::vector<std::int64_t>& pins,
                            const std::vector<tensor::Tensor>& earlier,
                            const features::LevelEdges* netEdges,
                            const features::LevelEdges* cellEdges,
                            std::uint64_t keyBase) const;
+
+ private:
+  void checkInputs(const features::PinGraph& graph,
+                   const features::PinFeatures& pinFeatures) const;
+  /// The parameter-storage part of every level program's key, computed
+  /// once per sweep.
+  std::uint64_t levelKeyBase() const;
 
   std::int64_t inputDim_;
   std::int64_t hidden_;
@@ -103,6 +108,8 @@ class TimingGnn : public nn::Module {
   nn::Linear cellSum_;
   nn::Linear cellMax_;
   nn::LayerNorm norm_;
+  // The children's weights, as the training level node takes them.
+  tensor::GnnLevelWeights levelWeights_;
   // The fused level body, one program per edge-kind combination (at most
   // four), each serving every level width.
   mutable tensor::expr::ProgramCache levelPrograms_;

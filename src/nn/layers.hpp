@@ -26,6 +26,8 @@ class Linear : public Module {
 
   std::int64_t inFeatures() const { return inFeatures_; }
   std::int64_t outFeatures() const { return outFeatures_; }
+  const tensor::Tensor& weight() const { return weight_; }
+  const tensor::Tensor& bias() const { return bias_; }
 
  private:
   tensor::Tensor body(const tensor::Tensor& x) const;
@@ -67,6 +69,10 @@ class LayerNorm : public Module {
   /// training and DAGT_FUSION=0 run the autograd op chain, whose roundings
   /// that kernel repeats bit for bit.
   tensor::Tensor forward(const tensor::Tensor& x, bool relu = false) const;
+
+  const tensor::Tensor& gain() const { return gain_; }
+  const tensor::Tensor& bias() const { return bias_; }
+  float epsilon() const { return epsilon_; }
 
  private:
   tensor::Tensor body(const tensor::Tensor& x) const;

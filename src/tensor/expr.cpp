@@ -324,6 +324,26 @@ void fuseRowDots(std::vector<ExprNode>& nodes) {
   computeRefCounts(nodes);
 }
 
+/// The kernel's view of one stage of a kConvReluPool node, with its weight
+/// and bias (nullptr for none).
+kernels::ConvStage convStageOf(const ConvStageArgs& a, const Tensor& weight,
+                               const float* bias) {
+  kernels::ConvStage st;
+  st.weight = weight.data();
+  st.bias = bias;
+  st.inChannels = a.inShape[1];
+  st.inH = a.inShape[2];
+  st.inW = a.inShape[3];
+  st.outChannels = a.outShape[1];
+  st.kh = weight.dim(2);
+  st.kw = weight.dim(3);
+  st.stride = a.stride;
+  st.pad = a.pad;
+  st.outH = a.outShape[2];
+  st.outW = a.outShape[3];
+  return st;
+}
+
 // Pass 3: conv2d -> relu (-> conv2d -> relu)* -> globalAvgPool ->
 // kConvReluPool, one convReluPoolRows kernel that keeps every intermediate
 // in per-thread scratch. The pool node is rewritten in place (its id keeps
@@ -830,6 +850,34 @@ std::shared_ptr<const FusedProgram> Recorder::compile(
     program->packedPanels_.emplace(static_cast<std::int32_t>(id),
                                    std::move(panel));
   }
+  // The same for conv stacks: each stage's transposed weights and bias,
+  // which convReluPoolRows would otherwise lay out on every call. Every
+  // in-place weight write drops the program (noteParametersWritten).
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    const ExprNode& n = nodes[id];
+    if (n.kind != OpKind::kConvReluPool || n.refCount == 0) continue;
+    std::vector<std::vector<float>> packs;
+    for (const ConvStageArgs& a : n.convStages) {
+      const ExprNode& w = nodes[n.inputs[a.weightArg]];
+      const ExprNode* b =
+          a.biasArg >= 0 ? &nodes[n.inputs[a.biasArg]] : nullptr;
+      if (w.kind != OpKind::kConst ||
+          (b != nullptr && b->kind != OpKind::kConst)) {
+        break;
+      }
+      const kernels::ConvStage st = convStageOf(
+          a, w.constant, b != nullptr ? b->constant.data() : nullptr);
+      const std::int64_t size = kt.convPackSize(st);
+      if (size <= 0) break;
+      std::vector<float> pack(static_cast<std::size_t>(size));
+      kt.convPack(st, pack.data());
+      packs.push_back(std::move(pack));
+    }
+    if (packs.size() == n.convStages.size()) {
+      program->packedConvs_.emplace(static_cast<std::int32_t>(id),
+                                    std::move(packs));
+    }
+  }
 
   bump(gStats().programsCompiled);
   known_.clear();
@@ -1073,23 +1121,18 @@ void FusedProgram::replay(const Tensor* inputs, std::size_t numInputs,
         const Tensor& images = values[n.inputs[0]];
         kernels::ConvStage stages[kernels::kConvMaxStages];
         const int numStages = static_cast<int>(n.convStages.size());
+        const std::vector<std::vector<float>>* packs = nullptr;
+        if (packedOk) {
+          auto it = packedConvs_.find(static_cast<std::int32_t>(id));
+          if (it != packedConvs_.end()) packs = &it->second;
+        }
         for (int i = 0; i < numStages; ++i) {
-          const ConvStageArgs& a = n.convStages[static_cast<std::size_t>(i)];
-          const Tensor& w = values[n.inputs[a.weightArg]];
-          kernels::ConvStage& st = stages[i];
-          st.weight = w.data();
-          st.bias =
-              a.biasArg >= 0 ? values[n.inputs[a.biasArg]].data() : nullptr;
-          st.inChannels = a.inShape[1];
-          st.inH = a.inShape[2];
-          st.inW = a.inShape[3];
-          st.outChannels = a.outShape[1];
-          st.kh = w.dim(2);
-          st.kw = w.dim(3);
-          st.stride = a.stride;
-          st.pad = a.pad;
-          st.outH = a.outShape[2];
-          st.outW = a.outShape[3];
+          const auto stage = static_cast<std::size_t>(i);
+          const ConvStageArgs& a = n.convStages[stage];
+          stages[i] = convStageOf(
+              a, values[n.inputs[a.weightArg]],
+              a.biasArg >= 0 ? values[n.inputs[a.biasArg]].data() : nullptr);
+          if (packs != nullptr) stages[i].packed = (*packs)[stage].data();
         }
         v = Tensor(detail::makeOut(shapeOf(n)));
         kt.convReluPoolRows(images.data(), stages, numStages, v.data(), 0,

@@ -199,6 +199,11 @@ class FusedProgram {
   // operand is constant: node id -> panel (empty when the active tier at
   // compile time declined packing).
   std::unordered_map<std::int32_t, std::vector<float>> packedPanels_;
+  // Compile-time packed conv stack weights, for a kConvReluPool node whose
+  // weights and biases are constants: node id -> one buffer per stage
+  // (none when the tier reads the weights as they lie).
+  std::unordered_map<std::int32_t, std::vector<std::vector<float>>>
+      packedConvs_;
   kernels::Tier packedTier_ = kernels::Tier::kScalar;
   bool rowPolymorphic_ = false;
 

@@ -133,6 +133,18 @@ struct ConvStage {
   std::int64_t pad = 0;
   std::int64_t outH = 0;
   std::int64_t outW = 0;
+  /// This stage's weights in the tier's layout (convPack), packed once by
+  /// the caller; nullptr packs them into per-thread scratch on every call.
+  const float* packed = nullptr;
+};
+
+/// Where layerNormRows keeps the values of nn::LayerNorm's chain that its
+/// backward reads, each as the chain rounds it.
+struct LayerNormSaved {
+  float* centered = nullptr;  ///< [rows, cols]: x - mean
+  float* variance = nullptr;  ///< [rows]: var + eps, the sqrt's input
+  float* stddev = nullptr;    ///< [rows]: sqrt(max(var + eps, 1e-12f))
+  float* rstd = nullptr;      ///< [rows]: 1 / stddev
 };
 
 /// Most stages one convReluPoolRows call runs: of a longer captured chain,
@@ -218,7 +230,7 @@ struct KernelTable {
   void (*gatherRowsPtrs)(const float* const* srcRows, std::int64_t rows,
                          std::int64_t cols, float* out);
 
-  // -- GNN level body (inference lowering targets) ---------------------------
+  // -- GNN level body (the level program's and gnnLevel's kernels) -----------
   /// Mean and max of each destination's in-edge sources, reading source rows
   /// in place. Walks e = 0..edges-1 in order: mean[dst[e]] += srcRows[e]
   /// (accAddVec, so `mean` must arrive zero-filled) and
@@ -227,21 +239,26 @@ struct KernelTable {
   /// every source -inf) becomes 0. This is segmentSumRows + mulColVec + the
   /// eager segmentMax, step for step, so it is bitwise in every tier (as for
   /// every kernel here, up to which NaN an add of two NaNs returns: IEEE 754
-  /// leaves that open).
+  /// leaves that open). A non-null `argmax` ([numDst, cols]) receives, as
+  /// the eager segmentMax records it, the edge whose source set each max
+  /// (the first of equal ones), or -1 where the max became 0.
   void (*segmentMeanMaxRows)(const float* const* srcRows,
                              const std::int64_t* dst, std::int64_t edges,
                              std::int64_t cols, const float* invCount,
-                             std::int64_t numDst, float* mean, float* max);
+                             std::int64_t numDst, float* mean, float* max,
+                             std::int32_t* argmax);
   /// out[r, :] = LayerNorm(x[r, :]) * gain + bias, then relu when `relu`:
   /// nn::LayerNorm's eager chain (mean by sumVec, centering, variance by
   /// dotVec of the centered row, which is the sumVec of its rounded
   /// squares, rstd = 1 / sqrt(max(var + eps, 1e-12f)), scale, gain, bias)
   /// with each step run by this tier's own elementwise and reduction
   /// kernels, so it is bitwise equal to the chain in every tier (up to
-  /// which NaN a step on two NaNs returns).
+  /// which NaN a step on two NaNs returns). A non-null `saved` receives
+  /// what the chain's backward reads (see LayerNormSaved).
   void (*layerNormRows)(const float* x, const float* gain, const float* bias,
                         float eps, bool relu, std::int64_t rows,
-                        std::int64_t cols, float* out);
+                        std::int64_t cols, float* out,
+                        const LayerNormSaved* saved);
 
   // -- Conv stack (path CNN inference lowering target) -----------------------
   /// For each sample r in [rowBegin, rowEnd) of `in` ([rows, C, H, W] as
@@ -258,6 +275,13 @@ struct KernelTable {
   void (*convReluPoolRows)(const float* in, const ConvStage* stages,
                            int numStages, float* out, std::int64_t rowBegin,
                            std::int64_t rowEnd);
+  /// Floats convPack writes for `stage`, or 0 when the tier reads the
+  /// weights as they lie (ConvStage::packed must then stay null).
+  std::int64_t (*convPackSize)(const ConvStage& stage);
+  /// Lay out one stage's weight and bias as this tier's convReluPoolRows
+  /// reads them (a bit-copy: the layout cannot change a result bit).
+  /// Called once per compiled program; `packed` has convPackSize floats.
+  void (*convPack)(const ConvStage& stage, float* packed);
 };
 
 /// Canonical lower-case tier name ("scalar", "avx2", "avx2fma") — the

@@ -456,6 +456,10 @@ const KernelTable& avx2Table() {
     x.layerNormRows = detail::layerNormRowsImpl<avx2::LevelOps>;
     x.convReluPoolRows = detail::convReluPoolRowsImpl<
         detail::ConvAvx2</*kFma=*/false, avx2::LevelOps>>;
+    x.convPackSize = detail::convPackSizeImpl<
+        detail::ConvAvx2</*kFma=*/false, avx2::LevelOps>>;
+    x.convPack = detail::convPackImpl<
+        detail::ConvAvx2</*kFma=*/false, avx2::LevelOps>>;
     return x;
   }();
   return t;

@@ -186,6 +186,8 @@ const KernelTable& avx2FmaTable() {
     x.gemmPackB = fma::gemmPackB;
     x.convReluPoolRows = detail::convReluPoolRowsImpl<
         detail::ConvAvx2</*kFma=*/true, fma::ConvOps>>;
+    // convPackSize / convPack: the avx2 tier's conv weight layout, which
+    // this tier's stage reads too.
     // gemmTransBRows stays dot-based (bitwise contract), as do all
     // elementwise / accumulate / reduction kernels — including fusedEwRows,
     // whose avx2 implementation is bitwise identical to scalar.

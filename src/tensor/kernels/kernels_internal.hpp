@@ -324,6 +324,19 @@ static inline void maxRowInto(const float* __restrict in,
   for (; c < cols; ++c) acc[c] = in[c] > acc[c] ? in[c] : acc[c];
 }
 
+/// maxRowInto that also records, per column, the edge `e` whose source
+/// set the max: the eager segmentMax's argmax.
+static inline void maxRowArgInto(const float* __restrict in,
+                                 float* __restrict acc,
+                                 std::int32_t* __restrict arg, std::int32_t e,
+                                 std::int64_t cols) {
+  for (std::int64_t c = 0; c < cols; ++c) {
+    const bool beats = in[c] > acc[c];
+    acc[c] = beats ? in[c] : acc[c];
+    arg[c] = beats ? e : arg[c];
+  }
+}
+
 /// A max still at -inf had no larger source (or none at all): it becomes 0.
 static inline void zeroLowestRow(float* __restrict row, std::int64_t cols) {
   const float lowest = -std::numeric_limits<float>::infinity();
@@ -344,13 +357,20 @@ inline void segmentMeanMaxRowsImpl(const float* const* srcRows,
                                    const std::int64_t* dst,
                                    std::int64_t edges, std::int64_t cols,
                                    const float* invCount, std::int64_t numDst,
-                                   float* mean, float* max) {
+                                   float* mean, float* max,
+                                   std::int32_t* argmax) {
   const float lowest = -std::numeric_limits<float>::infinity();
   const auto width = static_cast<std::size_t>(cols);
   std::fill(max, max + numDst * cols, lowest);
+  if (argmax != nullptr) std::fill(argmax, argmax + numDst * cols, -1);
   for (std::int64_t e = 0; e < edges; ++e) {
     Ops::accAddVec(srcRows[e], mean + dst[e] * cols, width);
-    maxRowInto(srcRows[e], max + dst[e] * cols, cols);
+    if (argmax != nullptr) {
+      maxRowArgInto(srcRows[e], max + dst[e] * cols, argmax + dst[e] * cols,
+                    static_cast<std::int32_t>(e), cols);
+    } else {
+      maxRowInto(srcRows[e], max + dst[e] * cols, cols);
+    }
   }
   for (std::int64_t d = 0; d < numDst; ++d) {
     Ops::scaleVec(mean + d * cols, invCount[d], mean + d * cols, width);
@@ -366,25 +386,32 @@ template <typename Ops>
 inline void layerNormRowsImpl(const float* x, const float* gain,
                               const float* bias, float eps, bool relu,
                               std::int64_t rows, std::int64_t cols,
-                              float* out) {
+                              float* out, const LayerNormSaved* saved) {
   const auto width = static_cast<std::size_t>(cols);
   const float invCols = 1.0f / static_cast<float>(cols);
   const float one = 1.0f;
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* in = x + r * cols;
     float* o = out + r * cols;
+    // The centered row lives in `o`, or in saved->centered when kept.
+    float* centered = saved != nullptr ? saved->centered + r * cols : o;
     float mean = static_cast<float>(Ops::sumVec(in, width));
     Ops::scaleVec(&mean, invCols, &mean, 1);
     Ops::scaleVec(&mean, runtimeMinusOne(), &mean, 1);
-    Ops::addScalarVec(in, mean, o, width);  // centered
-    // dotVec(o, o) is the sumVec of the rounded squares.
-    float var = static_cast<float>(Ops::dotVec(o, o, width));
+    Ops::addScalarVec(in, mean, centered, width);
+    // dotVec(c, c) is the sumVec of the rounded squares.
+    float var = static_cast<float>(Ops::dotVec(centered, centered, width));
     Ops::scaleVec(&var, invCols, &var, 1);
     Ops::addScalarVec(&var, eps, &var, 1);
     const float denom = std::sqrt(std::max(var, 1e-12f));
     float rstd = 0.0f;
     Ops::divVec(&one, &denom, &rstd, 1);
-    Ops::scaleVec(o, rstd, o, width);
+    if (saved != nullptr) {
+      saved->variance[r] = var;
+      saved->stddev[r] = denom;
+      saved->rstd[r] = rstd;
+    }
+    Ops::scaleVec(centered, rstd, o, width);
     Ops::mulVec(o, gain, o, width);
     Ops::addVec(o, bias, o, width);
     if (relu) Ops::reluVec(o, o, width);
@@ -449,7 +476,8 @@ void convReluPoolRowsImpl(const float* in, const ConvStage* stages,
     plan.kDim = st.inChannels * st.kh * st.kw;
     plan.pixels = st.outH * st.outW;
     plan.chanStride = st.stride * st.stride * qhs[i] * qws[i];
-    floats += st.inChannels * plan.chanStride + Tier::packFloats(st);
+    floats += st.inChannels * plan.chanStride +
+              (st.packed == nullptr ? Tier::packFloats(st) : 0);
     ints += plan.kDim + plan.pixels + st.inH * st.inW;
   }
   const ConvStage& last = stages[numStages - 1];
@@ -474,9 +502,13 @@ void convReluPoolRowsImpl(const float* in, const ConvStage* stages,
     plan.planes = fp;
     std::fill(fp, fp + st.inChannels * plan.chanStride, 0.0f);
     fp += st.inChannels * plan.chanStride;
-    Tier::pack(st, plan.kDim, fp);
-    plan.packed = fp;
-    fp += Tier::packFloats(st);
+    if (st.packed != nullptr) {
+      plan.packed = st.packed;
+    } else {
+      Tier::pack(st, plan.kDim, fp);
+      plan.packed = fp;
+      fp += Tier::packFloats(st);
+    }
     // Channel 0's offsets, then each channel's shifted by its planes (the
     // tables are built once per call, without a division per entry).
     std::int32_t* koff = ip;
@@ -553,6 +585,18 @@ void convReluPoolRowsImpl(const float* in, const ConvStage* stages,
           static_cast<double>(spatial));
     }
   }
+}
+
+/// KernelTable::convPackSize and convPack over a tier policy (see
+/// convReluPoolRowsImpl).
+template <typename Tier>
+std::int64_t convPackSizeImpl(const ConvStage& st) {
+  return Tier::packFloats(st);
+}
+
+template <typename Tier>
+void convPackImpl(const ConvStage& st, float* packed) {
+  Tier::pack(st, st.inChannels * st.kh * st.kw, packed);
 }
 
 /// The reference stage: per output (f, j), from the bias over k in order,

@@ -214,6 +214,9 @@ const KernelTable& scalarTable() {
     x.layerNormRows = detail::layerNormRowsImpl<scalar::LevelOps>;
     x.convReluPoolRows =
         detail::convReluPoolRowsImpl<detail::ConvScalar<scalar::LevelOps>>;
+    x.convPackSize =
+        detail::convPackSizeImpl<detail::ConvScalar<scalar::LevelOps>>;
+    x.convPack = detail::convPackImpl<detail::ConvScalar<scalar::LevelOps>>;
     return x;
   }();
   return t;

@@ -70,8 +70,9 @@ Tensor sumDim1(const Tensor& t);
 Tensor meanDim1(const Tensor& t);
 /// Row-wise LayerNorm of x [N, D] with per-feature gain and bias [D], then
 /// relu when `relu`: one kernel (KernelTable::layerNormRows) bitwise equal
-/// to nn::LayerNorm's op chain. Capturable (one program node); inference
-/// only (no backward): training runs the op chain.
+/// to nn::LayerNorm's op chain. Capturable (one program node). No
+/// backward: nn::LayerNorm trains through the op chain, and the timing
+/// GNN's levels through gnnLevel, whose backward replays that chain's.
 Tensor layerNorm(const Tensor& x, const Tensor& gain, const Tensor& bias,
                  float eps, bool relu);
 /// [N,M] -> [N]: log(sum(exp(row))) with max-subtraction stabilization.
@@ -136,12 +137,53 @@ Tensor segmentMax(const Tensor& src, const std::vector<std::int64_t>& segment,
 /// {mean, max}, each [numDst, cols]: bitwise equal to
 /// mulColVec(segmentSum(g, dst, numDst), 1 / count) and
 /// segmentMax(g, dst, numDst) over g = gatherRowsMulti(mats, src), with a
-/// destination without edges giving 0 in both. Inference only (no
-/// backward): training runs that eager chain.
+/// destination without edges giving 0 in both. No backward: training with
+/// fusion on aggregates inside gnnLevel, which keeps what its backward
+/// needs; DAGT_FUSION=0 runs that eager chain.
 std::pair<Tensor, Tensor> segmentMeanMax(
     const std::vector<Tensor>& mats,
     const std::vector<std::pair<std::int32_t, std::int64_t>>& src,
     const std::vector<std::int64_t>& dst, std::int64_t numDst);
+
+/// Weights of one level of the timing GNN (core::TimingGnn): the self
+/// projection [inDim, D] and bias [D]; per edge kind a mean and a max
+/// projection [D, D] with biases [D]; the LayerNorm's gain and bias [D].
+struct GnnLevelWeights {
+  Tensor selfWeight, selfBias;
+  Tensor netMeanWeight, netMeanBias, netMaxWeight, netMaxBias;
+  Tensor cellMeanWeight, cellMeanBias, cellMaxWeight, cellMaxBias;
+  Tensor normGain, normBias;
+  float normEps = 1e-5f;
+};
+
+/// In-edges of one kind into a level: edge e reads row src[e] of the
+/// earlier levels (coordinates as in gatherRowsMulti) into row dst[e].
+struct GnnLevelEdges {
+  const std::vector<std::pair<std::int32_t, std::int64_t>>* src = nullptr;
+  const std::vector<std::int64_t>* dst = nullptr;
+};
+
+/// One level of the timing GNN's sweep, as one op:
+///   relu(LayerNorm(x Ws + bs + Σ_k (mean_k Wkm + bkm + max_k WkM + bkM)))
+/// over the present edge kinds k (a null `net` / `cell` has no edges, so
+/// its projections and biases are skipped; a row without edges of a
+/// present kind aggregates zeros). mean_k and max_k aggregate each row's
+/// in-edge sources out of `earlier` as segmentMeanMax does.
+///
+/// The forward runs the kernels of the inference level program:
+/// segmentMeanMaxRows, the five GEMMs with bias and residual epilogues,
+/// layerNormRows with relu. Under autograd it records ONE tape node, which
+/// keeps x, the aggregates, the max's argmax, 1 / fanin and LayerNorm's
+/// centered rows and per-row scalars. Its backward performs exactly the
+/// accumulations that core::TimingGnn's eager op chain (DAGT_FUSION=0)
+/// performs into the weights' and earlier levels' gradients, in the order
+/// the tape runs that chain's block of nodes, so with the sweep read
+/// through gatherRowsMulti over every level (TimingGnn::select) all
+/// gradients are bitwise equal to the chain's at every kernel tier. Every
+/// weight must require grad when the node is recorded, and x must not.
+Tensor gnnLevel(const Tensor& x, const std::vector<Tensor>& earlier,
+                const GnnLevelEdges* net, const GnnLevelEdges* cell,
+                const GnnLevelWeights& weights);
 
 // ---------------------------------------------------------------------------
 // Convolution / pooling (NCHW)

@@ -5,6 +5,8 @@
 
 #include <initializer_list>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "tensor/kernels/kernels.hpp"
@@ -64,6 +66,23 @@ inline void attachTape(const std::shared_ptr<TensorImpl>& out,
     if (t->defined() && t->requiresGrad()) out->parents.push_back(t->impl());
   }
   out->backwardFn = std::forward<BackwardFn>(backwardFn);
+}
+
+/// Row `row` of mats[ord], checked: the ordinal and the row must be in
+/// range, and the matrix must be 2-D with `cols` columns. Only matrices an
+/// index reads are checked, so a gather from the earlier levels of a deep
+/// sweep costs its rows, not its level count.
+inline const float* checkedRow(const std::vector<Tensor>& mats,
+                               const std::pair<std::int32_t, std::int64_t>& at,
+                               std::int64_t cols, const char* op) {
+  const auto [ord, row] = at;
+  DAGT_CHECK_MSG(ord >= 0 && ord < static_cast<std::int32_t>(mats.size()),
+                 op << ": tensor ordinal " << ord);
+  const Tensor& m = mats[static_cast<std::size_t>(ord)];
+  DAGT_CHECK_MSG(m.ndim() == 2 && m.dim(1) == cols, op << ": column mismatch");
+  DAGT_CHECK_MSG(row >= 0 && row < m.dim(0),
+                 op << ": row " << row << " out of " << m.dim(0));
+  return m.data() + row * cols;
 }
 
 inline void checkSameShape(const Tensor& a, const Tensor& b,

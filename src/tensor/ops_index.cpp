@@ -25,24 +25,9 @@ std::vector<const float*>& rowPtrScratch(std::size_t n) {
   return scratch;
 }
 
-/// Row `row` of mats[ord], checked: the ordinal and the row must be in
-/// range, and the matrix must be 2-D with `cols` columns. Only matrices an
-/// index reads are checked, so a gather from the earlier levels of a deep
-/// sweep costs its rows, not its level count.
-const float* checkedRow(const std::vector<Tensor>& mats,
-                        const std::pair<std::int32_t, std::int64_t>& at,
-                        std::int64_t cols, const char* op) {
-  const auto [ord, row] = at;
-  DAGT_CHECK_MSG(ord >= 0 && ord < static_cast<std::int32_t>(mats.size()),
-                 op << ": tensor ordinal " << ord);
-  const Tensor& m = mats[static_cast<std::size_t>(ord)];
-  DAGT_CHECK_MSG(m.ndim() == 2 && m.dim(1) == cols, op << ": column mismatch");
-  DAGT_CHECK_MSG(row >= 0 && row < m.dim(0),
-                 op << ": row " << row << " out of " << m.dim(0));
-  return m.data() + row * cols;
-}
-
 }  // namespace
+
+using detail::checkedRow;
 
 Tensor indexSelect0(const Tensor& t, const std::vector<std::int64_t>& index) {
   DAGT_CHECK(t.ndim() == 2);
@@ -296,7 +281,8 @@ std::pair<Tensor, Tensor> segmentMeanMax(
   auto max = makeOut({numDst, cols});
   kernels::active().segmentMeanMaxRows(rowPtrs.data(), dst.data(), edges, cols,
                                        invCount.data(), numDst,
-                                       mean->data.data(), max->data.data());
+                                       mean->data.data(), max->data.data(),
+                                       /*argmax=*/nullptr);
   return {Tensor(std::move(mean)), Tensor(std::move(max))};
 }
 

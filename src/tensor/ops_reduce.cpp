@@ -124,10 +124,12 @@ Tensor layerNorm(const Tensor& x, const Tensor& gain, const Tensor& bias,
                                              eps, relu ? 1 : 0);
   }
   DAGT_CHECK_MSG(!tapeActive({&x, &gain, &bias}),
-                 "layerNorm has no backward; training runs the op chain");
+                 "layerNorm has no backward; training runs the op chain "
+                 "(or gnnLevel)");
   auto out = makeOut(x.shape());
   kernels::active().layerNormRows(x.data(), gain.data(), bias.data(), eps,
-                                  relu, x.dim(0), x.dim(1), out->data.data());
+                                  relu, x.dim(0), x.dim(1), out->data.data(),
+                                  /*saved=*/nullptr);
   return Tensor(std::move(out));
 }
 

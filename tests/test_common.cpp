@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/geometry.hpp"
@@ -155,6 +162,31 @@ TEST(TextTable, RejectsWrongArity) {
 TEST(TextTable, NumFormatsPrecision) {
   EXPECT_EQ(TextTable::num(1.23456, 2), "1.23");
   EXPECT_EQ(TextTable::num(-0.5), "-0.500");
+}
+
+TEST(TextTable, ExactReadsBackToTheSameBits) {
+  // `dagt predict --dump` prints arrivals with exact(): a dump must compare
+  // bitwise, so every finite float has to survive the text round trip.
+  std::vector<float> values = {0.0f,
+                               -0.0f,
+                               1.0f / 3.0f,
+                               1234.5678f,
+                               std::numeric_limits<float>::max(),
+                               std::numeric_limits<float>::min(),
+                               std::numeric_limits<float>::denorm_min(),
+                               -std::numeric_limits<float>::epsilon()};
+  Rng rng(21);
+  while (values.size() < 4096) {
+    const auto bits = static_cast<std::uint32_t>(rng.uniformInt(1ull << 32));
+    float v;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (const float v : values) {
+    const std::string text = TextTable::exact(v);
+    const float back = std::strtof(text.c_str(), nullptr);
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof(v)), 0) << text;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <optional>
+#include <string>
 
 #include "common/check.hpp"
 #include "core/bayesian_head.hpp"
@@ -305,6 +309,310 @@ TEST(TimingGnn, ForwardFromAcrossChangedGraphMatchesFullSweep) {
     EXPECT_GT(rows, 0);
     EXPECT_LT(rows, baseGraph.numPins());
   }
+}
+
+// ---------------------------------------------------------------------------
+// The training level node (tensor::gnnLevel) against the eager chain
+// ---------------------------------------------------------------------------
+
+/// Offset every parameter at random: biases start at zero and the
+/// LayerNorm gain at one, which would hide a dropped bias add or gain
+/// product.
+void jitterParameters(const nn::Module& module, Rng& rng) {
+  for (Tensor param : module.parameters()) {
+    for (std::int64_t i = 0; i < param.numel(); ++i) {
+      param.data()[i] += static_cast<float>(rng.uniform(-0.5, 0.5));
+    }
+  }
+}
+
+/// Restores the fusion switch on scope exit.
+class FusionRestore {
+ public:
+  FusionRestore() : saved_(tensor::expr::fusionEnabled()) {}
+  ~FusionRestore() { tensor::expr::setFusionEnabled(saved_); }
+
+ private:
+  bool saved_;
+};
+
+/// Equal shapes and bytes; two undefined tensors are equal.
+void expectSameBits(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.defined(), want.defined()) << what;
+  if (!want.defined()) return;
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<std::size_t>(want.numel()) *
+                            sizeof(float)),
+            0)
+      << what;
+}
+
+std::vector<tensor::kernels::Tier> supportedTiers() {
+  std::vector<tensor::kernels::Tier> tiers;
+  for (int t = 0; t < tensor::kernels::kTierCount; ++t) {
+    const auto tier = static_cast<tensor::kernels::Tier>(t);
+    if (tensor::kernels::tierSupported(tier)) tiers.push_back(tier);
+  }
+  return tiers;
+}
+
+TEST(GnnLevelNode, SweepGradientsMatchEagerChainBitwiseAtEveryTier) {
+  // Read through select() under a random-weighted loss, the sweep of level
+  // nodes must leave every parameter's gradient and every level's value and
+  // gradient bitwise equal to the eager chain's (DAGT_FUSION=0). Hidden 24
+  // adds a GEMM column tail to the avx2fma tier's 16-wide blocks.
+  const auto& d = target7();
+  const auto endpoints = d.netlist.endpoints();
+  const FusionRestore restore;
+  for (const auto tier : supportedTiers()) {
+    SCOPED_TRACE(tensor::kernels::tierName(tier));
+    TierGuard guard(tier);
+    for (const std::int64_t hidden : {16, 24}) {
+      Rng init(41);
+      TimingGnn gnn(d.pinFeatures.dim(), hidden, init);
+      jitterParameters(gnn, init);
+      Rng lossRng(42);
+      const Tensor weights = Tensor::randn(
+          {static_cast<std::int64_t>(endpoints.size()), hidden}, lossRng);
+      const auto run = [&](bool fused) {
+        tensor::expr::setFusionEnabled(fused);
+        gnn.zeroGrad();
+        const auto out = gnn.forward(*d.graph, d.pinFeatures);
+        tensor::sumAll(
+            tensor::mul(TimingGnn::select(out, endpoints), weights))
+            .backward();
+        std::vector<Tensor> got;
+        for (const Tensor& p : gnn.parameters()) got.push_back(p.grad());
+        for (const Tensor& level : out.levelEmbeddings) {
+          got.push_back(level);
+          got.push_back(level.grad());
+        }
+        return got;
+      };
+      const auto eager = run(false);
+      const auto fused = run(true);
+      ASSERT_EQ(fused.size(), eager.size());
+      const std::size_t params = gnn.parameters().size();
+      for (std::size_t i = 0; i < eager.size(); ++i) {
+        ASSERT_TRUE(eager[i].defined() || i >= params);
+        expectSameBits(fused[i], eager[i],
+                       "hidden " + std::to_string(hidden) +
+                           (i < params ? " parameter " + std::to_string(i)
+                                       : " level entry " +
+                                             std::to_string(i - params)));
+      }
+    }
+  }
+}
+
+/// One hand-built level over three earlier "levels" of leaf tensors.
+struct LevelCase {
+  std::string name;
+  std::vector<Tensor> earlier;
+  features::PinFeatures features;
+  std::vector<std::int64_t> pins;
+  std::optional<features::LevelEdges> net;
+  std::optional<features::LevelEdges> cell;
+};
+
+/// Six pins of 5 features over earlier levels of 4, 3 and 5 rows, hidden 8,
+/// with edge kinds per `kinds` (bit 0 net, bit 1 cell). Net: pin 0 reads
+/// rows (0, 0) and (1, 2), which `tie` makes equal, so its max ties in
+/// every column; pin 1 reads (0, 1) twice, a tie within one source; (2, 3)
+/// feeds pins 2 and 3, and pin 3's cell edge too. Pin 4 has no net edge
+/// (an empty segment, which aggregates zeros), pin 1 no cell edge, pin 5
+/// no edge at all; `flatPin5` zeroes pin 5's features.
+LevelCase levelCase(int kinds, std::uint64_t seed, bool tie,
+                    bool flatPin5 = false) {
+  constexpr std::int64_t kHidden = 8;
+  Rng rng(seed);
+  LevelCase c;
+  c.name = "kinds " + std::to_string(kinds);
+  for (const std::int64_t rows : {4, 3, 5}) {
+    c.earlier.push_back(Tensor::randn({rows, kHidden}, rng, 1.0f, true));
+  }
+  if (tie) {
+    std::copy_n(c.earlier[0].data(), kHidden,
+                c.earlier[1].data() + 2 * kHidden);
+  }
+  c.pins = {8, 1, 4, 6, 2, 7};
+  Tensor dense = Tensor::randn({9, 5}, rng);
+  if (flatPin5) std::fill_n(dense.data() + 7 * 5, 5, 0.0f);
+  c.features = features::PinFeatures(dense);
+  if ((kinds & 1) != 0) {
+    c.net = features::LevelEdges{
+        {{0, 0}, {1, 2}, {0, 1}, {0, 1}, {2, 3}, {2, 3}, {1, 0}},
+        {0, 0, 1, 1, 2, 3, 3}};
+  }
+  if ((kinds & 2) != 0) {
+    c.cell = features::LevelEdges{{{2, 3}, {1, 1}, {2, 0}, {0, 3}, {2, 4}},
+                                  {3, 4, 4, 0, 2}};
+  }
+  return c;
+}
+
+/// A TimingGnn(5, 8) whose parameters but its five projection biases are
+/// offset at random: a pin without in-edges and with zero features then
+/// has a zero pre-norm row. Its LayerNorm amplifies a change of that row
+/// by 1 / sqrt(eps) ~ 316, so the LayerNorm bias sits at least 1 away from
+/// 0, keeping the row's outputs off relu's kink within a difference step.
+TimingGnn& flatBiasGnn(std::uint64_t seed, std::unique_ptr<TimingGnn>& own) {
+  Rng init(seed);
+  own = std::make_unique<TimingGnn>(5, 8, init);
+  const std::vector<Tensor> params = own->parameters();
+  for (std::size_t k = 0; k < params.size(); ++k) {
+    // Registration order: (weight, bias) of the five projections, then the
+    // LayerNorm's gain and bias.
+    if (k < 10 && k % 2 == 1) continue;
+    Tensor p = params[k];
+    for (std::int64_t i = 0; i < p.numel(); ++i) {
+      const auto offset = static_cast<float>(init.uniform(-0.5, 0.5));
+      p.data()[i] += k == 11 ? std::copysign(1.0f, offset) + offset : offset;
+    }
+  }
+  return *own;
+}
+
+/// levelBody of `c` under autograd, then sumAll(level * weights): the
+/// output, every parameter's gradient and every earlier level's gradient.
+std::vector<Tensor> levelGradients(TimingGnn& gnn, const LevelCase& c,
+                                   const Tensor& weights, bool fused) {
+  tensor::expr::setFusionEnabled(fused);
+  gnn.zeroGrad();
+  for (const Tensor& level : c.earlier) {
+    Tensor(level).zeroGrad();
+  }
+  const Tensor out =
+      gnn.levelBody(c.features, c.pins, c.earlier,
+                    c.net ? &*c.net : nullptr, c.cell ? &*c.cell : nullptr, 0);
+  tensor::sumAll(tensor::mul(out, weights)).backward();
+  std::vector<Tensor> got{out.detach().clone()};
+  for (const Tensor& p : gnn.parameters()) got.push_back(p.grad());
+  for (const Tensor& level : c.earlier) got.push_back(level.grad());
+  return got;
+}
+
+TEST(GnnLevelNode, HandBuiltLevelsMatchEagerChainBitwiseAtEveryTier) {
+  // Each edge-kind combination, with ties, empty segments, a pin without
+  // edges and a source that feeds this level through both kinds (so the
+  // order of the cell and net scatters shows), plus a zero-variance row:
+  // the node's output and gradients equal the eager chain's bit for bit.
+  const FusionRestore restore;
+  const auto expectSame = [](const std::vector<Tensor>& fused,
+                             const std::vector<Tensor>& eager,
+                             const std::string& name) {
+    ASSERT_EQ(fused.size(), eager.size());
+    for (std::size_t i = 0; i < eager.size(); ++i) {
+      expectSameBits(fused[i], eager[i], name + " entry " + std::to_string(i));
+    }
+  };
+  for (const auto tier : supportedTiers()) {
+    SCOPED_TRACE(tensor::kernels::tierName(tier));
+    TierGuard guard(tier);
+    for (const int kinds : {0, 1, 2, 3}) {
+      const LevelCase c = levelCase(kinds, 50 + kinds, /*tie=*/true);
+      Rng init(60);
+      TimingGnn gnn(5, 8, init);
+      jitterParameters(gnn, init);
+      const Tensor weights = Tensor::randn({6, 8}, init);
+      expectSame(levelGradients(gnn, c, weights, true),
+                 levelGradients(gnn, c, weights, false), c.name);
+    }
+    const LevelCase flat = levelCase(3, 70, /*tie=*/true, /*flatPin5=*/true);
+    std::unique_ptr<TimingGnn> own;
+    TimingGnn& gnn = flatBiasGnn(71, own);
+    Rng lossRng(72);
+    const Tensor weights = Tensor::randn({6, 8}, lossRng);
+    expectSame(levelGradients(gnn, flat, weights, true),
+               levelGradients(gnn, flat, weights, false), "zero variance");
+  }
+}
+
+TEST(GnnLevelNode, RejectedLevelLeavesNoStateBehind) {
+  // An edge that reads past its source level is rejected; a level after
+  // it on the same thread records and differentiates as usual.
+  const FusionRestore restore;
+  const LevelCase c = levelCase(3, 75, /*tie=*/true);
+  Rng init(76);
+  TimingGnn gnn(5, 8, init);
+  jitterParameters(gnn, init);
+  LevelCase bad = c;
+  bad.net->src.back() = {0, 99};
+  tensor::expr::setFusionEnabled(true);
+  EXPECT_THROW(gnn.levelBody(bad.features, bad.pins, bad.earlier, &*bad.net,
+                             &*bad.cell, 0),
+               CheckError);
+  const Tensor weights = Tensor::randn({6, 8}, init);
+  const auto fused = levelGradients(gnn, c, weights, true);
+  const auto eager = levelGradients(gnn, c, weights, false);
+  ASSERT_EQ(fused.size(), eager.size());
+  for (std::size_t i = 0; i < eager.size(); ++i) {
+    expectSameBits(fused[i], eager[i], "entry " + std::to_string(i));
+  }
+}
+
+/// Central-difference check of every gradient levelGradients reads, the
+/// node (fusion on, autograd on) computing both the loss and the gradient.
+void expectLevelGradientsMatchFiniteDifferences(TimingGnn& gnn,
+                                                const LevelCase& c,
+                                                const Tensor& weights) {
+  const auto analytic = levelGradients(gnn, c, weights, true);
+  const auto loss = [&] {
+    const Tensor out = gnn.levelBody(c.features, c.pins, c.earlier,
+                                     c.net ? &*c.net : nullptr,
+                                     c.cell ? &*c.cell : nullptr, 0);
+    return static_cast<double>(
+        tensor::sumAll(tensor::mul(out, weights)).item());
+  };
+  std::vector<Tensor> inputs = gnn.parameters();
+  inputs.insert(inputs.end(), c.earlier.begin(), c.earlier.end());
+  ASSERT_EQ(analytic.size(), inputs.size() + 1);
+  constexpr float kEps = 1e-3f;
+  for (std::size_t t = 0; t < inputs.size(); ++t) {
+    Tensor input = inputs[t];
+    // The projections of an absent edge kind take no gradient.
+    const Tensor& grad = analytic[t + 1];
+    for (std::int64_t i = 0; i < input.numel(); ++i) {
+      float& v = input.data()[i];
+      const float saved = v;
+      v = saved + kEps;
+      const double up = loss();
+      v = saved - kEps;
+      const double down = loss();
+      v = saved;
+      const double numeric = (up - down) / (2.0 * kEps);
+      const double got = grad.defined() ? grad.data()[i] : 0.0;
+      EXPECT_NEAR(got, numeric,
+                  2e-2 * std::max({1.0, std::fabs(numeric), std::fabs(got)}))
+          << c.name << " input " << t << " element " << i;
+    }
+  }
+}
+
+TEST(GnnLevelNode, GradientsMatchFiniteDifferences) {
+  // Independent of the eager chain: the node's gradients against central
+  // differences, for net-only, cell-only, both-kind and edge-free levels
+  // (empty segments, a tie within one source, a pin without edges), and a
+  // zero-variance row. Distinct sources do not tie here: a max over two
+  // equal values has no derivative for a difference quotient to find.
+  const FusionRestore restore;
+  for (const int kinds : {0, 1, 2, 3}) {
+    const LevelCase c = levelCase(kinds, 80 + kinds, /*tie=*/false);
+    Rng init(90);
+    TimingGnn gnn(5, 8, init);
+    jitterParameters(gnn, init);
+    expectLevelGradientsMatchFiniteDifferences(gnn, c,
+                                               Tensor::randn({6, 8}, init));
+  }
+  LevelCase flat = levelCase(3, 95, /*tie=*/false, /*flatPin5=*/true);
+  flat.name = "zero variance";
+  std::unique_ptr<TimingGnn> own;
+  TimingGnn& gnn = flatBiasGnn(96, own);
+  Rng lossRng(97);
+  expectLevelGradientsMatchFiniteDifferences(gnn, flat,
+                                             Tensor::randn({6, 8}, lossRng));
 }
 
 TEST(PathCnn, FusedForwardBitwiseMatchesEagerAtEveryTier) {
@@ -776,6 +1084,44 @@ TEST(Trainer, TrainingIsDeterministic) {
     const TrainRun second = trainRun(trainSet, tc, strategy);
     EXPECT_EQ(first.epochLoss, second.epochLoss) << strategyName(strategy);
     EXPECT_EQ(first.weights, second.weights) << strategyName(strategy);
+  }
+}
+
+/// Bitwise equality: EXPECT_EQ on floats calls -0 and +0 equal.
+bool sameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Trainer, FusedTrainingMatchesEagerBitwiseAtEveryTier) {
+  // With fusion on, each GNN level trains as one tape node; DAGT_FUSION=0
+  // trains through the eager op chain. The loss curves and the trained
+  // weights must be memcmp-equal, for the one-phase and two-phase
+  // baselines and for the transfer loss, at every kernel tier.
+  const auto& d7 = target7();
+  const auto& d130 = source130();
+  TimingDataset trainSet({&d7, &d130});
+  TrainConfig tc = tinyTrainConfig();
+  tc.epochs = 2;
+  const FusionRestore restore;
+  for (const auto tier : supportedTiers()) {
+    TierGuard guard(tier);
+    for (const Strategy strategy : {Strategy::kSimpleMerge,
+                                    Strategy::kPretrainFinetune,
+                                    Strategy::kOurs}) {
+      SCOPED_TRACE(std::string(tensor::kernels::tierName(tier)) + " " +
+                   strategyName(strategy));
+      tensor::expr::setFusionEnabled(false);
+      const TrainRun eager = trainRun(trainSet, tc, strategy);
+      tensor::expr::setFusionEnabled(true);
+      const TrainRun fused = trainRun(trainSet, tc, strategy);
+      EXPECT_TRUE(sameBits(fused.epochLoss, eager.epochLoss));
+      ASSERT_EQ(fused.weights.size(), eager.weights.size());
+      for (std::size_t i = 0; i < eager.weights.size(); ++i) {
+        EXPECT_TRUE(sameBits(fused.weights[i], eager.weights[i]))
+            << "state tensor " << i;
+      }
+    }
   }
 }
 

@@ -931,6 +931,23 @@ TEST(KernelParity, ConvReluPoolMatchesEagerChainEveryTier) {
             static_cast<int>(built.stages.size()), fused.data(), split,
             batch);
         expectSameBits(eager, fused, "stack");
+        // Each stage's weights packed once, as a compiled program passes
+        // them (the scalar tier reads them as they lie).
+        std::vector<ConvStage> stages = built.stages;
+        std::vector<std::vector<float>> packs;
+        packs.reserve(stages.size());
+        for (ConvStage& st : stages) {
+          const std::int64_t size = table(tier).convPackSize(st);
+          if (size == 0) continue;
+          packs.emplace_back(static_cast<std::size_t>(size));
+          table(tier).convPack(st, packs.back().data());
+          st.packed = packs.back().data();
+        }
+        Tensor prepacked = Tensor::full(eager.shape(), -7.0f);
+        table(tier).convReluPoolRows(images.data(), stages.data(),
+                                     static_cast<int>(stages.size()),
+                                     prepacked.data(), 0, batch);
+        expectSameBits(eager, prepacked, "prepacked stack");
       }
     }
   }

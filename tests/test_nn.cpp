@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "core/path_cnn.hpp"
 #include "nn/layers.hpp"
 #include "nn/module.hpp"
 #include "nn/optimizer.hpp"
@@ -190,7 +191,8 @@ std::vector<tensor::kernels::Tier> supportedTiers() {
 /// The compiled (fused) inference forward of `layer` against its eager op
 /// chain on the layer's current weights: bitwise equal, so a program that
 /// replays weights copied before an in-place write fails here.
-void expectFusedForwardMatchesEager(const Linear& layer, const Tensor& x) {
+template <typename Layer>
+void expectFusedForwardMatchesEager(const Layer& layer, const Tensor& x) {
   tensor::NoGradGuard noGrad;
   tensor::expr::setFusionEnabled(true);
   const Tensor fused = layer.forward(x);
@@ -204,24 +206,40 @@ void expectFusedForwardMatchesEager(const Linear& layer, const Tensor& x) {
       << "fused " << fused.data()[0] << " eager " << eager.data()[0];
 }
 
+/// Predict, train one step in place, predict again: the second inference
+/// forward must read the updated weights, not a program compiled before
+/// the step (at avx2fma a Linear's program packs its weight panel at
+/// compile time; at the SIMD tiers a PathCnn's packs its conv weights).
+template <typename Layer>
+void expectStepRefreshesPrograms(const Layer& layer, const Tensor& x) {
+  expectFusedForwardMatchesEager(layer, x);
+  Adam::Options opts;
+  opts.learningRate = 0.1f;
+  Adam adam(layer.parameters(), opts);
+  tensor::sumAll(layer.forward(x)).backward();
+  adam.step();
+  expectFusedForwardMatchesEager(layer, x);
+}
+
+/// Predict, load `other`'s weights into `layer` in place, predict again.
+template <typename Layer>
+void expectLoadRefreshesPrograms(Layer& layer, const Layer& other,
+                                 const Tensor& x, const std::string& path) {
+  expectFusedForwardMatchesEager(layer, x);
+  other.saveParameters(path);
+  layer.loadParameters(path);
+  expectFusedForwardMatchesEager(layer, x);
+}
+
 TEST(Adam, StepRefreshesCompiledProgramsAtEveryTier) {
-  // Predict, train one step in place, predict again: the second inference
-  // forward must read the updated weights, not a program compiled before
-  // the step (at avx2fma that program packs the weight panel at compile
-  // time).
   for (const tensor::kernels::Tier tier : supportedTiers()) {
     SCOPED_TRACE(tensor::kernels::tierName(tier));
     TierAndFusionGuard guard(tier);
     Rng rng(40);
-    Linear layer(32, 32, rng);
-    const Tensor x = Tensor::randn({4, 32}, rng);
-    expectFusedForwardMatchesEager(layer, x);
-    Adam::Options opts;
-    opts.learningRate = 0.1f;
-    Adam adam(layer.parameters(), opts);
-    tensor::sumAll(layer.forward(x)).backward();
-    adam.step();
-    expectFusedForwardMatchesEager(layer, x);
+    const Linear layer(32, 32, rng);
+    expectStepRefreshesPrograms(layer, Tensor::randn({4, 32}, rng));
+    const core::PathCnn cnn(4, 8, rng);
+    expectStepRefreshesPrograms(cnn, Tensor::randn({3, 3, 16, 16}, rng));
   }
 }
 
@@ -235,11 +253,12 @@ TEST(Module, LoadRefreshesCompiledProgramsAtEveryTier) {
     Rng rng(41);
     Linear layer(32, 32, rng);
     const Linear other(32, 32, rng);
-    const Tensor x = Tensor::randn({4, 32}, rng);
-    expectFusedForwardMatchesEager(layer, x);
-    other.saveParameters(path);
-    layer.loadParameters(path);
-    expectFusedForwardMatchesEager(layer, x);
+    expectLoadRefreshesPrograms(layer, other, Tensor::randn({4, 32}, rng),
+                                path);
+    core::PathCnn cnn(4, 8, rng);
+    const core::PathCnn otherCnn(4, 8, rng);
+    expectLoadRefreshesPrograms(cnn, otherCnn,
+                                Tensor::randn({3, 3, 16, 16}, rng), path);
   }
   std::remove(path.c_str());
 }

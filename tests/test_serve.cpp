@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/table.hpp"
 #include "core/trainer.hpp"
 #include "features/design_data.hpp"
 #include "netlist/io.hpp"
@@ -249,6 +251,23 @@ TEST(PredictionEngine, FullDesignMatchesTrainerBitExact) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_TRUE(bitwiseEqual(served[i], expected[i]))
         << "endpoint " << i << ": " << served[i] << " vs " << expected[i];
+  }
+}
+
+TEST(PredictionEngine, DumpLinesReadBackToServedBits) {
+  // `dagt predict --dump` prints each full-design arrival as
+  // TextTable::exact: the printed text must read back to the served bits.
+  const auto& trained = trainedBundle(core::Strategy::kOurs);
+  PredictionEngine engine;
+  engine.addBundleFromDir(trained.dir);
+  const auto& d = target7();
+  engine.loadDesign("smallboom", d.netlist, d.node, d.placement);
+  const auto served = engine.predictDesign("smallboom");
+  ASSERT_FALSE(served.empty());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    const std::string line = TextTable::exact(served[i]);
+    EXPECT_TRUE(bitwiseEqual(std::strtof(line.c_str(), nullptr), served[i]))
+        << "endpoint " << i << ": " << line;
   }
 }
 

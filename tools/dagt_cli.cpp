@@ -519,7 +519,7 @@ int cmdPredict(const Args& args) {
     TextTable table({"endpoint", "predicted arrival (ps)"});
     for (std::size_t i = 0; i < endpoints.size(); ++i) {
       table.addRow({std::to_string(endpoints[i]),
-                    TextTable::num(arrivals[i], 1)});
+                    TextTable::exact(arrivals[i])});
     }
     std::printf("%s", table.render().c_str());
   } else {
@@ -541,7 +541,7 @@ int cmdPredict(const Args& args) {
     if (args.has("dump")) {
       TextTable table({"endpoint", "predicted arrival (ps)"});
       for (std::size_t i = 0; i < arrivals.size(); ++i) {
-        table.addRow({std::to_string(i), TextTable::num(arrivals[i], 1)});
+        table.addRow({std::to_string(i), TextTable::exact(arrivals[i])});
       }
       std::printf("%s", table.render().c_str());
     }

@@ -14,8 +14,9 @@
 #             predictive), <= 3 allocs/predict;
 #             GNN cone fills bitwise equal fused vs unfused and to a full
 #             sweep, with no program compiled after the first fill
-#   asan      ASan/UBSan build, tensor + concurrency + parser-robustness
-#             + what-if + serve suites
+#   asan      ASan/UBSan build (a UB report aborts; libstdc++ assertions
+#             on), tensor + core (trainer, GNN level-node parity) +
+#             concurrency + parser-robustness + what-if + serve suites
 #   tsan      ThreadSanitizer build, concurrency stress suite
 #   obs       ThreadSanitizer build, tracing-layer suite (dagt_obs_tests)
 #   whatif    ThreadSanitizer build of the what-if suite + bench_whatif
@@ -67,16 +68,20 @@ run_analyze() {
   ctest --test-dir build -L analyze --output-on-failure
 }
 
-# The what-if suite is here for the GNN memo's cone fills, which write
-# recomputed rows into cloned level tensors at computed indices, and for
-# the copy-on-write pin-feature blocks. The serve suite is here because a
-# cold feature build reads the caller's netlist through a reference.
+# The core suite (dagt_tests) is here for the trainer and the GNN
+# level node, whose backward scatters into earlier levels' gradients at
+# recorded rows. The what-if suite is here for the GNN memo's cone fills,
+# which write recomputed rows into cloned level tensors at computed
+# indices, and for the copy-on-write pin-feature blocks. The serve suite is
+# here because a cold feature build reads the caller's netlist through a
+# reference.
 run_asan() {
   cmake -B build-asan -S . -DDAGT_SANITIZE="address;undefined" &&
     cmake --build build-asan -j "$JOBS" \
-      --target dagt_tensor_tests dagt_concurrency_tests \
+      --target dagt_tensor_tests dagt_tests dagt_concurrency_tests \
       dagt_robustness_tests dagt_whatif_tests dagt_serve_tests &&
     ./build-asan/tests/dagt_tensor_tests &&
+    ./build-asan/tests/dagt_tests &&
     ./build-asan/tests/dagt_concurrency_tests &&
     ./build-asan/tests/dagt_robustness_tests &&
     ./build-asan/tests/dagt_whatif_tests &&
