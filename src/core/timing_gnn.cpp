@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <tuple>
 
 #include "common/check.hpp"
 #include "tensor/ops.hpp"
@@ -43,25 +42,17 @@ void TimingGnn::checkInputs(const features::PinGraph& graph,
                                     << inputDim_);
 }
 
-std::uint64_t TimingGnn::levelKeyBase() const {
-  tensor::expr::SigHash sig;
-  mixStateInto(sig);
-  return sig.h;
-}
-
 Tensor TimingGnn::levelBody(const features::PinFeatures& pinFeatures,
                             const std::vector<std::int64_t>& pins,
                             const std::vector<Tensor>& earlier,
                             const features::LevelEdges* netEdges,
-                            const features::LevelEdges* cellEdges,
-                            std::uint64_t keyBase) const {
-  const std::int64_t n = static_cast<std::int64_t>(pins.size());
+                            const features::LevelEdges* cellEdges) const {
   // Own features of the pins.
   const Tensor x = pinFeatures.gather(pins);
 
-  if (tensor::expr::fusionEnabled() && tensor::NoGradGuard::gradEnabled()) {
-    // Training: the level as one tape node, bitwise equal to the chain
-    // below in its values and in every gradient it accumulates.
+  if (tensor::expr::fusionEnabled()) {
+    // The level as one op, bitwise equal to the chain below in its values
+    // and in every gradient it accumulates.
     tensor::GnnLevelEdges net;
     tensor::GnnLevelEdges cell;
     if (netEdges != nullptr) net = {&netEdges->src, &netEdges->dstLocal};
@@ -70,76 +61,32 @@ Tensor TimingGnn::levelBody(const features::PinFeatures& pinFeatures,
                             cellEdges != nullptr ? &cell : nullptr,
                             levelWeights_);
   }
-  if (!tensor::expr::shouldFuse()) {
-    // DAGT_FUSION=0: the autograd op chain, the reference path.
-    Tensor h = self_.forward(x);
-    const auto addAggregates = [&](const features::LevelEdges* edges,
-                                   const nn::Linear& meanProj,
-                                   const nn::Linear& maxProj) {
-      if (edges == nullptr) return;
-      const Tensor sources = tensor::gatherRowsMulti(earlier, edges->src);
-      // Mean aggregation: divide the segment sums by per-pin fanin counts
-      // (sum aggregation compounds with depth and overflows float32 on
-      // deep designs).
-      std::vector<float> invCount(static_cast<std::size_t>(n), 0.0f);
-      for (const std::int64_t dst : edges->dstLocal) {
-        invCount[static_cast<std::size_t>(dst)] += 1.0f;
-      }
-      for (auto& c : invCount) c = c > 0.0f ? 1.0f / c : 0.0f;
-      const Tensor aggMean = tensor::mulColVec(
-          tensor::segmentSum(sources, edges->dstLocal, n),
-          Tensor::fromVector({n}, std::move(invCount)));
-      const Tensor aggMax = tensor::segmentMax(sources, edges->dstLocal, n);
-      h = tensor::add(h, meanProj.forward(aggMean));
-      h = tensor::add(h, maxProj.forward(aggMax));
-    };
-    addAggregates(netEdges, netSum_, netMax_);
-    addAggregates(cellEdges, cellSum_, cellMax_);
-    return norm_.forward(h, /*relu=*/true);
-  }
-
-  // Inference: one pass over each edge kind's in-edges, reading the source
-  // rows where they sit, then one program replay for the rest of the level:
-  // the five GEMMs with their bias and residual adds folded into epilogues,
-  // and the LayerNorm + relu kernel. The program is row-polymorphic, so each
-  // edge-kind combination compiles once for every level width.
-  Tensor netMean, netMax, cellMean, cellMax;
-  if (netEdges != nullptr) {
-    std::tie(netMean, netMax) =
-        tensor::segmentMeanMax(earlier, netEdges->src, netEdges->dstLocal, n);
-  }
-  if (cellEdges != nullptr) {
-    std::tie(cellMean, cellMax) = tensor::segmentMeanMax(
-        earlier, cellEdges->src, cellEdges->dstLocal, n);
-  }
-  tensor::expr::SigHash sig{keyBase};
-  sig.mixTrailingDims(x.shape());
-  sig.mix(netEdges != nullptr ? 1 : 0);
-  sig.mix(cellEdges != nullptr ? 1 : 0);
-  const auto program = levelPrograms_.getOrCompile(sig.h, n, [&] {
-    tensor::expr::Capture cap;
-    Tensor h = self_.forward(cap.input(x));
-    const auto addAggregates = [&](const Tensor& mean, const Tensor& max,
-                                   const nn::Linear& meanProj,
-                                   const nn::Linear& maxProj) {
-      const Tensor lMean = cap.input(mean);
-      const Tensor lMax = cap.input(max);
-      h = tensor::add(tensor::add(h, meanProj.forward(lMean)),
-                      maxProj.forward(lMax));
-    };
-    if (netEdges != nullptr) addAggregates(netMean, netMax, netSum_, netMax_);
-    if (cellEdges != nullptr) {
-      addAggregates(cellMean, cellMax, cellSum_, cellMax_);
+  // DAGT_FUSION=0: the autograd op chain, the reference path.
+  const std::int64_t n = static_cast<std::int64_t>(pins.size());
+  Tensor h = self_.forward(x);
+  const auto addAggregates = [&](const features::LevelEdges* edges,
+                                 const nn::Linear& meanProj,
+                                 const nn::Linear& maxProj) {
+    if (edges == nullptr) return;
+    const Tensor sources = tensor::gatherRowsMulti(earlier, edges->src);
+    // Mean aggregation: divide the segment sums by per-pin fanin counts
+    // (sum aggregation compounds with depth and overflows float32 on deep
+    // designs).
+    std::vector<float> invCount(static_cast<std::size_t>(n), 0.0f);
+    for (const std::int64_t dst : edges->dstLocal) {
+      invCount[static_cast<std::size_t>(dst)] += 1.0f;
     }
-    const Tensor y = norm_.forward(h, /*relu=*/true);
-    return cap.compile({&y});
-  });
-  if (netEdges != nullptr && cellEdges != nullptr) {
-    return program->runOne({x, netMean, netMax, cellMean, cellMax});
-  }
-  if (netEdges != nullptr) return program->runOne({x, netMean, netMax});
-  if (cellEdges != nullptr) return program->runOne({x, cellMean, cellMax});
-  return program->runOne({x});
+    for (auto& c : invCount) c = c > 0.0f ? 1.0f / c : 0.0f;
+    const Tensor aggMean = tensor::mulColVec(
+        tensor::segmentSum(sources, edges->dstLocal, n),
+        Tensor::fromVector({n}, std::move(invCount)));
+    const Tensor aggMax = tensor::segmentMax(sources, edges->dstLocal, n);
+    h = tensor::add(h, meanProj.forward(aggMean));
+    h = tensor::add(h, maxProj.forward(aggMax));
+  };
+  addAggregates(netEdges, netSum_, netMax_);
+  addAggregates(cellEdges, cellSum_, cellMax_);
+  return norm_.forward(h, /*relu=*/true);
 }
 
 TimingGnn::Output TimingGnn::forward(
@@ -149,8 +96,6 @@ TimingGnn::Output TimingGnn::forward(
   Output out;
   out.graph = &graph;
   out.levelEmbeddings.reserve(static_cast<std::size_t>(graph.numLevels()));
-  const std::uint64_t keyBase =
-      tensor::expr::shouldFuse() ? levelKeyBase() : 0;
   // Sized once for the widest level; every level reuses it.
   std::vector<std::int64_t> pins;
   std::size_t widest = 0;
@@ -165,8 +110,7 @@ TimingGnn::Output TimingGnn::forward(
     const features::LevelEdges& cell = graph.cellEdgesInto(level);
     out.levelEmbeddings.push_back(levelBody(
         pinFeatures, pins, out.levelEmbeddings,
-        net.size() > 0 ? &net : nullptr, cell.size() > 0 ? &cell : nullptr,
-        keyBase));
+        net.size() > 0 ? &net : nullptr, cell.size() > 0 ? &cell : nullptr));
   }
   return out;
 }
@@ -249,8 +193,6 @@ TimingGnn::Output TimingGnn::forwardFrom(
   Output out;
   out.graph = &graph;
   out.levelEmbeddings.reserve(static_cast<std::size_t>(numLevels));
-  const std::uint64_t keyBase =
-      tensor::expr::shouldFuse() ? levelKeyBase() : 0;
   std::int64_t computed = 0;
   // Per-level scratch, sized once so a level allocates only its tensors.
   std::vector<std::int64_t> pins;
@@ -321,7 +263,7 @@ TimingGnn::Output TimingGnn::forwardFrom(
       restrict(cell, coneCell);
       rows = levelBody(pinFeatures, pins, out.levelEmbeddings,
                        net.size() > 0 ? &coneNet : nullptr,
-                       cell.size() > 0 ? &coneCell : nullptr, keyBase);
+                       cell.size() > 0 ? &coneCell : nullptr);
       computed += static_cast<std::int64_t>(pins.size());
       if (pins.size() == levelPins.size()) {
         out.levelEmbeddings.push_back(std::move(rows));

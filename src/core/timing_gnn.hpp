@@ -72,33 +72,27 @@ class TimingGnn : public nn::Module {
   /// in-edge sources in `earlier` (the embeddings of every earlier level).
   /// An edge list's dstLocal indexes `pins`; a null list means the level
   /// has no edge of that kind, while a pin without edges in a non-null list
-  /// aggregates zeros. `keyBase` is levelKeyBase() when fusing (unused
-  /// otherwise).
+  /// aggregates zeros.
   ///
-  /// Inference with fusion on aggregates with tensor::segmentMeanMax (one
-  /// pass over the in-edges, sources read in place) and replays one
-  /// row-polymorphic program per edge-kind combination: the five GEMMs
-  /// with bias and residual epilogues, then the LayerNorm + relu kernel.
-  /// Training with fusion on runs the same kernels as one tensor::gnnLevel
-  /// tape node. DAGT_FUSION=0 runs the autograd op chain (gatherRowsMulti,
-  /// segmentSum, mulColVec, segmentMax, Linear, LayerNorm, relu), the
-  /// reference. The program equals the chain bitwise at the scalar and
-  /// avx2 tiers; the node equals it at every tier, in its values and, with
-  /// the sweep read through select(), in every gradient. Public so that
-  /// tests can drive one level over hand-built edges.
+  /// With fusion on, the level is one tensor::gnnLevel call, for training
+  /// and serving alike: one pass over each kind's in-edges (sources read in
+  /// place), the five GEMMs with bias and residual epilogues, then the
+  /// LayerNorm + relu kernel. Under autograd it records one tape node;
+  /// outside it records nothing. DAGT_FUSION=0 runs the autograd op chain
+  /// (gatherRowsMulti, segmentSum, mulColVec, segmentMax, Linear,
+  /// LayerNorm, relu), the reference. The op equals the chain bitwise at
+  /// every tier, in its values and, with the sweep read through select(),
+  /// in every gradient. Public so that tests can drive one level over
+  /// hand-built edges.
   tensor::Tensor levelBody(const features::PinFeatures& pinFeatures,
                            const std::vector<std::int64_t>& pins,
                            const std::vector<tensor::Tensor>& earlier,
                            const features::LevelEdges* netEdges,
-                           const features::LevelEdges* cellEdges,
-                           std::uint64_t keyBase) const;
+                           const features::LevelEdges* cellEdges) const;
 
  private:
   void checkInputs(const features::PinGraph& graph,
                    const features::PinFeatures& pinFeatures) const;
-  /// The parameter-storage part of every level program's key, computed
-  /// once per sweep.
-  std::uint64_t levelKeyBase() const;
 
   std::int64_t inputDim_;
   std::int64_t hidden_;
@@ -108,11 +102,8 @@ class TimingGnn : public nn::Module {
   nn::Linear cellSum_;
   nn::Linear cellMax_;
   nn::LayerNorm norm_;
-  // The children's weights, as the training level node takes them.
+  // The children's weights, as tensor::gnnLevel takes them.
   tensor::GnnLevelWeights levelWeights_;
-  // The fused level body, one program per edge-kind combination (at most
-  // four), each serving every level width.
-  mutable tensor::expr::ProgramCache levelPrograms_;
 };
 
 }  // namespace dagt::core

@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
-#include "core/batch_prefetcher.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/trace.hpp"
 #include "tensor/storage.hpp"
@@ -37,10 +36,9 @@ double secondsSince(
       .count();
 }
 
-/// One training step, fully materialized by the batch producer: the
-/// producer owns every RNG draw (epoch shuffles, target picks, path
-/// sampling, the forward seed), so a step's content does not depend on
-/// the thread that later trains it.
+/// One training step's inputs, drawn before the step runs: the schedule
+/// owns every RNG draw (epoch shuffles, target picks, path sampling, the
+/// forward seed), so the loss never reads the schedule's RNG.
 struct Step {
   DesignBatch batchS;
   DesignBatch batchT;  // transfer (Ours) steps only
@@ -61,37 +59,24 @@ struct Phase {
   float learningRate;
 };
 
-/// The training loop shared by every strategy. The schedule (epoch
-/// shuffles plus `sample`, all from `rng` in strict step order) runs one
-/// step ahead on the prefetcher's producer thread, while the caller's
-/// thread trains: zeroGrad, `lossOf`, backward, clip and an Adam step.
-/// Appends each epoch's mean step loss to `stats`.
+/// The training loop shared by every strategy, on the caller's thread.
+/// Each epoch shuffles the phase's designs, then each step draws its
+/// batches with `sample` (the schedule's draws all come from `rng`, in
+/// step order) and trains: zeroGrad, `lossOf`, backward, clip and an Adam
+/// step. Appends each epoch's mean step loss to `stats`.
 void runPhase(const TrainConfig& config, Strategy strategy,
-              const Phase& phase, Rng& rng, SampleFn sample,
+              const Phase& phase, Rng& rng, const SampleFn& sample,
               const LossFn& lossOf, nn::Adam& adam, TrainStats* stats) {
   adam.setLearningRate(phase.learningRate);
-  BatchPrefetcher<Step> prefetcher(
-      [&rng, &phase, sample = std::move(sample),
-       epochsLeft = phase.epochs, stepIdx = std::size_t{0},
-       order = std::vector<const DesignData*>{}](Step& out) mutable {
-        if (stepIdx >= order.size()) {
-          if (epochsLeft <= 0) return false;
-          --epochsLeft;
-          order = phase.designs;
-          rng.shuffle(order);
-          stepIdx = 0;
-          if (order.empty()) return false;
-        }
-        sample(*order[stepIdx++], rng, out);
-        return true;
-      });
   const std::size_t stepsPerEpoch = phase.designs.size();
+  std::vector<const DesignData*> order;
   for (std::int32_t epoch = 0; epoch < phase.epochs; ++epoch) {
+    order = phase.designs;
+    rng.shuffle(order);
     double epochLoss = 0.0;
-    for (std::size_t i = 0; i < stepsPerEpoch; ++i) {
+    for (const DesignData* design : order) {
       Step step;
-      DAGT_CHECK_MSG(prefetcher.next(step),
-                     "batch producer ended before the schedule");
+      sample(*design, rng, step);
       // Per-step workspace: every intermediate freed during this step is
       // recycled locally, and the cache returns to the global pool at
       // step end — across epochs the optimizer loop stops touching the

@@ -54,11 +54,11 @@ struct TrainStats {
 /// to a strategy. The dataset must contain the target-node training design
 /// (role kTrainTarget) and, for transfer strategies, source-node designs.
 ///
-/// Every strategy runs the same step loop: an async producer thread draws
-/// the schedule (shuffles, batches, forward seeds) from the one seeded RNG
-/// stream, one step ahead of the forward, backward and Adam step on the
-/// calling thread. The loss curve and trained weights depend only on the
-/// config and the data.
+/// Every strategy runs the same step loop on the calling thread: each step
+/// draws its part of the schedule (shuffles, batches, forward seeds) from
+/// the one seeded RNG stream, then runs the forward, backward and Adam
+/// step. The loss curve and trained weights depend only on the config and
+/// the data.
 class Trainer {
  public:
   Trainer(const TimingDataset& trainData, TrainConfig config);

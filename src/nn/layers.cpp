@@ -86,14 +86,6 @@ LayerNorm::LayerNorm(std::int64_t dim, float epsilon)
 Tensor LayerNorm::forward(const Tensor& x, bool relu) const {
   DAGT_CHECK_MSG(x.ndim() == 2 && x.dim(1) == dim_,
                  "LayerNorm: bad input shape");
-  if (!tensor::NoGradGuard::gradEnabled() && tensor::expr::fusionEnabled()) {
-    return tensor::layerNorm(x, gain_, bias_, epsilon_, relu);
-  }
-  const Tensor y = body(x);
-  return relu ? tensor::relu(y) : y;
-}
-
-Tensor LayerNorm::body(const Tensor& x) const {
   const Tensor mean = tensor::meanDim1(x);
   const Tensor centered = tensor::addColVec(x, tensor::neg(mean));
   const Tensor var = tensor::meanDim1(tensor::square(centered));
@@ -102,11 +94,12 @@ Tensor LayerNorm::body(const Tensor& x) const {
       tensor::sqrtOp(tensor::addScalar(var, epsilon_)));
   const Tensor normalized = tensor::mulColVec(centered, invStd);
   // Per-feature affine: gain * normalized + bias.
-  return tensor::addBias(
+  const Tensor y = tensor::addBias(
       tensor::mul(normalized,
                   tensor::repeatRows(tensor::reshape(gain_, {1, dim_}),
                                      x.dim(0))),
       bias_);
+  return relu ? tensor::relu(y) : y;
 }
 
 Conv2d::Conv2d(std::int64_t inChannels, std::int64_t outChannels,

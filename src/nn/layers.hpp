@@ -64,10 +64,9 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(std::int64_t dim, float epsilon = 1e-5f);
 
-  /// LayerNorm(x), followed by relu when `relu`. Inference with fusion on
-  /// runs (or, under a capture, records) tensor::layerNorm, one row kernel;
-  /// training and DAGT_FUSION=0 run the autograd op chain, whose roundings
-  /// that kernel repeats bit for bit.
+  /// LayerNorm(x), followed by relu when `relu`, as an autograd op chain.
+  /// KernelTable::layerNormRows, which tensor::gnnLevel runs, repeats its
+  /// roundings bit for bit.
   tensor::Tensor forward(const tensor::Tensor& x, bool relu = false) const;
 
   const tensor::Tensor& gain() const { return gain_; }
@@ -75,8 +74,6 @@ class LayerNorm : public Module {
   float epsilon() const { return epsilon_; }
 
  private:
-  tensor::Tensor body(const tensor::Tensor& x) const;
-
   std::int64_t dim_;
   float epsilon_;
   tensor::Tensor gain_;  // [D], init 1

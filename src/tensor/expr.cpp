@@ -231,9 +231,9 @@ std::int32_t activationCode(OpKind k) {
 // output would replay from an input list the pass cleared.
 
 // Pass 1: lower every 2-D matmul to kFusedGemm (empty epilogue is bitwise
-// gemmRows), then greedily fold addBias / activation / residual-add into the
-// epilogue wherever the eager op order matches the fixed epilogue order
-// bias -> activation -> residual and the producer has no other consumer.
+// gemmRows), then greedily fold addBias / activation into the epilogue
+// wherever the eager op order matches the fixed epilogue order
+// bias -> activation and the producer has no other consumer.
 void fuseGemmEpilogues(std::vector<ExprNode>& nodes) {
   for (ExprNode& n : nodes) {
     if (n.kind == OpKind::kMatmul) n.kind = OpKind::kFusedGemm;
@@ -249,7 +249,6 @@ void fuseGemmEpilogues(std::vector<ExprNode>& nodes) {
       n.activation = fg.activation;
       n.slope = fg.slope;
       n.biasArg = fg.biasArg;
-      n.residualArg = fg.residualArg;
       // fg is dead now; drop its edges so later passes see true use counts.
       fg.inputs.clear();
       fg.refCount = 0;
@@ -259,8 +258,7 @@ void fuseGemmEpilogues(std::vector<ExprNode>& nodes) {
       const std::int32_t biasId = n.inputs[1];
       ExprNode& fg = nodes[fgId];
       if (fg.kind == OpKind::kFusedGemm && fg.refCount == 1 &&
-          !fg.isOutput && fg.biasArg < 0 && fg.activation == 0 &&
-          fg.residualArg < 0) {
+          !fg.isOutput && fg.biasArg < 0 && fg.activation == 0) {
         takeOver(fgId);
         n.biasArg = static_cast<std::int32_t>(n.inputs.size());
         n.inputs.push_back(biasId);
@@ -269,28 +267,12 @@ void fuseGemmEpilogues(std::vector<ExprNode>& nodes) {
       const std::int32_t fgId = n.inputs[0];
       ExprNode& fg = nodes[fgId];
       if (fg.kind == OpKind::kFusedGemm && fg.refCount == 1 &&
-          !fg.isOutput && fg.activation == 0 && fg.residualArg < 0) {
+          !fg.isOutput && fg.activation == 0) {
         const std::int32_t act = activationCode(n.kind);
         const float slope = n.scalar;
         takeOver(fgId);
         n.activation = act;
         n.slope = slope;
-      }
-    } else if (n.kind == OpKind::kAdd && n.inputs.size() == 2) {
-      // Residual: either side may be the gemm (IEEE float addition is
-      // commutative bitwise).
-      for (int side = 0; side < 2; ++side) {
-        const std::int32_t fgId = n.inputs[side];
-        const std::int32_t resId = n.inputs[1 - side];
-        ExprNode& fg = nodes[fgId];
-        if (fg.kind == OpKind::kFusedGemm && fg.refCount == 1 &&
-            !fg.isOutput && fg.residualArg < 0 &&
-            nodes[resId].shape == n.shape && resId != fgId) {
-          takeOver(fgId);
-          n.residualArg = static_cast<std::int32_t>(n.inputs.size());
-          n.inputs.push_back(resId);
-          break;
-        }
       }
     }
   }
@@ -758,14 +740,9 @@ bool markRowScaled(std::vector<ExprNode>& nodes,
       case OpKind::kAddBias:
         local = scaled(n.inputs[0]) && !scaled(n.inputs[1]);
         break;
-      case OpKind::kLayerNorm:
-        local = scaled(n.inputs[0]) && !scaled(n.inputs[1]) &&
-                !scaled(n.inputs[2]);
-        break;
       case OpKind::kFusedGemm:
         local = scaled(n.inputs[0]) && !scaled(n.inputs[1]) &&
-                (n.biasArg < 0 || !scaled(n.inputs[n.biasArg])) &&
-                (n.residualArg < 0 || scaled(n.inputs[n.residualArg]));
+                (n.biasArg < 0 || !scaled(n.inputs[n.biasArg]));
         break;
       case OpKind::kConvReluPool:
         // The images are the rows; weights and biases enter whole.
@@ -1062,10 +1039,6 @@ void FusedProgram::replay(const Tensor* inputs, std::size_t numInputs,
       case OpKind::kGlobalAvgPool:
         v = globalAvgPool(values[n.inputs[0]]);
         break;
-      case OpKind::kLayerNorm:
-        v = layerNorm(values[n.inputs[0]], values[n.inputs[1]],
-                      values[n.inputs[2]], n.scalar, n.ipow != 0);
-        break;
       case OpKind::kFusedEw: {
         DAGT_TRACE_SCOPE("kernel/fused_ew");
         bump(gStats().fusedEwLaunches);
@@ -1150,8 +1123,6 @@ void FusedProgram::replay(const Tensor* inputs, std::size_t numInputs,
         v = Tensor(detail::makeOut(shapeOf(n)));
         kernels::GemmEpilogue ep;
         ep.bias = n.biasArg >= 0 ? values[n.inputs[n.biasArg]].data() : nullptr;
-        ep.residual =
-            n.residualArg >= 0 ? values[n.inputs[n.residualArg]].data() : nullptr;
         ep.activation = n.activation;
         ep.slope = n.slope;
         const float* panel = nullptr;

@@ -75,12 +75,9 @@ enum class OpKind : std::int32_t {
   kConv2d,
   kMaxPool2d,
   kGlobalAvgPool,
-  // Row-wise LayerNorm (+ relu when ipow != 0; eps in scalar), recorded by
-  // tensor::layerNorm and replayed by it: one layerNormRows kernel.
-  kLayerNorm,
   // Fused composites (fusion-pass products, never recorded directly).
   kFusedEw,    ///< elementwise chain -> kernels fusedEwRows
-  kFusedGemm,  ///< matmul + bias/activation/residual -> fusedGemmEpilogueRows
+  kFusedGemm,  ///< matmul + bias/activation -> fusedGemmEpilogueRows
   kRowDot,     ///< sumDim1(mul(a,b)) -> per-row dotVec
   kConvReluPool,  ///< conv2d -> relu (-> conv2d -> relu)* -> globalAvgPool
                   ///< -> convReluPoolRows
@@ -117,12 +114,11 @@ struct ExprNode {
   std::vector<kernels::EwStep> steps;
   std::vector<std::uint8_t> operandKinds;
 
-  // kFusedGemm epilogue: inputs = [a, b] (+bias at biasArg, +residual at
-  // residualArg, as indices into inputs).
+  // kFusedGemm epilogue: inputs = [a, b] (+bias at biasArg, an index into
+  // inputs).
   std::int32_t activation = 0;
   float slope = 0.0f;
   std::int32_t biasArg = -1;
-  std::int32_t residualArg = -1;
 
   // kConvReluPool: inputs[0] is the image batch, then each stage's weight
   // (and bias), as convStages says.
@@ -164,8 +160,8 @@ void resetStats();
 /// (the row count) and every live node is row-local: its row i reads only
 /// row i of its row-scaled operands, and weights and other constants enter
 /// whole (GEMMs against constant B, bias and column-vector broadcasts,
-/// elementwise chains, row reductions, LayerNorm, a lowered conv stack,
-/// whose row is a sample). Such a program replays
+/// elementwise chains, row reductions, a lowered conv stack, whose row is
+/// a sample). Such a program replays
 /// at any row count with the same per-row arithmetic, so it is compiled
 /// once for all of them. A program that bakes in its row count (repeatRows,
 /// a reshape, a column reduction, a constant with the batch as a dim) is
@@ -290,8 +286,7 @@ void noteParametersWritten();
 
 /// FNV-1a shape/pointer signature builder for program-cache keys. Mix the
 /// input dims, the data pointers of every captured weight (a compiled
-/// program reads its weights by address) and any behavioral attrs (e.g.
-/// an edge kind).
+/// program reads its weights by address) and any behavioral attrs.
 struct SigHash {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   void mix(std::uint64_t v) {

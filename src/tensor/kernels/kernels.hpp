@@ -111,7 +111,8 @@ inline constexpr int kEwMaxOperands = 8;
 struct GemmEpilogue {
   /// [m] bias row added to each C row, or nullptr.
   const float* bias = nullptr;
-  /// [rows, m] residual added element-wise after activation, or nullptr.
+  /// [rows, m] residual added element-wise after activation, or nullptr
+  /// (tensor::gnnLevel's projections sum onto the level's running total).
   const float* residual = nullptr;
   /// 0 none, 1 relu, 2 tanh, 3 sigmoid, 4 leaky relu (uses slope).
   std::int32_t activation = 0;
@@ -230,7 +231,7 @@ struct KernelTable {
   void (*gatherRowsPtrs)(const float* const* srcRows, std::int64_t rows,
                          std::int64_t cols, float* out);
 
-  // -- GNN level body (the level program's and gnnLevel's kernels) -----------
+  // -- GNN level body (tensor::gnnLevel's kernels) ---------------------------
   /// Mean and max of each destination's in-edge sources, reading source rows
   /// in place. Walks e = 0..edges-1 in order: mean[dst[e]] += srcRows[e]
   /// (accAddVec, so `mean` must arrive zero-filled) and

@@ -68,13 +68,6 @@ Tensor meanDim0(const Tensor& t);
 /// [N,D] -> [N]: sum over columns.
 Tensor sumDim1(const Tensor& t);
 Tensor meanDim1(const Tensor& t);
-/// Row-wise LayerNorm of x [N, D] with per-feature gain and bias [D], then
-/// relu when `relu`: one kernel (KernelTable::layerNormRows) bitwise equal
-/// to nn::LayerNorm's op chain. Capturable (one program node). No
-/// backward: nn::LayerNorm trains through the op chain, and the timing
-/// GNN's levels through gnnLevel, whose backward replays that chain's.
-Tensor layerNorm(const Tensor& x, const Tensor& gain, const Tensor& bias,
-                 float eps, bool relu);
 /// [N,M] -> [N]: log(sum(exp(row))) with max-subtraction stabilization.
 Tensor logSumExpDim1(const Tensor& t);
 
@@ -131,19 +124,6 @@ Tensor segmentSum(const Tensor& src, const std::vector<std::int64_t>& segment,
 /// Segment max with -inf identity; empty segments yield 0 (and no grad).
 Tensor segmentMax(const Tensor& src, const std::vector<std::int64_t>& segment,
                   std::int64_t numSegments);
-/// Mean and max aggregation of in-edges without gathering their sources:
-/// edge e reads row src[e] of `mats` (coordinates as in gatherRowsMulti)
-/// in place and feeds destination dst[e] in [0, numDst). Returns
-/// {mean, max}, each [numDst, cols]: bitwise equal to
-/// mulColVec(segmentSum(g, dst, numDst), 1 / count) and
-/// segmentMax(g, dst, numDst) over g = gatherRowsMulti(mats, src), with a
-/// destination without edges giving 0 in both. No backward: training with
-/// fusion on aggregates inside gnnLevel, which keeps what its backward
-/// needs; DAGT_FUSION=0 runs that eager chain.
-std::pair<Tensor, Tensor> segmentMeanMax(
-    const std::vector<Tensor>& mats,
-    const std::vector<std::pair<std::int32_t, std::int64_t>>& src,
-    const std::vector<std::int64_t>& dst, std::int64_t numDst);
 
 /// Weights of one level of the timing GNN (core::TimingGnn): the self
 /// projection [inDim, D] and bias [D]; per edge kind a mean and a max
@@ -168,19 +148,23 @@ struct GnnLevelEdges {
 /// over the present edge kinds k (a null `net` / `cell` has no edges, so
 /// its projections and biases are skipped; a row without edges of a
 /// present kind aggregates zeros). mean_k and max_k aggregate each row's
-/// in-edge sources out of `earlier` as segmentMeanMax does.
+/// in-edge sources, read in place out of `earlier`, bitwise equal to
+/// mulColVec(segmentSum(g, dst, n), 1 / fanin) and segmentMax(g, dst, n)
+/// over g = gatherRowsMulti(earlier, src).
 ///
-/// The forward runs the kernels of the inference level program:
-/// segmentMeanMaxRows, the five GEMMs with bias and residual epilogues,
-/// layerNormRows with relu. Under autograd it records ONE tape node, which
-/// keeps x, the aggregates, the max's argmax, 1 / fanin and LayerNorm's
-/// centered rows and per-row scalars. Its backward performs exactly the
-/// accumulations that core::TimingGnn's eager op chain (DAGT_FUSION=0)
-/// performs into the weights' and earlier levels' gradients, in the order
-/// the tape runs that chain's block of nodes, so with the sweep read
-/// through gatherRowsMulti over every level (TimingGnn::select) all
-/// gradients are bitwise equal to the chain's at every kernel tier. Every
-/// weight must require grad when the node is recorded, and x must not.
+/// The forward runs segmentMeanMaxRows per edge kind, the five GEMMs with
+/// bias and residual epilogues, then layerNormRows with relu. Outside
+/// autograd (serving, a what-if cone fill) it records nothing and
+/// allocates only its pooled buffers. Under autograd it records ONE tape
+/// node, which keeps x, the aggregates, the max's argmax, 1 / fanin and
+/// LayerNorm's centered rows and per-row scalars. Its backward performs
+/// exactly the accumulations that core::TimingGnn's eager op chain
+/// (DAGT_FUSION=0) performs into the weights' and earlier levels'
+/// gradients, in the order the tape runs that chain's block of nodes, so
+/// with the sweep read through gatherRowsMulti over every level
+/// (TimingGnn::select) all gradients are bitwise equal to the chain's at
+/// every kernel tier, as the output is. Every weight must require grad
+/// when the node is recorded, and x must not.
 Tensor gnnLevel(const Tensor& x, const std::vector<Tensor>& earlier,
                 const GnnLevelEdges* net, const GnnLevelEdges* cell,
                 const GnnLevelWeights& weights);

@@ -9,7 +9,9 @@
 #include "tensor/ops.hpp"
 #include "tensor/ops_common.hpp"
 
-// gnnLevel: one level of the timing GNN as one tape node.
+// gnnLevel: one level of the timing GNN as one op. Serving and what-if
+// cone fills call it outside autograd, where it records nothing; training
+// records it as one tape node.
 //
 // The eager level (core::TimingGnn with DAGT_FUSION=0) records up to 38
 // ops: the self Linear; per edge kind gatherRowsMulti, segmentSum,
@@ -39,7 +41,8 @@ using detail::makeOut;
 
 namespace {
 
-/// One edge kind of a level, as the backward reads it.
+/// One edge kind of a level, as the forward and (when recording) the
+/// backward read it.
 struct KindState {
   bool present = false;
   std::vector<std::int64_t> dst;
@@ -47,9 +50,11 @@ struct KindState {
   /// needs no gradient) and its row there.
   std::vector<std::int32_t> slot;
   std::vector<std::int64_t> row;
-  std::vector<float> invCount;  // [n]: 1 / fanin, 0 without edges
-  float* mean = nullptr;        // [n, D], in LevelState::buffer
-  float* max = nullptr;         // [n, D], in LevelState::buffer
+  // Views into LevelState::buffer: 1 / fanin [n] (0 without edges), the
+  // mean and the max [n, D].
+  float* invCount = nullptr;
+  float* mean = nullptr;
+  float* max = nullptr;
   std::vector<std::int32_t> argmax;  // [n, D]: edge of each max, -1 none
   bool sourcesNeedGrad = false;
 };
@@ -65,9 +70,9 @@ struct LevelState {
   /// The earlier levels the edges read that need a gradient, first read
   /// first.
   std::vector<std::shared_ptr<TensorImpl>> sources;
-  /// One pooled, zero-filled buffer for the aggregates and, when recording,
-  /// LayerNorm's centered rows [n, D] and per-row var + eps, stddev and
-  /// rstd [3, n].
+  /// One pooled, zero-filled buffer for the aggregates, 1 / fanin and, when
+  /// recording, LayerNorm's centered rows [n, D] and per-row var + eps,
+  /// stddev and rstd [3, n].
   Storage buffer;
   float* centered = nullptr;
   float* rowStats = nullptr;
@@ -86,8 +91,9 @@ void gemmEpilogue(const float* a, const Tensor& weight, const Tensor& bias,
                                           k, m, &ep);
 }
 
-/// Aggregate one edge kind into `kind` (mean and max into its zero-filled
-/// buffers and, when recording, argmax and each edge's source slot).
+/// Aggregate one edge kind into `kind` (1 / fanin, mean and max into its
+/// zero-filled buffers and, when recording, argmax and each edge's source
+/// slot).
 void aggregate(const std::vector<Tensor>& earlier, const GnnLevelEdges& edges,
                std::int64_t n, std::int64_t dim, bool tape,
                std::vector<std::shared_ptr<TensorImpl>>& sources,
@@ -100,7 +106,6 @@ void aggregate(const std::vector<Tensor>& earlier, const GnnLevelEdges& edges,
                               << " destinations");
   const std::size_t edgeCount = src.size();
   kind.present = true;
-  kind.invCount.assign(static_cast<std::size_t>(n), 0.0f);
   thread_local std::vector<const float*> rowPtrs;
   if (rowPtrs.size() < edgeCount) rowPtrs.resize(edgeCount);
   for (std::size_t e = 0; e < edgeCount; ++e) {
@@ -136,11 +141,14 @@ void aggregate(const std::vector<Tensor>& earlier, const GnnLevelEdges& edges,
     for (const auto& at : src) slotOf[static_cast<std::size_t>(at.first)] = -1;
   }
   // 1 / fanin, inverted exactly like the eager chain's mulColVec operand.
-  for (float& c : kind.invCount) c = c > 0.0f ? 1.0f / c : 0.0f;
+  for (std::int64_t d = 0; d < n; ++d) {
+    float& c = kind.invCount[d];
+    c = c > 0.0f ? 1.0f / c : 0.0f;
+  }
   if (tape) kind.argmax.resize(static_cast<std::size_t>(n * dim));
   kernels::active().segmentMeanMaxRows(
       rowPtrs.data(), dst.data(), static_cast<std::int64_t>(edgeCount), dim,
-      kind.invCount.data(), n, kind.mean, kind.max,
+      kind.invCount, n, kind.mean, kind.max,
       tape ? kind.argmax.data() : nullptr);
 }
 
@@ -336,11 +344,14 @@ Tensor gnnLevel(const Tensor& x, const std::vector<Tensor>& earlier,
   bool allParamGrad = true;
   for (std::size_t i = 0; i < std::size(params); ++i) {
     const Tensor& p = *params[i];
-    // Projection weights at even indices below 10, the rest vectors.
-    const Shape want = i == 0                 ? Shape{inDim, dim}
-                       : i < 10 && i % 2 == 0 ? Shape{dim, dim}
-                                              : Shape{dim};
-    DAGT_CHECK_MSG(p.shape() == want, "gnnLevel: weight " << i << " shape");
+    // Projection weights [rows, D] at even indices below 10 (the self
+    // projection's rows are x's width), the rest vectors [D].
+    const bool shaped =
+        i < 10 && i % 2 == 0
+            ? p.ndim() == 2 && p.dim(0) == (i == 0 ? inDim : dim) &&
+                  p.dim(1) == dim
+            : p.ndim() == 1 && p.dim(0) == dim;
+    DAGT_CHECK_MSG(shaped, "gnnLevel: weight " << i << " shape");
     anyParamGrad = anyParamGrad || p.requiresGrad();
     allParamGrad = allParamGrad && p.requiresGrad();
   }
@@ -358,36 +369,51 @@ Tensor gnnLevel(const Tensor& x, const std::vector<Tensor>& earlier,
                    "whose features do not; run the eager chain otherwise");
   }
 
-  auto state = std::make_shared<LevelState>();
-  state->n = n;
-  state->inDim = inDim;
-  state->dim = dim;
+  // The state lives on the heap only when the tape node keeps it.
+  LevelState local;
+  const std::shared_ptr<LevelState> kept =
+      tape ? std::make_shared<LevelState>() : nullptr;
+  LevelState& state = tape ? *kept : local;
+  state.n = n;
+  state.inDim = inDim;
+  state.dim = dim;
   const auto block = static_cast<std::size_t>(n * dim);
   {
+    // [n, D] blocks first (each kind's mean and max, then the centered
+    // rows), then the [n] vectors (each kind's 1 / fanin, then the row
+    // statistics).
     const std::size_t kinds =
         (net != nullptr ? 1 : 0) + (cell != nullptr ? 1 : 0);
-    const std::size_t kept =
-        tape ? block + 3 * static_cast<std::size_t>(n) : 0;
-    const std::size_t size = 2 * kinds * block + kept;
-    state->buffer = makeOut({static_cast<std::int64_t>(size)})->data;
-    float* next = state->buffer.data();
-    for (KindState* kind : {net != nullptr ? &state->net : nullptr,
-                            cell != nullptr ? &state->cell : nullptr}) {
+    const auto rows = static_cast<std::size_t>(n);
+    const std::size_t recorded = tape ? block + 3 * rows : 0;
+    state.buffer = makeOut({static_cast<std::int64_t>(
+                               (2 * block + rows) * kinds + recorded)})
+                       ->data;
+    float* next = state.buffer.data();
+    KindState* present[2] = {net != nullptr ? &state.net : nullptr,
+                             cell != nullptr ? &state.cell : nullptr};
+    for (KindState* kind : present) {
       if (kind == nullptr) continue;
       kind->mean = next;
       kind->max = next + block;
       next += 2 * block;
     }
     if (tape) {
-      state->centered = next;
-      state->rowStats = next + block;
+      state.centered = next;
+      next += block;
     }
+    for (KindState* kind : present) {
+      if (kind == nullptr) continue;
+      kind->invCount = next;
+      next += rows;
+    }
+    if (tape) state.rowStats = next;
   }
   if (net != nullptr) {
-    aggregate(earlier, *net, n, dim, tape, state->sources, state->net);
+    aggregate(earlier, *net, n, dim, tape, state.sources, state.net);
   }
   if (cell != nullptr) {
-    aggregate(earlier, *cell, n, dim, tape, state->sources, state->cell);
+    aggregate(earlier, *cell, n, dim, tape, state.sources, state.cell);
   }
 
   // x Ws + bs, then each aggregate's projection with its bias and the sum
@@ -404,20 +430,20 @@ Tensor gnnLevel(const Tensor& x, const std::vector<Tensor>& earlier,
     gemmEpilogue(agg, weight, bias, h, next, n, dim, dim);
     std::swap(h, next);
   };
-  if (state->net.present) {
-    project(state->net.mean, w.netMeanWeight, w.netMeanBias);
-    project(state->net.max, w.netMaxWeight, w.netMaxBias);
+  if (state.net.present) {
+    project(state.net.mean, w.netMeanWeight, w.netMeanBias);
+    project(state.net.max, w.netMaxWeight, w.netMaxBias);
   }
-  if (state->cell.present) {
-    project(state->cell.mean, w.cellMeanWeight, w.cellMeanBias);
-    project(state->cell.max, w.cellMaxWeight, w.cellMaxBias);
+  if (state.cell.present) {
+    project(state.cell.mean, w.cellMeanWeight, w.cellMeanBias);
+    project(state.cell.max, w.cellMaxWeight, w.cellMaxBias);
   }
 
   auto out = makeOut({n, dim});
   kernels::LayerNormSaved saved;
   if (tape) {
-    saved.centered = state->centered;
-    saved.variance = state->rowStats;
+    saved.centered = state.centered;
+    saved.variance = state.rowStats;
     saved.stddev = saved.variance + n;
     saved.rstd = saved.stddev + n;
   }
@@ -426,13 +452,13 @@ Tensor gnnLevel(const Tensor& x, const std::vector<Tensor>& earlier,
                                   out->data.data(), tape ? &saved : nullptr);
   if (!tape) return Tensor(std::move(out));
 
-  state->w = w;
-  state->x = x;
+  state.w = w;
+  state.x = x;
   out->requiresGrad = true;
-  out->parents.reserve(std::size(params) + state->sources.size());
+  out->parents.reserve(std::size(params) + state.sources.size());
   for (const Tensor* p : params) out->parents.push_back(p->impl());
-  for (const auto& source : state->sources) out->parents.push_back(source);
-  out->backwardFn = [state](TensorImpl& self) { levelBackward(*state, self); };
+  for (const auto& source : state.sources) out->parents.push_back(source);
+  out->backwardFn = [kept](TensorImpl& self) { levelBackward(*kept, self); };
   return Tensor(std::move(out));
 }
 

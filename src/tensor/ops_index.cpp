@@ -248,42 +248,4 @@ Tensor segmentMax(const Tensor& src, const std::vector<std::int64_t>& segment,
   return Tensor(std::move(out));
 }
 
-std::pair<Tensor, Tensor> segmentMeanMax(
-    const std::vector<Tensor>& mats,
-    const std::vector<std::pair<std::int32_t, std::int64_t>>& src,
-    const std::vector<std::int64_t>& dst, std::int64_t numDst) {
-  DAGT_CHECK(!mats.empty());
-  DAGT_DCHECK_MSG(!expr::Recorder::active(),
-                  "segmentMeanMax is not expression-capturable");
-  DAGT_CHECK_MSG(!NoGradGuard::gradEnabled(),
-                 "segmentMeanMax is inference only (no backward)");
-  DAGT_CHECK_MSG(src.size() == dst.size(),
-                 "segmentMeanMax: " << src.size() << " sources for "
-                                    << dst.size() << " destinations");
-  DAGT_CHECK(numDst >= 0 && mats.front().ndim() == 2);
-  const std::int64_t cols = mats.front().dim(1);
-  const auto edges = static_cast<std::int64_t>(src.size());
-  std::vector<const float*>& rowPtrs = rowPtrScratch(src.size());
-  // 1 / fanin per destination, counted and inverted exactly like the eager
-  // chain's mulColVec operand.
-  thread_local std::vector<float> invCount;
-  invCount.assign(static_cast<std::size_t>(numDst), 0.0f);
-  for (std::int64_t e = 0; e < edges; ++e) {
-    const auto i = static_cast<std::size_t>(e);
-    rowPtrs[i] = checkedRow(mats, src[i], cols, "segmentMeanMax");
-    const std::int64_t d = dst[i];
-    DAGT_CHECK_MSG(d >= 0 && d < numDst, "segmentMeanMax: destination "
-                                             << d << " out of " << numDst);
-    invCount[static_cast<std::size_t>(d)] += 1.0f;
-  }
-  for (float& c : invCount) c = c > 0.0f ? 1.0f / c : 0.0f;
-  auto mean = makeOut({numDst, cols});
-  auto max = makeOut({numDst, cols});
-  kernels::active().segmentMeanMaxRows(rowPtrs.data(), dst.data(), edges, cols,
-                                       invCount.data(), numDst,
-                                       mean->data.data(), max->data.data(),
-                                       /*argmax=*/nullptr);
-  return {Tensor(std::move(mean)), Tensor(std::move(max))};
-}
-
 }  // namespace dagt::tensor

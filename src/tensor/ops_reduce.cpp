@@ -112,27 +112,6 @@ Tensor meanDim1(const Tensor& t) {
   return mulScalar(sumDim1(t), 1.0f / static_cast<float>(t.dim(1)));
 }
 
-Tensor layerNorm(const Tensor& x, const Tensor& gain, const Tensor& bias,
-                 float eps, bool relu) {
-  DAGT_CHECK(x.ndim() == 2 && x.dim(1) > 0);
-  DAGT_CHECK_MSG(gain.ndim() == 1 && gain.dim(0) == x.dim(1) &&
-                     bias.ndim() == 1 && bias.dim(0) == x.dim(1),
-                 "layerNorm: gain/bias must be [" << x.dim(1) << "]");
-  if (expr::Recorder::active()) {
-    return expr::Recorder::current()->record(expr::OpKind::kLayerNorm,
-                                             x.shape(), {&x, &gain, &bias},
-                                             eps, relu ? 1 : 0);
-  }
-  DAGT_CHECK_MSG(!tapeActive({&x, &gain, &bias}),
-                 "layerNorm has no backward; training runs the op chain "
-                 "(or gnnLevel)");
-  auto out = makeOut(x.shape());
-  kernels::active().layerNormRows(x.data(), gain.data(), bias.data(), eps,
-                                  relu, x.dim(0), x.dim(1), out->data.data(),
-                                  /*saved=*/nullptr);
-  return Tensor(std::move(out));
-}
-
 Tensor logSumExpDim1(const Tensor& t) {
   DAGT_CHECK(t.ndim() == 2);
   // Not capturable (double-precision max-subtracted accumulation has no

@@ -8,7 +8,7 @@
 // The tests drive the shared-state surfaces of the serving stack from many
 // threads at once: request coalescing + metrics snapshots, design/bundle
 // registry mutation during queries, the global BufferPool / Workspace
-// recycling handoff, and the trainer's batch producer. Most assertions are
+// recycling handoff, and end-to-end training. Most assertions are
 // coarse (totals, finiteness) — the point is the interleaving; TSan and the
 // DAGT_CHECKS contracts do the fine-grained judging. Served answers are
 // pinned bitwise: every bundle kind answers an endpoint independently of
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "core/batch_prefetcher.hpp"
 #include "core/dataset.hpp"
 #include "core/trainer.hpp"
 #include "features/design_data.hpp"
@@ -590,79 +589,10 @@ TEST(ConcurrencyStress, FusionProgramsCompileAndReplayConcurrently) {
   EXPECT_EQ(compiles.load(), 3);
 }
 
-TEST(ConcurrencyStress, BatchPrefetcherDeliversEveryStepInOrder) {
-  // Hammer the async producer/consumer handoff: the producer allocates a
-  // real payload per step (so TSan sees the memory cross threads) and the
-  // consumer asserts strict ordering and exact count.
-  constexpr std::size_t kSteps = 2000;
-  struct Step {
-    std::size_t seq = 0;
-    std::vector<float> payload;
-  };
-  for (int round = 0; round < 4; ++round) {
-    std::size_t produced = 0;
-    core::BatchPrefetcher<Step> prefetcher(
-        [&](Step& out) {
-          if (produced >= kSteps) return false;
-          out.seq = produced++;
-          out.payload.assign(64, static_cast<float>(out.seq));
-          return true;
-        });
-    Step step;
-    std::size_t consumed = 0;
-    while (prefetcher.next(step)) {
-      ASSERT_EQ(step.seq, consumed);
-      ASSERT_EQ(step.payload.at(63), static_cast<float>(consumed));
-      ++consumed;
-    }
-    EXPECT_EQ(consumed, kSteps);
-  }
-}
-
-TEST(ConcurrencyStress, BatchPrefetcherAbandonedMidStreamShutsDownCleanly) {
-  // The consumer may stop early (exception paths, test teardown); the
-  // destructor must unblock and join a producer stuck on a full slot.
-  struct Step {
-    std::vector<float> payload;
-  };
-  for (int round = 0; round < 16; ++round) {
-    core::BatchPrefetcher<Step> prefetcher(
-        [&](Step& out) {
-          out.payload.assign(256, 1.0f);
-          return true;  // endless stream
-        });
-    Step step;
-    ASSERT_TRUE(prefetcher.next(step));
-    // Drop the prefetcher with the producer mid-flight.
-  }
-}
-
-TEST(ConcurrencyStress, BatchPrefetcherPropagatesProducerException) {
-  struct Step {
-    int value = 0;
-  };
-  std::size_t produced = 0;
-  core::BatchPrefetcher<Step> prefetcher(
-      [&](Step& out) -> bool {
-        if (produced++ == 3) throw CheckError("producer exploded");
-        out.value = static_cast<int>(produced);
-        return true;
-      });
-  Step step;
-  std::size_t got = 0;
-  try {
-    while (prefetcher.next(step)) ++got;
-    FAIL() << "expected the producer's exception";
-  } catch (const CheckError&) {
-  }
-  EXPECT_EQ(got, 3u);
-}
-
 TEST(ConcurrencyStress, PrefetchedTrainingUnderThreads) {
-  // End-to-end transfer training: the async batch producer draws each
-  // step's target pick, both batches and the forward seed while the
-  // training thread runs the step before. This is the TSan surface for
-  // the whole train-side pipeline.
+  // End-to-end transfer training in this suite's sanitizer build: every
+  // step draws its target pick, both batches and the forward seed on the
+  // training thread, then trains there.
   const auto& d7 = target7();
   const auto& d130 = source130();
   core::TimingDataset trainSet({&d7, &d130});

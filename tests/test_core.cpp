@@ -361,8 +361,9 @@ std::vector<tensor::kernels::Tier> supportedTiers() {
 TEST(GnnLevelNode, SweepGradientsMatchEagerChainBitwiseAtEveryTier) {
   // Read through select() under a random-weighted loss, the sweep of level
   // nodes must leave every parameter's gradient and every level's value and
-  // gradient bitwise equal to the eager chain's (DAGT_FUSION=0). Hidden 24
-  // adds a GEMM column tail to the avx2fma tier's 16-wide blocks.
+  // gradient bitwise equal to the eager chain's (DAGT_FUSION=0); outside
+  // autograd, the served sweep's levels must too. Hidden 24 adds a GEMM
+  // column tail to the avx2fma tier's 16-wide blocks.
   const auto& d = target7();
   const auto endpoints = d.netlist.endpoints();
   const FusionRestore restore;
@@ -402,6 +403,22 @@ TEST(GnnLevelNode, SweepGradientsMatchEagerChainBitwiseAtEveryTier) {
                            (i < params ? " parameter " + std::to_string(i)
                                        : " level entry " +
                                              std::to_string(i - params)));
+      }
+
+      // The serving sweep: the same levels outside autograd, no node.
+      const auto serve = [&](bool withFusion) {
+        tensor::expr::setFusionEnabled(withFusion);
+        tensor::NoGradGuard noGrad;
+        return gnn.forward(*d.graph, d.pinFeatures).levelEmbeddings;
+      };
+      const auto servedEager = serve(false);
+      const auto served = serve(true);
+      ASSERT_EQ(served.size(), servedEager.size());
+      for (std::size_t level = 0; level < served.size(); ++level) {
+        const std::string what = "hidden " + std::to_string(hidden) +
+                                 " served level " + std::to_string(level);
+        EXPECT_FALSE(served[level].requiresGrad()) << what;
+        expectSameBits(served[level], servedEager[level], what);
       }
     }
   }
@@ -486,7 +503,7 @@ std::vector<Tensor> levelGradients(TimingGnn& gnn, const LevelCase& c,
   }
   const Tensor out =
       gnn.levelBody(c.features, c.pins, c.earlier,
-                    c.net ? &*c.net : nullptr, c.cell ? &*c.cell : nullptr, 0);
+                    c.net ? &*c.net : nullptr, c.cell ? &*c.cell : nullptr);
   tensor::sumAll(tensor::mul(out, weights)).backward();
   std::vector<Tensor> got{out.detach().clone()};
   for (const Tensor& p : gnn.parameters()) got.push_back(p.grad());
@@ -494,11 +511,21 @@ std::vector<Tensor> levelGradients(TimingGnn& gnn, const LevelCase& c,
   return got;
 }
 
+/// levelBody of `c` outside autograd: the serving call.
+Tensor servedLevel(const TimingGnn& gnn, const LevelCase& c, bool fused) {
+  tensor::expr::setFusionEnabled(fused);
+  tensor::NoGradGuard noGrad;
+  return gnn.levelBody(c.features, c.pins, c.earlier,
+                       c.net ? &*c.net : nullptr, c.cell ? &*c.cell : nullptr);
+}
+
 TEST(GnnLevelNode, HandBuiltLevelsMatchEagerChainBitwiseAtEveryTier) {
   // Each edge-kind combination, with ties, empty segments, a pin without
   // edges and a source that feeds this level through both kinds (so the
   // order of the cell and net scatters shows), plus a zero-variance row:
-  // the node's output and gradients equal the eager chain's bit for bit.
+  // the node's output and gradients equal the eager chain's bit for bit,
+  // and so does the op's output outside autograd, where it records
+  // nothing.
   const FusionRestore restore;
   const auto expectSame = [](const std::vector<Tensor>& fused,
                              const std::vector<Tensor>& eager,
@@ -507,6 +534,12 @@ TEST(GnnLevelNode, HandBuiltLevelsMatchEagerChainBitwiseAtEveryTier) {
     for (std::size_t i = 0; i < eager.size(); ++i) {
       expectSameBits(fused[i], eager[i], name + " entry " + std::to_string(i));
     }
+  };
+  const auto expectSameServed = [](const TimingGnn& gnn, const LevelCase& c,
+                                   const std::string& name) {
+    const Tensor served = servedLevel(gnn, c, true);
+    EXPECT_FALSE(served.requiresGrad()) << name;
+    expectSameBits(served, servedLevel(gnn, c, false), name + " served");
   };
   for (const auto tier : supportedTiers()) {
     SCOPED_TRACE(tensor::kernels::tierName(tier));
@@ -519,6 +552,7 @@ TEST(GnnLevelNode, HandBuiltLevelsMatchEagerChainBitwiseAtEveryTier) {
       const Tensor weights = Tensor::randn({6, 8}, init);
       expectSame(levelGradients(gnn, c, weights, true),
                  levelGradients(gnn, c, weights, false), c.name);
+      expectSameServed(gnn, c, c.name);
     }
     const LevelCase flat = levelCase(3, 70, /*tie=*/true, /*flatPin5=*/true);
     std::unique_ptr<TimingGnn> own;
@@ -527,6 +561,7 @@ TEST(GnnLevelNode, HandBuiltLevelsMatchEagerChainBitwiseAtEveryTier) {
     const Tensor weights = Tensor::randn({6, 8}, lossRng);
     expectSame(levelGradients(gnn, flat, weights, true),
                levelGradients(gnn, flat, weights, false), "zero variance");
+    expectSameServed(gnn, flat, "zero variance");
   }
 }
 
@@ -542,7 +577,7 @@ TEST(GnnLevelNode, RejectedLevelLeavesNoStateBehind) {
   bad.net->src.back() = {0, 99};
   tensor::expr::setFusionEnabled(true);
   EXPECT_THROW(gnn.levelBody(bad.features, bad.pins, bad.earlier, &*bad.net,
-                             &*bad.cell, 0),
+                             &*bad.cell),
                CheckError);
   const Tensor weights = Tensor::randn({6, 8}, init);
   const auto fused = levelGradients(gnn, c, weights, true);
@@ -562,7 +597,7 @@ void expectLevelGradientsMatchFiniteDifferences(TimingGnn& gnn,
   const auto loss = [&] {
     const Tensor out = gnn.levelBody(c.features, c.pins, c.earlier,
                                      c.net ? &*c.net : nullptr,
-                                     c.cell ? &*c.cell : nullptr, 0);
+                                     c.cell ? &*c.cell : nullptr);
     return static_cast<double>(
         tensor::sumAll(tensor::mul(out, weights)).item());
   };
@@ -1068,10 +1103,9 @@ TrainRun trainRun(const TimingDataset& trainSet, const TrainConfig& tc,
 }
 
 TEST(Trainer, TrainingIsDeterministic) {
-  // The producer thread owns every RNG draw while the training thread
-  // steps, so two runs of one config give bitwise the same loss curve and
-  // trained weights, for the one-phase and two-phase baselines and for the
-  // transfer loss.
+  // Every RNG draw comes from the config's seed in step order, so two runs
+  // of one config give bitwise the same loss curve and trained weights, for
+  // the one-phase and two-phase baselines and for the transfer loss.
   const auto& d7 = target7();
   const auto& d130 = source130();
   TimingDataset trainSet({&d7, &d130});

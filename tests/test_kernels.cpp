@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "tensor/expr.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -620,7 +619,19 @@ TEST(KernelParity, SegmentMeanMaxMatchesEagerChainEveryTier) {
                       Tensor::fromVector({numDst}, invCount));
         const Tensor refMax = segmentMax(gathered, dst, numDst);
 
-        const auto [mean, max] = segmentMeanMax(mats, src, dst, numDst);
+        // The kernel reads each edge's source row where it sits, into
+        // zero-filled outputs.
+        std::vector<const float*> rowPtrs;
+        for (const auto& [ord, row] : src) {
+          rowPtrs.push_back(mats[static_cast<std::size_t>(ord)].data() +
+                            row * cols);
+        }
+        Tensor mean = Tensor::zeros({numDst, cols});
+        Tensor max = Tensor::zeros({numDst, cols});
+        active().segmentMeanMaxRows(
+            rowPtrs.data(), dst.data(), static_cast<std::int64_t>(src.size()),
+            cols, invCount.data(), numDst, mean.data(), max.data(),
+            /*argmax=*/nullptr);
         expectSameBitsOrNaN(refMean, mean, "mean");
         expectSameBits(refMax, max, "max");
         // The all -inf destination and (when present) the edgeless one.
@@ -634,8 +645,7 @@ TEST(KernelParity, SegmentMeanMaxMatchesEagerChainEveryTier) {
   }
 }
 
-/// nn::LayerNorm's op chain, op for op (tests/test_nn.cpp checks the module
-/// itself against the kernel).
+/// nn::LayerNorm's op chain, op for op.
 Tensor layerNormChain(const Tensor& x, const Tensor& gain, const Tensor& bias,
                       float eps) {
   const Tensor mean = meanDim1(x);
@@ -665,34 +675,19 @@ TEST(KernelParity, LayerNormMatchesEagerChainEveryTier) {
         sprinkleSpecials(gain, rng, 0.05);
         sprinkleSpecials(bias, rng, 0.05);
         const Tensor ref = layerNormChain(x, gain, bias, 1e-5f);
-        expectSameBitsOrNaN(ref, layerNorm(x, gain, bias, 1e-5f, false),
-                            "plain");
-        expectSameBits(relu(ref), layerNorm(x, gain, bias, 1e-5f, true),
-                       "relu");
+        for (const bool withRelu : {false, true}) {
+          Tensor out = Tensor::zeros({rows, cols});
+          active().layerNormRows(x.data(), gain.data(), bias.data(), 1e-5f,
+                                 withRelu, rows, cols, out.data(),
+                                 /*saved=*/nullptr);
+          if (withRelu) {
+            expectSameBits(relu(ref), out, "relu");
+          } else {
+            expectSameBitsOrNaN(ref, out, "plain");
+          }
+        }
       }
     }
-  }
-}
-
-TEST(KernelParity, LayerNormNodeReplaysAtAnyRowCount) {
-  // Captured as one node, the kernel keeps its parity inside a program and
-  // leaves the program row-polymorphic.
-  Rng rng(74);
-  const Tensor gain = Tensor::randn({16}, rng);
-  const Tensor bias = Tensor::randn({16}, rng);
-  NoGradGuard noGrad;
-  std::shared_ptr<const expr::FusedProgram> program;
-  {
-    expr::Capture cap;
-    const Tensor lx = cap.input(Tensor::zeros({4, 16}));
-    const Tensor y = layerNorm(lx, gain, bias, 1e-5f, true);
-    program = cap.compile({&y});
-  }
-  EXPECT_TRUE(program->rowPolymorphic());
-  for (const std::int64_t rows : {1, 4, 37}) {
-    const Tensor x = Tensor::randn({rows, 16}, rng);
-    expectSameBits(relu(layerNormChain(x, gain, bias, 1e-5f)),
-                   program->runOne({x}), "replay");
   }
 }
 

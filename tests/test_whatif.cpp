@@ -739,9 +739,9 @@ TEST(WhatIfSession, MovedConesRemaskLikeAFreshExtraction) {
 
 TEST(WhatIfSession, ResizeAndMoveEditsCompileNoPrograms) {
   // Once the load's sweep and a first answered edit have compiled the
-  // programs a query needs (the GNN's level programs serve every level
-  // width; the path programs are keyed by the fixed query width), cone
-  // fills of any size compile nothing more.
+  // programs a query needs (the path programs are keyed by the fixed query
+  // width; the GNN runs outside programs), cone fills of any size compile
+  // nothing more.
   SessionFixture f;
   WhatIfSession session(f.engine, "wi", f.nl, f.node, f.placement);
   Rng rng(29);
